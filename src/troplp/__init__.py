@@ -8,9 +8,8 @@ reference oracles used by the test suite.
 """
 
 from ._version import __version__
-from .closure import (CycleMeanResult, Digraph, kleene_star,
-                      kleene_star_scaled, max_cycle_mean,
-                      strongly_connected_components)
+from .closure import (CycleMeanResult, kleene_star, kleene_star_scaled,
+                      max_cycle_mean)
 from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, approx_equal,
                    conjugate, diag, eps_matrix, eps_vector, identity,
                    inverse_diag, is_eps, leq, tadd, tdot, tdot_min, tmul,
@@ -43,8 +42,7 @@ __all__ = [
     "conjugate", "diag", "inverse_diag", "identity", "eps_matrix",
     "eps_vector", "leq", "approx_equal",
     # closure
-    "Digraph", "CycleMeanResult", "strongly_connected_components",
-    "max_cycle_mean", "kleene_star", "kleene_star_scaled",
+    "CycleMeanResult", "max_cycle_mean", "kleene_star", "kleene_star_scaled",
     # one-sided systems
     "OneSidedSolveResult", "greatest_subsolution", "solve_equality",
     "subeigen_nonempty", "subeigen_generate", "subeigen_member",

@@ -2,9 +2,17 @@
 
 A square matrix A induces a weighted digraph with an arc (i, j) of weight
 a_ij for every entry above epsilon.  This module computes the maximum cycle
-mean lambda(A) with Karp's dynamic program (run per strongly connected
-component), the Kleene star A* = I + A + A^2 + ... via a Floyd-Warshall
-sweep, and the shifted star of A - lambda.
+mean lambda(A) with Karp's dynamic program on one walk table, the Kleene
+star A* = I + A + A^2 + ... via a Floyd-Warshall sweep, and the shifted star
+of A - lambda.
+
+Karp's table uses a super-source with a zero-weight arc to every node, so
+D_0 = 0 and D_k = max_u(D_{k-1}[u] + A[u, :]) is the heaviest walk of exactly
+k arcs ending at each node.  No strongly connected decomposition is needed:
+the source has no incoming arc and adds no cycle.  The star is finite iff
+lambda(A) <= 0, and a positive cycle through node i leaves a positive entry
+(i, i) after the sweep, so the sweep's own diagonal tells convergence and the
+cycle mean is computed only to name the divergent cycle.
 """
 
 from __future__ import annotations
@@ -15,27 +23,6 @@ import numpy as np
 
 from .core import DEFAULT_TOL, EPSILON, TropMatrix
 from .errors import DimensionMismatchError, DivergentStarError
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Weighted digraph on nodes 0..node_count-1 with finite arc weights."""
-
-    node_count: int
-    arcs: tuple[tuple[int, int, float], ...]
-
-    @classmethod
-    def from_matrix(cls, a: TropMatrix) -> "Digraph":
-        if a.rows != a.cols:
-            raise DimensionMismatchError(f"matrix is not square: {a.shape}")
-        arcs = []
-        data = a.data
-        for i in range(a.rows):
-            for j in range(a.cols):
-                w = data[i, j]
-                if w > EPSILON:
-                    arcs.append((i, j, float(w)))
-        return cls(a.rows, tuple(arcs))
 
 
 @dataclass(frozen=True)
@@ -50,141 +37,44 @@ class CycleMeanResult:
     witness_cycle: tuple[int, ...] | None
 
 
-def strongly_connected_components(g: Digraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.
+def _require_square(a: TropMatrix):
+    if a.rows != a.cols:
+        raise DimensionMismatchError(f"matrix is not square: {a.shape}")
 
-    Components are returned sorted by their smallest node, each component
-    sorted internally, so the output is deterministic.
+
+def _walk_table(data: np.ndarray) -> np.ndarray:
+    """Row k holds the heaviest weight of a k-arc walk ending at each node."""
+    n = data.shape[0]
+    walks = np.empty((n + 1, n))
+    walks[0] = 0.0
+    buf = np.empty_like(data)
+    for k in range(1, n + 1):
+        np.add(walks[k - 1][:, np.newaxis], data, out=buf)
+        buf.max(axis=0, out=walks[k])
+    return walks
+
+
+def _critical_cycle(data: np.ndarray, walks: np.ndarray, end: int) -> tuple[int, ...]:
+    """Extract an elementary cycle from the arg-max n-arc walk ending at `end`.
+
+    The walk visits n + 1 nodes, so it repeats one; the segment up to the
+    first repeat is an elementary cycle.  Every cycle on that walk is
+    critical: dropping a cycle of l arcs leaves a walk of n - l arcs, which
+    weighs at most D_{n-l}[end], and Karp's minimum bounds that gap by l
+    times the maximum cycle mean.
     """
-    n = g.node_count
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _w in g.arcs:
-        adj[i].append(j)
-    for neighbors in adj:
-        neighbors.sort()
-
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work: list[tuple[int, object]] = [(root, iter(adj[root]))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                comps.append(comp)
-
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
-def _karp_tables(nodes: list[int], arcs: list[tuple[int, int, float]]):
-    """Karp tables for one strongly connected component.
-
-    Returns (best_value, best_node, walk_weights, predecessors) where
-    walk_weights[k][v] is the maximum weight of a walk with exactly k arcs
-    from the source (local node 0) to local node v, -inf if none exists.
-    """
-    local = {node: k for k, node in enumerate(nodes)}
-    size = len(nodes)
-    in_arcs: list[list[tuple[int, float]]] = [[] for _ in range(size)]
-    for i, j, w in arcs:
-        in_arcs[local[j]].append((local[i], w))
-
-    walk = [[EPSILON] * size for _ in range(size + 1)]
-    pred = [[-1] * size for _ in range(size + 1)]
-    walk[0][0] = 0.0
-    for k in range(1, size + 1):
-        row_prev = walk[k - 1]
-        row = walk[k]
-        prow = pred[k]
-        for v in range(size):
-            best = EPSILON
-            best_u = -1
-            # -inf + w stays -inf, so unreachable predecessors never win
-            for u, w in in_arcs[v]:
-                cand = row_prev[u] + w
-                if cand > best:
-                    best = cand
-                    best_u = u
-            row[v] = best
-            prow[v] = best_u
-
-    best_value = EPSILON
-    best_node = -1
-    last = walk[size]
-    for v in range(size):
-        if last[v] == EPSILON:
-            continue
-        worst = None
-        for k in range(size):
-            if walk[k][v] == EPSILON:
-                continue
-            ratio = (last[v] - walk[k][v]) / (size - k)
-            if worst is None or ratio < worst:
-                worst = ratio
-        if worst is not None and worst > best_value:
-            best_value = worst
-            best_node = v
-    return best_value, best_node, walk, pred
-
-
-def _critical_cycle(nodes: list[int], pred: list[list[int]], end: int) -> tuple[int, ...]:
-    """Extract an elementary cycle from the arg-max walk ending at `end`.
-
-    The walk realizing the final Karp row visits more nodes than the
-    component has, so it repeats one; the segment between the first repeat is
-    an elementary cycle attaining the component's cycle mean.
-    """
-    size = len(nodes)
+    n = data.shape[0]
     path = [end]
     v = end
-    for k in range(size, 0, -1):
-        v = pred[k][v]
+    for k in range(n, 0, -1):
+        v = int(np.argmax(walks[k - 1] + data[:, v]))
         path.append(v)
     path.reverse()
 
     seen: dict[int, int] = {}
     for pos, v in enumerate(path):
         if v in seen:
-            segment = path[seen[v]:pos]
-            return tuple(nodes[u] for u in segment)
+            return tuple(path[seen[v]:pos])
         seen[v] = pos
     raise AssertionError("walk of length n must repeat a node")
 
@@ -192,29 +82,26 @@ def _critical_cycle(nodes: list[int], pred: list[list[int]], end: int) -> tuple[
 def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     """Maximum mean over all elementary cycles of the digraph of A.
 
-    Karp's dynamic program is run on each strongly connected component that
-    contains at least one arc; the answer is the maximum over components and
-    epsilon when the digraph is acyclic.
+    Karp's theorem on the walk table D_0..D_n:
+    lambda = max over v with D_n[v] finite of
+             min over k < n with D_k[v] finite of (D_n[v] - D_k[v]) / (n - k),
+    and epsilon when D_n is all epsilon, i.e. the digraph is acyclic.
     """
-    g = Digraph.from_matrix(a)
-    comps = strongly_connected_components(g)
-
-    best = EPSILON
-    best_payload = None
-    for comp in comps:
-        members = set(comp)
-        arcs = [(i, j, w) for (i, j, w) in g.arcs if i in members and j in members]
-        if not arcs:
-            continue
-        value, node, _walk, pred = _karp_tables(comp, arcs)
-        if value > best:
-            best = value
-            best_payload = (comp, pred, node)
-
-    if best_payload is None:
+    _require_square(a)
+    data = a.data
+    n = a.rows
+    walks = _walk_table(data)
+    last = walks[n]
+    ends = np.flatnonzero(last > EPSILON)
+    if ends.size == 0:
         return CycleMeanResult(EPSILON, None)
-    comp, pred, node = best_payload
-    return CycleMeanResult(best, _critical_cycle(comp, pred, node))
+    # D_0 = 0, so every column has a finite k; epsilon rows give +inf ratios
+    # that the minimum skips
+    ratios = (last[ends] - walks[:n, ends]) / (n - np.arange(n))[:, np.newaxis]
+    per_end = ratios.min(axis=0)
+    best = int(np.argmax(per_end))
+    return CycleMeanResult(float(per_end[best]),
+                           _critical_cycle(data, walks, int(ends[best])))
 
 
 def _star_sweep(data: np.ndarray) -> np.ndarray:
@@ -227,19 +114,28 @@ def _star_sweep(data: np.ndarray) -> np.ndarray:
     return out
 
 
+def _diverges(swept: np.ndarray) -> bool:
+    """True when the sweep saw a closed walk of positive weight."""
+    return bool(np.diagonal(swept).max() > 0.0)
+
+
 def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
     """Strong transitive closure A* = I + A + A^2 + ...
 
     The series is finite only when the maximum cycle mean is nonpositive, in
     which case it equals the partial sum up to exponent n-1 and is computed
-    by a Floyd-Warshall sweep in O(n^3).
+    by a Floyd-Warshall sweep in O(n^3).  Karp runs only when the sweep's
+    diagonal turns positive, and the star is refused only when lambda > tol.
     """
-    cm = max_cycle_mean(a)
-    if cm.lambda_ > tol:
-        raise DivergentStarError(
-            f"star series diverges: maximum cycle mean {cm.lambda_} > 0",
-            lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
-    return TropMatrix(_star_sweep(a.data))
+    _require_square(a)
+    swept = _star_sweep(a.data)
+    if _diverges(swept):
+        cm = max_cycle_mean(a)
+        if cm.lambda_ > tol:
+            raise DivergentStarError(
+                f"star series diverges: maximum cycle mean {cm.lambda_} > 0",
+                lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
+    return TropMatrix(swept)
 
 
 def kleene_star_scaled(a: TropMatrix, lam: float, tol: float = DEFAULT_TOL) -> TropMatrix:
@@ -247,11 +143,12 @@ def kleene_star_scaled(a: TropMatrix, lam: float, tol: float = DEFAULT_TOL) -> T
 
     Converges exactly when lam is at least the maximum cycle mean of A.
     """
-    if a.rows != a.cols:
-        raise DimensionMismatchError(f"matrix is not square: {a.shape}")
-    cm = max_cycle_mean(a)
-    if lam < cm.lambda_ - tol:
-        raise DivergentStarError(
-            f"shifted star diverges: shift {lam} below maximum cycle mean {cm.lambda_}",
-            lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
-    return TropMatrix(_star_sweep(a.data - lam))
+    _require_square(a)
+    swept = _star_sweep(a.data - lam)
+    if _diverges(swept):
+        cm = max_cycle_mean(a)
+        if lam < cm.lambda_ - tol:
+            raise DivergentStarError(
+                f"shifted star diverges: shift {lam} below maximum cycle mean {cm.lambda_}",
+                lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
+    return TropMatrix(swept)

@@ -146,6 +146,20 @@ def tadd(a, b):
     return type(a)(np.maximum(a.data, b.data))
 
 
+def _accumulate(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matrix product over (op, +), one rank-one update per inner index.
+
+    Keeps the working set at one m x n buffer instead of the m x k x n
+    broadcast temporary.
+    """
+    out = x[:, 0:1] + y[0:1, :]
+    term = np.empty_like(out)
+    for k in range(1, x.shape[1]):
+        np.add(x[:, k:k + 1], y[k:k + 1, :], out=term)
+        op(out, term, out=out)
+    return out
+
+
 def tmul(a: TropMatrix, b):
     """Max-plus product: matrix x matrix -> matrix, matrix x vector -> vector."""
     if isinstance(b, TropVector):
@@ -156,7 +170,7 @@ def tmul(a: TropMatrix, b):
     if a.cols != b.rows:
         raise DimensionMismatchError(
             f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return TropMatrix((a.data[:, :, np.newaxis] + b.data[np.newaxis, :, :]).max(axis=1))
+    return TropMatrix(_accumulate(np.maximum, a.data, b.data))
 
 
 def tmul_min(a: TropMatrix, b):
@@ -170,7 +184,7 @@ def tmul_min(a: TropMatrix, b):
     if a.cols != b.rows:
         raise DimensionMismatchError(
             f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return TropMatrix((a.data[:, :, np.newaxis] + b.data[np.newaxis, :, :]).min(axis=1))
+    return TropMatrix(_accumulate(np.minimum, a.data, b.data))
 
 
 def tdot(u: TropVector, v: TropVector) -> float:

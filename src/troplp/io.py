@@ -20,12 +20,12 @@ from ._version import __version__
 from .closure import CycleMeanResult, kleene_star, max_cycle_mean
 from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, identity,
                    tadd, tmul, transpose)
-from .errors import (DivergentStarError, InfeasibleLambdaError,
-                     InstanceFormatError)
+from .errors import (DivergentStarError, FiniteRequiredError,
+                     InfeasibleLambdaError, InstanceFormatError)
 from .intlp import (duality_gap, fr, solve_dual_integer_direct,
                     solve_dual_integer_general, solve_primal_integer)
 from .lp import LpInstance, solve_dual, solve_primal
-from .onesided import solve_equality
+from .onesided import _check_system, solve_equality
 from .twosided import TwoSidedInstance, solve_tslp, solve_tslp2
 
 KINDS = ("primal", "dual", "primal-integer", "dual-integer", "gap",
@@ -399,28 +399,6 @@ def _cycle_mean_error(a: TropMatrix, cm: CycleMeanResult) -> float:
     return abs(weight / len(cm.witness_cycle) - cm.lambda_)
 
 
-def _is_acyclic(a: TropMatrix) -> bool:
-    # Kahn's algorithm on the finite arcs.
-    n = a.rows
-    indeg = [0] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if a.data[i, j] > EPSILON:
-                out[i].append(j)
-                indeg[j] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == n
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -592,7 +570,7 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
         if lam == EPSILON:
             if cycle is not None:
                 problems.append("acyclic result must not carry a witness cycle")
-            if not _is_acyclic(inst.a):
+            if max_cycle_mean(inst.a).lambda_ != EPSILON:
                 problems.append("lambda = -inf claimed but the digraph has a cycle")
         else:
             if not _is_number(lam):
@@ -609,8 +587,10 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
     elif kind == "onesided":
         p = _as_vector(payload, "principal", inst.a.cols, problems)
         if p is not None:
-            if not inst.a.is_finite() or not inst.b.is_finite():
-                problems.append("onesided solutions require a finite instance")
+            try:
+                _check_system(inst.a, inst.b)
+            except FiniteRequiredError as exc:
+                problems.append(str(exc))
                 return problems
             image = tmul(inst.a, p).data
             over = float(np.max(image - inst.b.data))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import kleene_star_scaled, max_cycle_mean
-from .core import DEFAULT_TOL, TropMatrix, TropVector, tmul
+from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, tmul
 from .errors import DimensionMismatchError, FiniteRequiredError
 
 
@@ -33,15 +33,32 @@ class OneSidedSolveResult:
 
 
 def _check_system(a: TropMatrix, b: TropVector):
-    if not a.is_finite() or not b.is_finite():
-        raise FiniteRequiredError("one-sided solvers require finite A and b")
+    """Residuation needs a finite b and a finite entry in every row and column.
+
+    An epsilon entry a_ij only drops row i from the minimum for x_j; an all
+    epsilon column would leave x_j unbounded, and an all epsilon row would
+    keep (A x)_i at epsilon, an infinite shortfall below b_i.
+    """
+    if not b.is_finite():
+        raise FiniteRequiredError("one-sided solvers require a finite b")
+    finite = a.data > EPSILON
+    for axis, what in ((0, "column"), (1, "row")):
+        empty = np.flatnonzero(~finite.any(axis=axis))
+        if empty.size:
+            raise FiniteRequiredError(
+                f"one-sided solvers need a finite entry in every {what} of A; "
+                f"{what} {int(empty[0])} is all -inf")
     if a.rows != len(b):
         raise DimensionMismatchError(
             f"A has {a.rows} rows but b has length {len(b)}")
 
 
 def greatest_subsolution(a: TropMatrix, b: TropVector) -> TropVector:
-    """Greatest x with A x <= b: componentwise x_j = min_i(b_i - a_ij)."""
+    """Greatest x with A x <= b: componentwise x_j = min_i(b_i - a_ij).
+
+    Epsilon entries of A are allowed; they give b_i - a_ij = +inf, which the
+    minimum skips.
+    """
     _check_system(a, b)
     return TropVector((b.data[:, np.newaxis] - a.data).min(axis=0))
 

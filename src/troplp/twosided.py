@@ -9,7 +9,9 @@ lower vector d:
 Feasible points exist exactly when the maximum cycle mean of A is
 nonpositive.  The inequality form reduces, through y = A* u, to a one-sided
 dual program on the transposed star; the equation form has the closed-form
-optimum y = A* d.  Either way one star computation dominates at O(n^3).
+optimum y = A* d.  Either way one cycle mean and one star sweep, both
+O(n^3), dominate; the cycle mean already settles feasibility, so the sweep
+runs without a second divergence test.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import kleene_star, max_cycle_mean
+from .closure import _star_sweep, max_cycle_mean
 from .core import DEFAULT_TOL, TropMatrix, TropVector, tdot, tmul, transpose
 from .errors import (CertificateViolationError, DimensionMismatchError,
                      FiniteRequiredError, InfeasibleLambdaError)
@@ -79,7 +81,7 @@ def solve_tslp(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedResu
     witness maps back to y = A* u.
     """
     _checked_cycle_mean(inst, tol)
-    star = kleene_star(inst.a, tol)
+    star = TropMatrix(_star_sweep(inst.a.data))
     star_t = transpose(star)
     sub = LpInstance(star_t, tmul(star_t, inst.c), inst.d)
     u, g_min = solve_dual(sub)
@@ -98,7 +100,7 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
     single point A* d, reported as the unique-fixed-point kind.
     """
     cm = _checked_cycle_mean(inst, tol)
-    star = kleene_star(inst.a, tol)
+    star = TropMatrix(_star_sweep(inst.a.data))
     y = tmul(star, inst.d)
     lhs = np.maximum(tmul(inst.a, y).data, inst.d.data)
     if np.max(np.abs(lhs - y.data)) > tol:

@@ -1,14 +1,19 @@
-"""Cycle means, strongly connected components, and Kleene stars."""
+"""Cycle means and Kleene stars."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import util
-from troplp import (EPSILON, Digraph, DimensionMismatchError,
-                    DivergentStarError, TropMatrix, approx_equal,
+from troplp import (EPSILON, DimensionMismatchError, DivergentStarError,
+                    TropMatrix, TropVector, TwoSidedInstance, approx_equal,
                     brute_cycle_mean, brute_star, diag, identity,
                     inverse_diag, kleene_star, kleene_star_scaled,
-                    max_cycle_mean, strongly_connected_components, tadd, tmul)
+                    max_cycle_mean, solve_tslp, solve_tslp2, tadd, tmul)
+from troplp import closure
+from troplp.closure import _star_sweep
 
 E = EPSILON
 
@@ -23,39 +28,51 @@ def cycle_mean_of(a: TropMatrix, cycle) -> float:
     return total / len(cycle)
 
 
-class TestDigraph:
-    def test_arcs_are_finite_entries(self):
-        a = TropMatrix([[1, E], [0.5, E]])
-        g = Digraph.from_matrix(a)
-        assert g.node_count == 2
-        assert g.arcs == ((0, 0, 1.0), (1, 0, 0.5))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            Digraph.from_matrix(TropMatrix([[1, 2]]))
+def assert_critical(a: TropMatrix, cycle, lam: float, tol: float = 1e-9):
+    assert len(set(cycle)) == len(cycle), "witness cycle is not elementary"
+    assert cycle_mean_of(a, cycle) == pytest.approx(lam, abs=tol)
 
 
-class TestScc:
-    def test_acyclic_chain(self):
-        a = TropMatrix([[E, 1, E], [E, E, 1], [E, E, E]])
-        comps = strongly_connected_components(Digraph.from_matrix(a))
-        assert comps == [[0], [1], [2]]
+@st.composite
+def small_graphs(draw):
+    """Square matrices with n <= 7: real or integer weights (integer ones
+    tie often), epsilon-dense masks, and acyclic relabelled triangles."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    shape = draw(st.sampled_from(["real", "integer", "dag"]))
+    if shape == "integer":
+        elements = st.integers(min_value=-3, max_value=3).map(float)
+    else:
+        elements = st.floats(min_value=-10, max_value=10, allow_nan=False)
+    data = draw(hnp.arrays(float, (n, n), elements=elements))
+    eps = draw(hnp.arrays(bool, (n, n), elements=st.booleans()))
+    data = np.where(eps, E, data)
+    if shape == "dag":
+        order = np.array(draw(st.permutations(range(n))))
+        rank = np.empty(n, dtype=int)
+        rank[order] = np.arange(n)
+        data = np.where(rank[:, None] < rank[None, :], data, E)
+    return TropMatrix(data)
 
-    def test_two_cycle(self):
-        a = TropMatrix([[E, 1], [1, E]])
-        comps = strongly_connected_components(Digraph.from_matrix(a))
-        assert comps == [[0, 1]]
 
-    def test_mutual_arcs(self):
-        a = TropMatrix([[0, 3], [-1, 0]])
-        comps = strongly_connected_components(Digraph.from_matrix(a))
-        assert comps == [[0, 1]]
+def large_graph(rng, n: int, shape: str) -> TropMatrix:
+    if shape == "dense":
+        return util.finite_matrix(rng, n, n)
+    if shape == "sparse":
+        return util.sparse_square(rng, n, density=0.05)
+    if shape == "ties":
+        return TropMatrix(rng.integers(-2, 3, (n, n)).astype(float))
+    # DAG with one planted cycle
+    data = np.where(np.triu(np.ones((n, n), dtype=bool), 1),
+                    rng.uniform(-10, 10, (n, n)), E)
+    nodes = rng.choice(n, size=3, replace=False)
+    for pos, u in enumerate(nodes):
+        data[u, nodes[(pos + 1) % 3]] = float(rng.uniform(-1, 1))
+    return TropMatrix(data)
 
-    def test_mixed_components(self):
-        # 0 <-> 1 cycle feeding an isolated sink 2
-        a = TropMatrix([[E, 2, 1], [3, E, E], [E, E, E]])
-        comps = strongly_connected_components(Digraph.from_matrix(a))
-        assert comps == [[0, 1], [2]]
+
+@pytest.fixture
+def karp_calls(monkeypatch):
+    return util.count_calls(monkeypatch, closure.max_cycle_mean)
 
 
 class TestMaxCycleMean:
@@ -97,6 +114,29 @@ class TestMaxCycleMean:
                 assert cycle_mean_of(a, witness) \
                     == pytest.approx(karp.lambda_, abs=1e-9)
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    def test_matches_brute_property(self, a):
+        karp = max_cycle_mean(a)
+        brute = brute_cycle_mean(a)
+        if brute == E:
+            assert karp.lambda_ == E
+            assert karp.witness_cycle is None
+        else:
+            assert karp.lambda_ == pytest.approx(brute, abs=1e-9)
+            assert_critical(a, karp.witness_cycle, karp.lambda_)
+
+    @pytest.mark.parametrize("n", [30, 77, 200])
+    @pytest.mark.parametrize("shape", ["dense", "sparse", "ties", "dag"])
+    def test_large_witness_realizes_lambda(self, n, shape):
+        # no oracle at this size: the witness is a cycle of mean lambda, and
+        # the sweep of A - lambda finds no closed walk of positive weight
+        a = large_graph(np.random.default_rng(n), n, shape)
+        res = max_cycle_mean(a)
+        assert res.lambda_ > E
+        assert_critical(a, res.witness_cycle, res.lambda_)
+        assert np.diagonal(_star_sweep(a.data - res.lambda_)).max() <= 1e-9
+
     def test_invariant_under_diagonal_similarity(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -125,6 +165,22 @@ class TestKleeneStar:
         with pytest.raises(DivergentStarError) as exc:
             kleene_star(TropMatrix([[1]]))
         assert exc.value.lambda_ == pytest.approx(1.0)
+
+    def test_divergence_names_karp_witness(self):
+        a = util.positive_cycle_matrix(np.random.default_rng(14), 6)
+        cm = max_cycle_mean(a)
+        with pytest.raises(DivergentStarError) as exc:
+            kleene_star(a)
+        assert exc.value.lambda_ == cm.lambda_
+        assert exc.value.witness_cycle == cm.witness_cycle
+
+    def test_lambda_within_tol_returns_star(self):
+        # a two-cycle of mean 5e-10: positive, but inside tol = 1e-9
+        a = TropMatrix([[E, 1.0], [-1.0 + 1e-9, E]])
+        assert 0 < max_cycle_mean(a).lambda_ <= 1e-9
+        assert kleene_star(a, 1e-9) == TropMatrix(_star_sweep(a.data))
+        with pytest.raises(DivergentStarError):
+            kleene_star(a, 1e-10)
 
     def test_matches_power_sum(self):
         rng = np.random.default_rng(11)
@@ -162,5 +218,42 @@ class TestKleeneStarScaled:
         assert approx_equal(star, brute_star(TropMatrix([[-1, 2], [-2, -1]])))
 
     def test_shift_below_lambda_diverges(self):
-        with pytest.raises(DivergentStarError):
+        with pytest.raises(DivergentStarError) as exc:
             kleene_star_scaled(TropMatrix([[0, 3], [-1, 0]]), 0.5)
+        assert exc.value.lambda_ == pytest.approx(1.0)
+        assert exc.value.witness_cycle in ((0, 1), (1, 0))
+
+    def test_shift_within_tol_below_lambda_returns_star(self):
+        a = TropMatrix([[0, 3], [-1, 0]])
+        star = kleene_star_scaled(a, 1.0 - 5e-10, 1e-9)
+        assert star == TropMatrix(_star_sweep(a.data - (1.0 - 5e-10)))
+
+
+class TestKarpCallCount:
+    def test_convergent_star_skips_karp(self, karp_calls):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            n = int(rng.integers(1, 30))
+            a = util.nonpositive_cycle_matrix(rng, n, margin=0.5)
+            kleene_star(a)
+            kleene_star_scaled(a, 0.0)
+        assert karp_calls == []
+
+    def test_divergent_star_runs_karp_once(self, karp_calls):
+        with pytest.raises(DivergentStarError):
+            kleene_star(TropMatrix([[1]]))
+        assert len(karp_calls) == 1
+
+    @pytest.mark.parametrize("solve", [solve_tslp, solve_tslp2])
+    def test_two_sided_runs_karp_once(self, solve, karp_calls):
+        inst = util.tslp_instance(np.random.default_rng(16), 12)
+        solve(inst)
+        assert len(karp_calls) == 1
+        # 0.1 + 0.2 - 0.3 rounds to 5.6e-17: the sweep's diagonal turns
+        # positive although lambda is within tol
+        tight = TwoSidedInstance(TropMatrix([[-5, 0.1, -5], [-5, -5, 0.2],
+                                             [-0.3, -5, -5]]),
+                                 TropVector([0, 0, 0]), TropVector([0, 0, 0]))
+        assert np.diagonal(_star_sweep(tight.a.data)).max() > 0
+        solve(tight)
+        assert len(karp_calls) == 2

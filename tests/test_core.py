@@ -1,5 +1,6 @@
 """Core max-plus algebra: construction invariants, operations, algebra laws."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,6 +80,15 @@ class TestTmul:
         with pytest.raises(DimensionMismatchError):
             tmul(TropMatrix([[1, 2]]), TropVector([1, 2, 3]))
 
+    def test_matrix_matrix_matches_broadcast_formula(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            m, k, n = (int(v) for v in rng.integers(1, 7, 3))
+            x = np.where(rng.random((m, k)) < 0.3, E, rng.uniform(-9, 9, (m, k)))
+            y = np.where(rng.random((k, n)) < 0.3, E, rng.uniform(-9, 9, (k, n)))
+            expected = (x[:, :, np.newaxis] + y[np.newaxis, :, :]).max(axis=1)
+            assert np.array_equal(tmul(TropMatrix(x), TropMatrix(y)).data, expected)
+
 
 class TestTmulMin:
     def test_matrix_vector(self):
@@ -89,6 +99,16 @@ class TestTmulMin:
     def test_zero_diagonal_with_finite_matrix(self):
         # min-plus identity behaviour needs finite operands, so use 1x1
         assert tmul_min(TropMatrix([[0.0]]), TropVector([3.5])) == TropVector([3.5])
+
+    def test_matrix_matrix_matches_broadcast_formula(self):
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            m, k, n = (int(v) for v in rng.integers(1, 7, 3))
+            x = rng.uniform(-9, 9, (m, k))
+            y = rng.uniform(-9, 9, (k, n))
+            expected = (x[:, :, np.newaxis] + y[np.newaxis, :, :]).min(axis=1)
+            assert np.array_equal(tmul_min(TropMatrix(x), TropMatrix(y)).data,
+                                  expected)
 
     def test_eps_rejected(self):
         with pytest.raises(FiniteRequiredError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import util
-from troplp import EPSILON, InstanceFormatError
+from troplp import EPSILON, InstanceFormatError, closure
 from troplp.cli import main
 from troplp.io import (EXIT_CERTIFICATE, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                        KINDS, parse_instance, parse_solution, render_text,
@@ -193,6 +193,18 @@ class TestVerifyPayload:
         tampered["x"] = [4.0, 2.0]  # infeasible: exceeds the principal solution
         assert any("infeasible" in p for p in verify_payload(tampered))
 
+    @pytest.mark.parametrize("rows,ok", [
+        ([[E, 1], [E, E]], True),
+        ([[E, 1], [-1, E]], False),
+    ])
+    def test_acyclic_mcm_claim_checked(self, rows, ok):
+        payload = {"problem": "mcm", "lambda": E, "witness_cycle": None,
+                   "instance": {"problem": "mcm", "A": rows}}
+        problems = verify_payload(payload)
+        assert (problems == []) == ok
+        if not ok:
+            assert problems == ["lambda = -inf claimed but the digraph has a cycle"]
+
     def test_structurally_broken_solution_raises(self):
         with pytest.raises(InstanceFormatError):
             verify_payload({"problem": "primal", "instance": {"A": [[1]]}})
@@ -256,10 +268,37 @@ class TestCliMain(object):
         assert main(["solve", "--input", str(inst)]) == EXIT_INPUT
 
     def test_eps_in_onesided_is_input_error(self, tmp_path):
-        # the parser permits "-inf" for this kind, the solver then rejects it
+        # the parser permits "-inf" for this kind, but an all -inf column
+        # leaves the greatest subsolution unbounded
         inst = tmp_path / "inst.json"
         self._write(inst, {"problem": "onesided", "A": [["-inf"]], "b": [0]})
         assert main(["solve", "--input", str(inst)]) == EXIT_INPUT
+
+    def test_eps_in_onesided_solves_and_checks(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        sol = tmp_path / "sol.json"
+        self._write(inst, {"problem": "onesided", "A": [[0, "-inf"], [1, 2]],
+                           "b": [3, 4]})
+        assert main(["solve", "--input", str(inst), "--output", str(sol)]) == EXIT_OK
+        payload = parse_solution(sol.read_text())
+        assert payload["principal"] == [3.0, 2.0]
+        assert payload["solvable_as_equality"] is True
+        assert main(["check", "--input", str(sol)]) == EXIT_OK
+
+    def test_eps_b_onesided_check_reports_problem(self):
+        payload = {"problem": "onesided", "principal": [0.0],
+                   "solvable_as_equality": False, "residual": 0.0,
+                   "instance": {"problem": "onesided", "A": [[0]], "b": ["-inf"]}}
+        assert verify_payload(parse_solution(json.dumps(payload))) \
+            == ["one-sided solvers require a finite b"]
+
+    @pytest.mark.parametrize("kind", ["tslp", "tslp2", "star", "mcm"])
+    def test_solve_runs_karp_at_most_once(self, kind, monkeypatch):
+        rng = np.random.default_rng(65)
+        inst = parse_instance(json.dumps(util.golden_instance_obj(rng, kind)))
+        calls = util.count_calls(monkeypatch, closure.max_cycle_mean)
+        solve_to_payload(inst, 1e-9)
+        assert len(calls) <= 1
 
     def test_text_format(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

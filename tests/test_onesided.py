@@ -45,6 +45,37 @@ class TestGreatestSubsolution:
         with pytest.raises(FiniteRequiredError):
             greatest_subsolution(TropMatrix([[1]]), TropVector([E]))
 
+    def test_eps_in_a_skipped_by_the_minimum(self):
+        a = TropMatrix([[0, E], [1, 2]])
+        # x = (min(3-0, 4-1), min(4-2)) = (3, 2); row 0 drops out for x_1
+        x = greatest_subsolution(a, TropVector([3, 4]))
+        assert x == TropVector([3, 2])
+        res = solve_equality(a, TropVector([3, 4]))
+        assert res.solvable_as_equality and res.residual == 0.0
+
+    @pytest.mark.parametrize("rows,b,match", [
+        ([[1, E], [2, E]], [0, 0], "column 1 is all -inf"),
+        ([[1, 2], [E, E]], [0, 0], "row 1 is all -inf"),
+        ([[1, 2], [3, 4]], [0, E], "finite b"),
+    ])
+    def test_unbounded_or_unattainable_rejected(self, rows, b, match):
+        with pytest.raises(FiniteRequiredError, match=match):
+            greatest_subsolution(TropMatrix(rows), TropVector(b))
+
+    def test_eps_matches_large_negative_stand_in(self):
+        # an epsilon entry acts like a weight too small to ever bind
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            m, n = (int(v) for v in rng.integers(1, 6, 2))
+            a = np.where(rng.random((m, n)) < 0.5, E, rng.uniform(-10, 10, (m, n)))
+            # keep a finite entry in every row and column
+            for i in range(max(m, n)):
+                a[i % m, i % n] = 0.0
+            b = util.finite_vector(rng, m)
+            stand_in = np.where(a == E, -1e6, a)
+            assert greatest_subsolution(TropMatrix(a), b) \
+                == greatest_subsolution(TropMatrix(stand_in), b)
+
 
 class TestSolveEquality:
     def test_solvable(self):

@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from troplp import (EPSILON, LpInstance, TropMatrix, TropVector,
                     TwoSidedInstance, max_cycle_mean)
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Rebind every troplp module's name for `fn` to a counting wrapper.
+
+    Returns the list that records each call's positional arguments.
+    """
+    calls: list = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "troplp" or name.startswith("troplp."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 def finite_matrix(rng, m, n, lo=-10.0, hi=10.0) -> TropMatrix:
