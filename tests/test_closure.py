@@ -75,6 +75,41 @@ def karp_calls(monkeypatch):
     return util.count_calls(monkeypatch, closure.max_cycle_mean)
 
 
+class TestScc:
+    """Graph shapes with several strongly connected components: the
+    super-source Karp table must handle each shape whole, with the witness
+    inside the critical component."""
+
+    def test_acyclic_chain(self):
+        a = TropMatrix([[E, 1, E], [E, E, 1], [E, E, E]])
+        res = max_cycle_mean(a)
+        assert res.lambda_ == E
+        assert res.witness_cycle is None
+
+    def test_two_cycle(self):
+        a = TropMatrix([[E, 1], [1, E]])
+        res = max_cycle_mean(a)
+        assert res.lambda_ == pytest.approx(1.0, abs=1e-9)
+        assert sorted(res.witness_cycle) == [0, 1]
+        assert_critical(a, res.witness_cycle, res.lambda_)
+
+    def test_mutual_arcs(self):
+        # loops of mean 0 lose to the two-cycle of mean (3 - 1) / 2 = 1
+        a = TropMatrix([[0, 3], [-1, 0]])
+        res = max_cycle_mean(a)
+        assert res.lambda_ == pytest.approx(1.0, abs=1e-9)
+        assert sorted(res.witness_cycle) == [0, 1]
+        assert_critical(a, res.witness_cycle, res.lambda_)
+
+    def test_mixed_components(self):
+        # 0 <-> 1 cycle (mean 2.5) feeding an isolated sink 2
+        a = TropMatrix([[E, 2, 1], [3, E, E], [E, E, E]])
+        res = max_cycle_mean(a)
+        assert res.lambda_ == pytest.approx(2.5, abs=1e-9)
+        assert sorted(res.witness_cycle) == [0, 1]
+        assert_critical(a, res.witness_cycle, res.lambda_)
+
+
 class TestMaxCycleMean:
     def test_worked_example(self):
         # cycles: loop 0 (mean 0), loop 1 (mean 0), two-cycle mean (3-1)/2 = 1
