@@ -22,8 +22,9 @@ from .errors import (CertificateViolationError, DimensionMismatchError,
 from .intlp import (GapReport, IntDualResult, IntDualState, IntPrimalResult,
                     advance, ceil_frac, coverage, duality_gap,
                     estimate_via_floor_b, floor_frac, fr, initial_state,
-                    snap_ceil, snap_floor, solve_dual_integer_direct,
-                    solve_dual_integer_general, solve_primal_integer)
+                    snap_ceil, snap_floor, solve_dual_integer,
+                    solve_dual_integer_direct, solve_dual_integer_general,
+                    solve_primal_integer)
 from .lp import (DualityCertificate, LpInstance, certify, solve_dual,
                  solve_primal)
 from .onesided import (OneSidedSolveResult, greatest_subsolution,
@@ -52,7 +53,7 @@ __all__ = [
     # integer programs
     "IntPrimalResult", "IntDualResult", "IntDualState", "GapReport",
     "fr", "ceil_frac", "floor_frac", "snap_floor", "snap_ceil",
-    "solve_primal_integer", "solve_dual_integer_direct",
+    "solve_primal_integer", "solve_dual_integer", "solve_dual_integer_direct",
     "solve_dual_integer_general", "initial_state", "advance", "coverage",
     "duality_gap", "estimate_via_floor_b",
     # two-sided programs

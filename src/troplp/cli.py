@@ -18,7 +18,7 @@ from .errors import (CertificateViolationError, DimensionMismatchError,
                      FiniteRequiredError, InstanceFormatError,
                      NonIntegerBError)
 from .io import (EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, check_solution_text,
-                 parse_instance, render_text, serialize_solution,
+                 check_tol, parse_instance, render_text, serialize_solution,
                  solve_to_payload)
 
 
@@ -83,11 +83,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"troplp: {args.command} expects a {default_kind!r} instance, "
                   f"got {inst.problem!r}", file=sys.stderr)
             return EXIT_INPUT
-        tol = args.tol if args.tol is not None else (
+        tol = check_tol(args.tol) if args.tol is not None else (
             inst.tol if inst.tol is not None else DEFAULT_TOL)
-        if tol < 0:
-            print("troplp: tolerance must be nonnegative", file=sys.stderr)
-            return EXIT_INPUT
         payload, code = solve_to_payload(inst, tol)
         rendered = (serialize_solution(payload) if args.fmt == "json"
                     else render_text(payload))

@@ -81,11 +81,22 @@ class IntDualResult:
 
 @dataclass(frozen=True)
 class GapReport:
-    """lower <= real_optimum <= upper; the integer gap is the open interval."""
+    """lower <= real_optimum <= upper; the integer gap is the open interval.
 
-    lower: float
-    upper: float
+    primal and dual are the two integer optima that give lower and upper.
+    """
+
+    primal: IntPrimalResult
+    dual: IntDualResult
     real_optimum: float
+
+    @property
+    def lower(self) -> float:
+        return self.primal.f_max_int
+
+    @property
+    def upper(self) -> float:
+        return self.dual.phi_min_int
 
 
 @dataclass
@@ -224,15 +235,18 @@ def solve_dual_integer_general(inst: LpInstance, tol: float = DEFAULT_TOL) -> In
     return IntDualResult(pi, phi, state.iterations, "iterative")
 
 
-def duality_gap(inst: LpInstance, tol: float = DEFAULT_TOL) -> GapReport:
-    """Integer-primal value, integer-dual value, and the real optimum between them."""
-    primal = solve_primal_integer(inst, tol)
+def solve_dual_integer(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntDualResult:
+    """Integer-dual optimum: the direct rule for integer b, the descent otherwise."""
     if all(fr(v, tol) == 0.0 for v in inst.b.data):
-        dual = solve_dual_integer_direct(inst, tol)
-    else:
-        dual = solve_dual_integer_general(inst, tol)
+        return solve_dual_integer_direct(inst, tol)
+    return solve_dual_integer_general(inst, tol)
+
+
+def duality_gap(inst: LpInstance, tol: float = DEFAULT_TOL) -> GapReport:
+    """Both integer optima and the real optimum between them."""
     real_optimum = tdot(inst.c, greatest_subsolution(inst.a, inst.b))
-    return GapReport(primal.f_max_int, dual.phi_min_int, real_optimum)
+    return GapReport(solve_primal_integer(inst, tol), solve_dual_integer(inst, tol),
+                     real_optimum)
 
 
 def estimate_via_floor_b(inst: LpInstance, tol: float = DEFAULT_TOL) -> float:

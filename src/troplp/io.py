@@ -5,47 +5,34 @@ vectors that kind requires, and an optional "tol".  Epsilon entries are
 written as the string "-inf" and are accepted only where the kind permits
 them.  Solutions embed the instance they were computed from, so a solution
 file alone is enough to re-check its certificate.
+
+A problem kind is one entry of the `_KINDS` table: its instance fields,
+whether epsilon and a non-square A are allowed, the statuses its solutions
+carry, its solver and its certificate check.  The solver and the check share
+one copy of each certificate formula, and the check reads every stored field
+through the same typed readers that parse instances.
 """
 
 from __future__ import annotations
 
 import json
 import math
-
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._version import __version__
-from .closure import CycleMeanResult, kleene_star, max_cycle_mean
+from .closure import kleene_star, max_cycle_mean
 from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, identity,
                    tadd, tmul, transpose)
 from .errors import (DivergentStarError, FiniteRequiredError,
                      InfeasibleLambdaError, InstanceFormatError)
-from .intlp import (duality_gap, fr, solve_dual_integer_direct,
-                    solve_dual_integer_general, solve_primal_integer)
+from .intlp import duality_gap, solve_dual_integer, solve_primal_integer
 from .lp import LpInstance, solve_dual, solve_primal
 from .onesided import _check_system, solve_equality
 from .twosided import TwoSidedInstance, solve_tslp, solve_tslp2
-
-KINDS = ("primal", "dual", "primal-integer", "dual-integer", "gap",
-         "tslp", "tslp2", "star", "mcm", "onesided")
-
-_FIELDS = {
-    "primal": ("A", "b", "c"),
-    "dual": ("A", "b", "c"),
-    "primal-integer": ("A", "b", "c"),
-    "dual-integer": ("A", "b", "c"),
-    "gap": ("A", "b", "c"),
-    "tslp": ("A", "d", "c"),
-    "tslp2": ("A", "d", "c"),
-    "star": ("A",),
-    "mcm": ("A",),
-    "onesided": ("A", "b"),
-}
-
-_EPS_ALLOWED = {"star", "mcm", "onesided"}
-_SQUARE = {"tslp", "tslp2", "star", "mcm"}
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -65,6 +52,14 @@ class InstanceFile:
 
 def _reject_constant(token: str):
     raise InstanceFormatError(f"literal {token} is not allowed")
+
+
+def check_tol(value) -> float:
+    """The tolerance rule for instances, solutions and --tol: a finite number >= 0."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value < 0):
+        raise InstanceFormatError(f"tol must be a finite nonnegative number, got {value!r}")
+    return float(value)
 
 
 def _number(value, allow_eps: bool, where: str) -> float:
@@ -108,17 +103,23 @@ def _parse_vector(value, allow_eps: bool, where: str) -> TropVector:
                        for i, v in enumerate(value)])
 
 
+def _spec(kind) -> _Kind:
+    spec = _KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise InstanceFormatError(
+            f"unknown problem kind {kind!r}; expected one of {', '.join(KINDS)}")
+    return spec
+
+
 def _instance_from_obj(obj, default_problem: str | None = None) -> InstanceFile:
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance must be a JSON object")
     problem = obj.get("problem", default_problem)
     if problem is None:
         raise InstanceFormatError('missing required field "problem"')
-    if problem not in KINDS:
-        raise InstanceFormatError(
-            f"unknown problem kind {problem!r}; expected one of {', '.join(KINDS)}")
+    spec = _spec(problem)
 
-    required = _FIELDS[problem]
+    required = spec.fields
     allowed = set(required) | {"problem", "tol"}
     for key in obj:
         if key not in allowed:
@@ -127,14 +128,13 @@ def _instance_from_obj(obj, default_problem: str | None = None) -> InstanceFile:
         if key not in obj:
             raise InstanceFormatError(f'missing required field "{key}" for kind {problem!r}')
 
-    allow_eps = problem in _EPS_ALLOWED
-    a = _parse_matrix(obj["A"], allow_eps, "A")
-    if problem in _SQUARE and a.rows != a.cols:
+    a = _parse_matrix(obj["A"], spec.eps, "A")
+    if spec.square and a.rows != a.cols:
         raise InstanceFormatError(f"A must be square for kind {problem!r}, got {a.shape}")
 
     b = c = d = None
     if "b" in required:
-        b = _parse_vector(obj["b"], allow_eps, "b")
+        b = _parse_vector(obj["b"], spec.eps, "b")
         if len(b) != a.rows:
             raise InstanceFormatError(
                 f"b has length {len(b)} but A has {a.rows} rows")
@@ -149,14 +149,7 @@ def _instance_from_obj(obj, default_problem: str | None = None) -> InstanceFile:
             raise InstanceFormatError(
                 f"d has length {len(d)} but A has {a.rows} rows")
 
-    tol = None
-    if "tol" in obj:
-        if isinstance(obj["tol"], bool) or not isinstance(obj["tol"], (int, float)):
-            raise InstanceFormatError("tol must be a number")
-        tol = float(obj["tol"])
-        if math.isnan(tol) or math.isinf(tol) or tol < 0:
-            raise InstanceFormatError("tol must be finite and nonnegative")
-
+    tol = check_tol(obj["tol"]) if "tol" in obj else None
     return InstanceFile(problem, a, b, c, d, tol)
 
 
@@ -248,130 +241,21 @@ def render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _head(problem: str, tol: float, status: str) -> dict:
-    return {"tool": "troplp", "version": __version__,
-            "problem": problem, "tol": tol, "status": status}
+# Certificate formulas, each shared by a solver and its check.
+
+def _primal_residual(inst: InstanceFile, x: TropVector) -> float:
+    """max(Ax - b): positive when x violates Ax <= b."""
+    return float(np.max(tmul(inst.a, x).data - inst.b.data))
 
 
-def _lp_instance(inst: InstanceFile) -> LpInstance:
-    return LpInstance(inst.a, inst.b, inst.c)
+def _dual_slack(inst: InstanceFile, pi: TropVector) -> float:
+    """min(pi'A - c): negative when pi violates pi'A >= c'."""
+    return float(np.min(tmul(transpose(inst.a), pi).data - inst.c.data))
 
 
-def _infeasible_payload(inst: InstanceFile, tol: float, status: str,
-                        exc) -> dict:
-    payload = _head(inst.problem, tol, status)
-    payload["lambda"] = exc.lambda_
-    payload["witness_cycle"] = (list(exc.witness_cycle)
-                                if exc.witness_cycle is not None else None)
-    payload["instance"] = instance_to_obj(inst)
-    return payload
-
-
-def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
-    """Dispatch on the instance kind; returns (solution payload, exit code)."""
-    kind = inst.problem
-    try:
-        if kind == "primal":
-            x, f = solve_primal(_lp_instance(inst))
-            payload = _head(kind, tol, "optimal")
-            payload.update(objective=f, x=x.to_list())
-            payload["certificate"] = {
-                "primal_residual": float(np.max(tmul(inst.a, x).data - inst.b.data))}
-        elif kind == "dual":
-            pi, phi = solve_dual(_lp_instance(inst))
-            payload = _head(kind, tol, "optimal")
-            payload.update(objective=phi, pi=pi.to_list())
-            payload["certificate"] = {
-                "dual_slack": float(np.min(tmul(transpose(inst.a), pi).data
-                                           - inst.c.data))}
-        elif kind == "primal-integer":
-            res = solve_primal_integer(_lp_instance(inst), tol)
-            payload = _head(kind, tol, "optimal")
-            payload.update(objective=res.f_max_int, x=res.x_opt.to_list())
-            payload["certificate"] = {
-                "primal_residual": float(np.max(tmul(inst.a, res.x_opt).data
-                                                - inst.b.data))}
-        elif kind == "dual-integer":
-            lp = _lp_instance(inst)
-            if all(fr(v, tol) == 0.0 for v in inst.b.data):
-                res = solve_dual_integer_direct(lp, tol)
-            else:
-                res = solve_dual_integer_general(lp, tol)
-            payload = _head(kind, tol, "optimal")
-            payload.update(objective=res.phi_min_int, pi=res.pi_opt.to_list(),
-                           method=res.method, iterations=res.iterations)
-            payload["certificate"] = {
-                "dual_slack": float(np.min(tmul(transpose(inst.a), res.pi_opt).data
-                                           - inst.c.data))}
-        elif kind == "gap":
-            lp = _lp_instance(inst)
-            primal = solve_primal_integer(lp, tol)
-            if all(fr(v, tol) == 0.0 for v in inst.b.data):
-                dual = solve_dual_integer_direct(lp, tol)
-            else:
-                dual = solve_dual_integer_general(lp, tol)
-            report = duality_gap(lp, tol)
-            payload = _head(kind, tol, "optimal")
-            payload.update(lower=report.lower, real_optimum=report.real_optimum,
-                           upper=report.upper, method=dual.method,
-                           x=primal.x_opt.to_list(), pi=dual.pi_opt.to_list())
-            payload["certificate"] = {
-                "primal_residual": float(np.max(tmul(inst.a, primal.x_opt).data
-                                                - inst.b.data)),
-                "dual_slack": float(np.min(tmul(transpose(inst.a), dual.pi_opt).data
-                                           - inst.c.data)),
-                "width": report.upper - report.lower}
-        elif kind == "tslp":
-            res = solve_tslp(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
-            payload = _head(kind, tol, "optimal")
-            payload.update(objective=res.g_min, y=res.y_opt.to_list(),
-                           u=res.u_opt.to_list())
-            lhs = np.maximum(tmul(inst.a, res.y_opt).data, inst.d.data)
-            payload["certificate"] = {
-                "feasibility_residual": float(np.max(lhs - res.y_opt.data))}
-        elif kind == "tslp2":
-            res = solve_tslp2(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
-            payload = _head(kind, tol, "optimal")
-            payload.update(objective=res.g_min, y=res.y_opt.to_list(),
-                           solution_kind=res.feasibility_kind)
-            lhs = np.maximum(tmul(inst.a, res.y_opt).data, inst.d.data)
-            payload["certificate"] = {
-                "equation_residual": float(np.max(np.abs(lhs - res.y_opt.data)))}
-        elif kind == "star":
-            star = kleene_star(inst.a, tol)
-            payload = _head(kind, tol, "ok")
-            payload["star"] = star.to_lists()
-            fixed_point = tadd(tmul(inst.a, star), identity(inst.a.rows))
-            payload["certificate"] = {
-                "fixed_point_residual": _residual_eps_aware(fixed_point.data,
-                                                            star.data)}
-        elif kind == "mcm":
-            cm = max_cycle_mean(inst.a)
-            payload = _head(kind, tol, "ok")
-            payload["lambda"] = cm.lambda_
-            payload["witness_cycle"] = (list(cm.witness_cycle)
-                                        if cm.witness_cycle is not None else None)
-            payload["certificate"] = {
-                "witness_mean_error": (_cycle_mean_error(inst.a, cm)
-                                       if cm.witness_cycle is not None else None)}
-        elif kind == "onesided":
-            res = solve_equality(inst.a, inst.b, tol)
-            payload = _head(kind, tol, "ok")
-            payload.update(principal=res.principal.to_list(),
-                           solvable_as_equality=res.solvable_as_equality,
-                           residual=res.residual)
-            payload["certificate"] = {
-                "subsolution_residual": float(np.max(tmul(inst.a, res.principal).data
-                                                     - inst.b.data))}
-        else:  # pragma: no cover - parse_instance guards the kind
-            raise InstanceFormatError(f"unknown kind {kind!r}")
-    except InfeasibleLambdaError as exc:
-        return _infeasible_payload(inst, tol, "infeasible-lambda-positive", exc), EXIT_INFEASIBLE
-    except DivergentStarError as exc:
-        return _infeasible_payload(inst, tol, "divergent-star", exc), EXIT_INFEASIBLE
-
-    payload["instance"] = instance_to_obj(inst)
-    return payload, EXIT_OK
+def _two_sided_lhs(inst: InstanceFile, y: TropVector) -> np.ndarray:
+    """The left-hand side max(Ay, d) of the two-sided programs."""
+    return np.maximum(tmul(inst.a, y).data, inst.d.data)
 
 
 def _residual_eps_aware(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -382,41 +266,50 @@ def _residual_eps_aware(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(diff))
 
 
-def _cycle_weight(a: TropMatrix, cycle: list[int]) -> float | None:
+def _star_residual(a: TropMatrix, star: TropMatrix) -> float:
+    """How far star is from the fixed point star = A star + I."""
+    fixed_point = tadd(tmul(a, star), identity(a.rows))
+    return _residual_eps_aware(fixed_point.data, star.data)
+
+
+def _cycle_mean(a: TropMatrix, cycle: list[int]) -> float:
+    """Mean arc weight of the closed walk `cycle`; -inf if an arc is absent."""
     total = 0.0
-    for pos, node in enumerate(cycle):
-        succ = cycle[(pos + 1) % len(cycle)]
-        if not (0 <= node < a.rows) or a.data[node, succ] == EPSILON:
-            return None
+    for node, succ in zip(cycle, cycle[1:] + cycle[:1]):
         total += a.data[node, succ]
-    return total
+    return float(total / len(cycle))
 
 
-def _cycle_mean_error(a: TropMatrix, cm: CycleMeanResult) -> float:
-    weight = _cycle_weight(a, list(cm.witness_cycle))
-    if weight is None:
-        return math.inf
-    return abs(weight / len(cm.witness_cycle) - cm.lambda_)
+# Typed readers for stored solution fields; a malformed field raises
+# InstanceFormatError, which verify_payload reports as a problem.
+
+def _read_number(payload: dict, key: str, allow_eps: bool = False) -> float:
+    return _number(payload.get(key), allow_eps, key)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _read_vector(payload: dict, key: str, length: int) -> TropVector:
+    vec = _parse_vector(payload.get(key), False, key)
+    if len(vec) != length:
+        raise InstanceFormatError(f"{key}: has length {len(vec)}, expected {length}")
+    return vec
 
 
-def _as_vector(payload: dict, key: str, length: int, problems: list[str]) -> TropVector | None:
-    value = payload.get(key)
-    ok = (isinstance(value, list) and len(value) == length
-          and all(_is_number(v) and math.isfinite(v) for v in value))
-    if not ok:
-        problems.append(f"field {key!r} is not a finite vector of length {length}")
-        return None
-    return TropVector([float(v) for v in value])
+def _read_cycle(payload: dict, nodes: int) -> list[int]:
+    cycle = payload.get("witness_cycle")
+    if (not isinstance(cycle, list) or not cycle
+            or not all(type(v) is int and 0 <= v < nodes for v in cycle)):
+        raise InstanceFormatError(
+            f"witness_cycle: expected a non-empty list of node indices below {nodes}, "
+            f"got {cycle!r}")
+    return cycle
 
 
-def _check_close(problems: list[str], label: str, actual: float,
-                 expected: float, tol: float):
-    if not math.isclose(actual, expected, rel_tol=0.0, abs_tol=tol):
-        problems.append(f"{label}: stored {actual!r} but recomputed {expected!r}")
+def _check_value(problems: list[str], payload: dict, key: str,
+                 recomputed: float, tol: float) -> float:
+    stored = _read_number(payload, key)
+    if not math.isclose(stored, recomputed, rel_tol=0.0, abs_tol=tol):
+        problems.append(f"{key}: stored {stored!r} but recomputed {recomputed!r}")
+    return stored
 
 
 def _check_integral(problems: list[str], label: str, vec: TropVector, tol: float):
@@ -425,183 +318,302 @@ def _check_integral(problems: list[str], label: str, vec: TropVector, tol: float
         problems.append(f"{label}: components deviate from integers by {worst}")
 
 
-def _verify_lp_witnesses(inst: InstanceFile, payload: dict, tol: float,
-                         problems: list[str], want_x: bool, want_pi: bool,
-                         integral: bool):
-    x = pi = None
-    if want_x:
-        x = _as_vector(payload, "x", inst.a.cols, problems)
-        if x is not None:
-            slack = float(np.max(tmul(inst.a, x).data - inst.b.data))
-            if slack > tol:
-                problems.append(f"primal witness infeasible by {slack}")
-            if integral:
-                _check_integral(problems, "x", x, tol)
-    if want_pi:
-        pi = _as_vector(payload, "pi", inst.a.rows, problems)
-        if pi is not None:
-            slack = float(np.min(tmul(transpose(inst.a), pi).data - inst.c.data))
-            if slack < -tol:
-                problems.append(f"dual witness infeasible by {-slack}")
-            if integral:
-                _check_integral(problems, "pi", pi, tol)
-    return x, pi
+def _check_cycle(a: TropMatrix, lam: float, payload: dict, tol: float,
+                 problems: list[str]) -> float | None:
+    """Check that the stored witness cycle has mean lam; return its mean."""
+    mean = _cycle_mean(a, _read_cycle(payload, a.rows))
+    if mean == EPSILON:
+        problems.append("witness cycle uses arcs absent from A")
+        return None
+    if abs(mean - lam) > tol:
+        problems.append(f"witness cycle mean {mean} != lambda {lam}")
+    return mean
+
+
+# Per-kind solvers (instance -> solution body) and checks.
+
+def _x_body(inst: InstanceFile, objective: float, x: TropVector) -> dict:
+    return {"objective": objective, "x": x.to_list(),
+            "certificate": {"primal_residual": _primal_residual(inst, x)}}
+
+
+def _pi_body(inst: InstanceFile, objective: float, pi: TropVector, **tags) -> dict:
+    return {"objective": objective, "pi": pi.to_list(), **tags,
+            "certificate": {"dual_slack": _dual_slack(inst, pi)}}
+
+
+def _check_x(inst: InstanceFile, payload: dict, tol: float, problems: list[str],
+             integral: bool = False, key: str = "objective") -> float:
+    x = _read_vector(payload, "x", inst.a.cols)
+    slack = _primal_residual(inst, x)
+    if slack > tol:
+        problems.append(f"primal witness infeasible by {slack}")
+    if integral:
+        _check_integral(problems, "x", x, tol)
+    return _check_value(problems, payload, key,
+                        float(np.max(inst.c.data + x.data)), tol)
+
+
+def _check_pi(inst: InstanceFile, payload: dict, tol: float, problems: list[str],
+              integral: bool = False, key: str = "objective") -> float:
+    pi = _read_vector(payload, "pi", inst.a.rows)
+    slack = _dual_slack(inst, pi)
+    if slack < -tol:
+        problems.append(f"dual witness infeasible by {-slack}")
+    if integral:
+        _check_integral(problems, "pi", pi, tol)
+    return _check_value(problems, payload, key,
+                        float(np.max(pi.data + inst.b.data)), tol)
+
+
+def _check_method(payload: dict, problems: list[str]):
+    if payload.get("method") not in ("direct-integer-b", "iterative"):
+        problems.append("unknown dual-integer method tag")
+
+
+def _solve_primal(inst: InstanceFile, tol: float) -> dict:
+    x, f = solve_primal(LpInstance(inst.a, inst.b, inst.c))
+    return _x_body(inst, f, x)
+
+
+def _solve_dual(inst: InstanceFile, tol: float) -> dict:
+    pi, phi = solve_dual(LpInstance(inst.a, inst.b, inst.c))
+    return _pi_body(inst, phi, pi)
+
+
+def _solve_primal_integer(inst: InstanceFile, tol: float) -> dict:
+    res = solve_primal_integer(LpInstance(inst.a, inst.b, inst.c), tol)
+    return _x_body(inst, res.f_max_int, res.x_opt)
+
+
+def _solve_dual_integer(inst: InstanceFile, tol: float) -> dict:
+    res = solve_dual_integer(LpInstance(inst.a, inst.b, inst.c), tol)
+    return _pi_body(inst, res.phi_min_int, res.pi_opt,
+                    method=res.method, iterations=res.iterations)
+
+
+def _verify_dual_integer(inst: InstanceFile, payload: dict, tol: float,
+                         problems: list[str]):
+    _check_pi(inst, payload, tol, problems, integral=True)
+    _check_method(payload, problems)
+    iterations = payload.get("iterations")
+    if type(iterations) is not int or iterations < 0:
+        problems.append(f"iterations: expected a nonnegative integer, got {iterations!r}")
+
+
+def _solve_gap(inst: InstanceFile, tol: float) -> dict:
+    report = duality_gap(LpInstance(inst.a, inst.b, inst.c), tol)
+    x, pi = report.primal.x_opt, report.dual.pi_opt
+    return {"lower": report.lower, "real_optimum": report.real_optimum,
+            "upper": report.upper, "method": report.dual.method,
+            "x": x.to_list(), "pi": pi.to_list(),
+            "certificate": {"primal_residual": _primal_residual(inst, x),
+                            "dual_slack": _dual_slack(inst, pi),
+                            "width": report.upper - report.lower}}
+
+
+def _verify_gap(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
+    lower = _check_x(inst, payload, tol, problems, integral=True, key="lower")
+    upper = _check_pi(inst, payload, tol, problems, integral=True, key="upper")
+    real = _read_number(payload, "real_optimum")
+    _check_method(payload, problems)
+    if not (lower - tol <= real <= upper + tol):
+        problems.append(
+            f"gap interval broken: lower {lower}, real {real}, upper {upper}")
+
+
+def _solve_tslp(inst: InstanceFile, tol: float) -> dict:
+    res = solve_tslp(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
+    worst = float(np.max(_two_sided_lhs(inst, res.y_opt) - res.y_opt.data))
+    return {"objective": res.g_min, "y": res.y_opt.to_list(), "u": res.u_opt.to_list(),
+            "certificate": {"feasibility_residual": worst}}
+
+
+def _solve_tslp2(inst: InstanceFile, tol: float) -> dict:
+    res = solve_tslp2(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
+    worst = float(np.max(np.abs(_two_sided_lhs(inst, res.y_opt) - res.y_opt.data)))
+    return {"objective": res.g_min, "y": res.y_opt.to_list(),
+            "solution_kind": res.feasibility_kind,
+            "certificate": {"equation_residual": worst}}
+
+
+def _check_y(inst: InstanceFile, payload: dict, tol: float,
+             problems: list[str]) -> np.ndarray:
+    """Check the stored objective of y; return max(Ay, d) - y."""
+    y = _read_vector(payload, "y", inst.a.rows)
+    _check_value(problems, payload, "objective",
+                 float(np.max(inst.c.data + y.data)), tol)
+    return _two_sided_lhs(inst, y) - y.data
+
+
+def _verify_tslp(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
+    excess = _check_y(inst, payload, tol, problems)
+    _read_vector(payload, "u", inst.a.rows)
+    worst = float(np.max(excess))
+    if worst > tol:
+        problems.append(f"two-sided witness infeasible by {worst}")
+
+
+def _verify_tslp2(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
+    worst = float(np.max(np.abs(_check_y(inst, payload, tol, problems))))
+    if worst > tol:
+        problems.append(f"fixed-point equation violated by {worst}")
+    if payload.get("solution_kind") not in ("feasible", "unique-fixed-point"):
+        problems.append("unknown tslp2 solution kind")
+
+
+def _solve_star(inst: InstanceFile, tol: float) -> dict:
+    star = kleene_star(inst.a, tol)
+    return {"star": star.to_lists(),
+            "certificate": {"fixed_point_residual": _star_residual(inst.a, star)}}
+
+
+def _verify_star(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
+    star = _parse_matrix(payload.get("star"), True, "star")
+    if star.shape != inst.a.shape:
+        raise InstanceFormatError(f"star has shape {star.shape}, expected {inst.a.shape}")
+    worst = _star_residual(inst.a, star)
+    if worst > tol:
+        problems.append(f"star is not a fixed point of x -> Ax + I ({worst})")
+    worst = _residual_eps_aware(tmul(star, star).data, star.data)
+    if worst > tol:
+        problems.append(f"star is not idempotent ({worst})")
+
+
+def _solve_mcm(inst: InstanceFile, tol: float) -> dict:
+    cm = max_cycle_mean(inst.a)
+    cycle = None if cm.witness_cycle is None else list(cm.witness_cycle)
+    error = None if cycle is None else abs(_cycle_mean(inst.a, cycle) - cm.lambda_)
+    return {"lambda": cm.lambda_, "witness_cycle": cycle,
+            "certificate": {"witness_mean_error": error}}
+
+
+def _verify_mcm(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
+    lam = _read_number(payload, "lambda", allow_eps=True)
+    if lam != EPSILON:
+        _check_cycle(inst.a, lam, payload, tol, problems)
+        return
+    if payload.get("witness_cycle") is not None:
+        problems.append("acyclic result must not carry a witness cycle")
+    if max_cycle_mean(inst.a).lambda_ != EPSILON:
+        problems.append("lambda = -inf claimed but the digraph has a cycle")
+
+
+def _verify_divergence(inst: InstanceFile, payload: dict, tol: float,
+                       problems: list[str]):
+    """Check of the two failure statuses: a witness cycle of positive mean."""
+    mean = _check_cycle(inst.a, _read_number(payload, "lambda"), payload, tol, problems)
+    if mean is not None and mean <= tol:
+        problems.append(f"witness cycle mean {mean} does not certify divergence")
+
+
+def _solve_onesided(inst: InstanceFile, tol: float) -> dict:
+    res = solve_equality(inst.a, inst.b, tol)
+    return {"principal": res.principal.to_list(),
+            "solvable_as_equality": res.solvable_as_equality,
+            "residual": res.residual,
+            "certificate": {"subsolution_residual": _primal_residual(inst, res.principal)}}
+
+
+def _verify_onesided(inst: InstanceFile, payload: dict, tol: float,
+                     problems: list[str]):
+    p = _read_vector(payload, "principal", inst.a.cols)
+    _check_system(inst.a, inst.b)
+    over = _primal_residual(inst, p)
+    if over > tol:
+        problems.append(f"principal exceeds b by {over}")
+    residual = float(np.max(inst.b.data - tmul(inst.a, p).data))
+    _check_value(problems, payload, "residual", residual, tol)
+    if payload.get("solvable_as_equality") is not (residual <= tol):
+        problems.append("solvable_as_equality flag disagrees with residual")
+
+
+class _Kind(NamedTuple):
+    """One problem kind.  A NamedTuple rather than a dataclass: it is just as
+    immutable and takes less import time, which every CLI start pays.
+
+    statuses[0] is the status of a solved instance; the others are written
+    when the solver raises InfeasibleLambdaError or DivergentStarError.
+    """
+
+    fields: tuple[str, ...]
+    solve: Callable[[InstanceFile, float], dict]
+    verify: Callable[[InstanceFile, dict, float, list], None]
+    statuses: tuple[str, ...] = ("optimal",)
+    eps: bool = False
+    square: bool = False
+
+
+_ABC = ("A", "b", "c")
+_OPTIMAL_OR_INFEASIBLE = ("optimal", "infeasible-lambda-positive")
+
+# The entries call solvers through this module's names, looked up at call
+# time, so a caller that rebinds a solver name here is honoured.
+_KINDS = {
+    "primal": _Kind(_ABC, _solve_primal, _check_x),
+    "dual": _Kind(_ABC, _solve_dual, _check_pi),
+    "primal-integer": _Kind(_ABC, _solve_primal_integer,
+                            partial(_check_x, integral=True)),
+    "dual-integer": _Kind(_ABC, _solve_dual_integer, _verify_dual_integer),
+    "gap": _Kind(_ABC, _solve_gap, _verify_gap),
+    "tslp": _Kind(("A", "d", "c"), _solve_tslp, _verify_tslp,
+                  _OPTIMAL_OR_INFEASIBLE, square=True),
+    "tslp2": _Kind(("A", "d", "c"), _solve_tslp2, _verify_tslp2,
+                   _OPTIMAL_OR_INFEASIBLE, square=True),
+    "star": _Kind(("A",), _solve_star, _verify_star, ("ok", "divergent-star"),
+                  eps=True, square=True),
+    "mcm": _Kind(("A",), _solve_mcm, _verify_mcm, ("ok",), eps=True, square=True),
+    "onesided": _Kind(("A", "b"), _solve_onesided, _verify_onesided, ("ok",), eps=True),
+}
+
+KINDS = tuple(_KINDS)
+
+
+def _head(problem: str, tol: float, status: str) -> dict:
+    return {"tool": "troplp", "version": __version__,
+            "problem": problem, "tol": tol, "status": status}
+
+
+def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
+    """Dispatch on the instance kind; returns (solution payload, exit code)."""
+    spec = _spec(inst.problem)
+    try:
+        body = spec.solve(inst, tol)
+        status, code = spec.statuses[0], EXIT_OK
+    except (InfeasibleLambdaError, DivergentStarError) as exc:
+        status = ("divergent-star" if isinstance(exc, DivergentStarError)
+                  else "infeasible-lambda-positive")
+        cycle = None if exc.witness_cycle is None else list(exc.witness_cycle)
+        body, code = {"lambda": exc.lambda_, "witness_cycle": cycle}, EXIT_INFEASIBLE
+    payload = _head(inst.problem, tol, status)
+    payload.update(body)
+    payload["instance"] = instance_to_obj(inst)
+    return payload, code
 
 
 def verify_payload(payload: dict, tol_override: float | None = None) -> list[str]:
     """Re-validate a solution payload against its embedded instance.
 
     Returns a list of human-readable violations; empty means the certificate
-    holds.  Structural damage raises InstanceFormatError instead.
+    holds.  A damaged instance or tolerance raises InstanceFormatError
+    instead; a missing status reads as the kind's solved status.
     """
     kind = payload.get("problem")
-    if kind not in KINDS:
-        raise InstanceFormatError(f"unknown problem kind {kind!r}")
+    spec = _spec(kind)
     inst = _instance_from_obj(payload["instance"], default_problem=kind)
     if inst.problem != kind:
         raise InstanceFormatError("instance kind disagrees with solution kind")
-    tol = tol_override if tol_override is not None else payload.get("tol", DEFAULT_TOL)
-    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-            or math.isnan(tol) or tol < 0):
-        raise InstanceFormatError("tol must be a nonnegative number")
-    tol = float(tol)
-    status = payload.get("status")
+    tol = check_tol(tol_override if tol_override is not None
+                    else payload.get("tol", DEFAULT_TOL))
+    status = payload.get("status", spec.statuses[0])
+    if status not in spec.statuses:
+        return [f"status {status!r} is not one that kind {kind!r} writes"]
+    verify = spec.verify if status == spec.statuses[0] else _verify_divergence
     problems: list[str] = []
-
-    if status in ("infeasible-lambda-positive", "divergent-star"):
-        lam = payload.get("lambda")
-        cycle = payload.get("witness_cycle")
-        if not _is_number(lam) or not isinstance(cycle, list):
-            problems.append("infeasibility certificate needs lambda and witness_cycle")
-            return problems
-        weight = _cycle_weight(inst.a, [int(v) for v in cycle])
-        if weight is None:
-            problems.append("witness cycle uses arcs absent from A")
-        else:
-            mean = weight / len(cycle)
-            if abs(mean - lam) > tol:
-                problems.append(f"witness cycle mean {mean} != stored lambda {lam}")
-            if mean <= tol:
-                problems.append(f"witness cycle mean {mean} does not certify divergence")
-        return problems
-
-    if kind == "primal":
-        x, _ = _verify_lp_witnesses(inst, payload, tol, problems,
-                                    want_x=True, want_pi=False, integral=False)
-        if x is not None:
-            _check_close(problems, "objective", payload.get("objective", math.nan),
-                         float(np.max(inst.c.data + x.data)), tol)
-    elif kind == "dual":
-        _, pi = _verify_lp_witnesses(inst, payload, tol, problems,
-                                     want_x=False, want_pi=True, integral=False)
-        if pi is not None:
-            _check_close(problems, "objective", payload.get("objective", math.nan),
-                         float(np.max(pi.data + inst.b.data)), tol)
-    elif kind == "primal-integer":
-        x, _ = _verify_lp_witnesses(inst, payload, tol, problems,
-                                    want_x=True, want_pi=False, integral=True)
-        if x is not None:
-            _check_close(problems, "objective", payload.get("objective", math.nan),
-                         float(np.max(inst.c.data + x.data)), tol)
-    elif kind == "dual-integer":
-        _, pi = _verify_lp_witnesses(inst, payload, tol, problems,
-                                     want_x=False, want_pi=True, integral=True)
-        if pi is not None:
-            _check_close(problems, "objective", payload.get("objective", math.nan),
-                         float(np.max(pi.data + inst.b.data)), tol)
-        if payload.get("method") not in ("direct-integer-b", "iterative"):
-            problems.append("unknown dual-integer method tag")
-    elif kind == "gap":
-        x, pi = _verify_lp_witnesses(inst, payload, tol, problems,
-                                     want_x=True, want_pi=True, integral=True)
-        lower = payload.get("lower", math.nan)
-        upper = payload.get("upper", math.nan)
-        real = payload.get("real_optimum", math.nan)
-        if x is not None:
-            _check_close(problems, "lower", lower,
-                         float(np.max(inst.c.data + x.data)), tol)
-        if pi is not None:
-            _check_close(problems, "upper", upper,
-                         float(np.max(pi.data + inst.b.data)), tol)
-        if not (lower - tol <= real <= upper + tol):
-            problems.append(
-                f"gap interval broken: lower {lower}, real {real}, upper {upper}")
-    elif kind == "tslp":
-        y = _as_vector(payload, "y", inst.a.rows, problems)
-        _as_vector(payload, "u", inst.a.rows, problems)
-        if y is not None:
-            lhs = np.maximum(tmul(inst.a, y).data, inst.d.data)
-            worst = float(np.max(lhs - y.data))
-            if worst > tol:
-                problems.append(f"two-sided witness infeasible by {worst}")
-            _check_close(problems, "objective", payload.get("objective", math.nan),
-                         float(np.max(inst.c.data + y.data)), tol)
-    elif kind == "tslp2":
-        y = _as_vector(payload, "y", inst.a.rows, problems)
-        if y is not None:
-            lhs = np.maximum(tmul(inst.a, y).data, inst.d.data)
-            worst = float(np.max(np.abs(lhs - y.data)))
-            if worst > tol:
-                problems.append(f"fixed-point equation violated by {worst}")
-            _check_close(problems, "objective", payload.get("objective", math.nan),
-                         float(np.max(inst.c.data + y.data)), tol)
-        if payload.get("solution_kind") not in ("feasible", "unique-fixed-point"):
-            problems.append("unknown tslp2 solution kind")
-    elif kind == "star":
-        rows = payload.get("star")
-        try:
-            star = _parse_matrix(_encode(rows), True, "star")
-        except InstanceFormatError as exc:
-            problems.append(str(exc))
-            return problems
-        if star.shape != inst.a.shape:
-            problems.append(f"star has shape {star.shape}, expected {inst.a.shape}")
-            return problems
-        fixed_point = tadd(tmul(inst.a, star), identity(inst.a.rows))
-        worst = _residual_eps_aware(fixed_point.data, star.data)
-        if worst > tol:
-            problems.append(f"star is not a fixed point of x -> Ax + I ({worst})")
-        worst = _residual_eps_aware(tmul(star, star).data, star.data)
-        if worst > tol:
-            problems.append(f"star is not idempotent ({worst})")
-    elif kind == "mcm":
-        lam = payload.get("lambda")
-        cycle = payload.get("witness_cycle")
-        if lam == EPSILON:
-            if cycle is not None:
-                problems.append("acyclic result must not carry a witness cycle")
-            if max_cycle_mean(inst.a).lambda_ != EPSILON:
-                problems.append("lambda = -inf claimed but the digraph has a cycle")
-        else:
-            if not _is_number(lam):
-                problems.append("lambda must be a number")
-            elif not isinstance(cycle, list) or not cycle:
-                problems.append("missing witness cycle")
-            else:
-                weight = _cycle_weight(inst.a, [int(v) for v in cycle])
-                if weight is None:
-                    problems.append("witness cycle uses arcs absent from A")
-                elif abs(weight / len(cycle) - lam) > tol:
-                    problems.append(
-                        f"witness cycle mean {weight / len(cycle)} != lambda {lam}")
-    elif kind == "onesided":
-        p = _as_vector(payload, "principal", inst.a.cols, problems)
-        if p is not None:
-            try:
-                _check_system(inst.a, inst.b)
-            except FiniteRequiredError as exc:
-                problems.append(str(exc))
-                return problems
-            image = tmul(inst.a, p).data
-            over = float(np.max(image - inst.b.data))
-            if over > tol:
-                problems.append(f"principal exceeds b by {over}")
-            residual = float(np.max(inst.b.data - image))
-            _check_close(problems, "residual", payload.get("residual", math.nan),
-                         residual, tol)
-            solvable = payload.get("solvable_as_equality")
-            if not isinstance(solvable, bool) or solvable != (residual <= tol):
-                problems.append("solvable_as_equality flag disagrees with residual")
+    try:
+        verify(inst, payload, tol, problems)
+    except (InstanceFormatError, FiniteRequiredError) as exc:
+        problems.append(str(exc))
     return problems
 
 
@@ -613,6 +625,6 @@ def check_solution_text(text: str, tol_override: float | None = None) -> list[st
 __all__ = [
     "KINDS", "InstanceFile", "parse_instance", "instance_to_obj",
     "serialize_solution", "parse_solution", "render_text", "solve_to_payload",
-    "verify_payload", "check_solution_text",
+    "verify_payload", "check_solution_text", "check_tol",
     "EXIT_OK", "EXIT_INFEASIBLE", "EXIT_INPUT", "EXIT_CERTIFICATE",
 ]

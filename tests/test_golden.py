@@ -1,0 +1,39 @@
+"""Pinned solution bytes: one committed instance and solution per kind.
+
+Each `tests/golden/<name>.instance.json` has a `<name>.solution.json` next to
+it, written by `troplp solve`.  Solving the instance again must reproduce the
+solution byte for byte, and `troplp check` must accept the committed file.
+The two failure statuses have one file each: `infeasible-lambda-positive`
+(a tslp instance) and `divergent-star`.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from troplp.cli import main
+from troplp.io import EXIT_INFEASIBLE, EXIT_OK, KINDS
+
+GOLDEN = Path(__file__).parent / "golden"
+FAILURES = ("infeasible-lambda-positive", "divergent-star")
+NAMES = KINDS + FAILURES
+
+
+def test_one_file_pair_per_name():
+    stems = sorted(p.name[:-len(".instance.json")] for p in GOLDEN.glob("*.instance.json"))
+    assert stems == sorted(NAMES)
+    assert all((GOLDEN / f"{name}.solution.json").is_file() for name in NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_solve_reproduces_golden_bytes(name, tmp_path, capsys):
+    out = tmp_path / "solution.json"
+    code = main(["solve", "--input", str(GOLDEN / f"{name}.instance.json"),
+                 "--output", str(out)])
+    assert code == (EXIT_INFEASIBLE if name in FAILURES else EXIT_OK)
+    assert out.read_bytes() == (GOLDEN / f"{name}.solution.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_check_accepts_golden_solution(name, capsys):
+    assert main(["check", "--input", str(GOLDEN / f"{name}.solution.json")]) == EXIT_OK

@@ -9,7 +9,8 @@ from troplp import (Box, IntDualState, LpInstance, NonIntegerBError,
                     brute_primal_integer, ceil_frac, coverage, dual_box,
                     duality_gap, estimate_via_floor_b, floor_frac, fr,
                     greatest_subsolution, initial_state, primal_box,
-                    solve_dual_integer_direct, solve_dual_integer_general,
+                    solve_dual_integer, solve_dual_integer_direct,
+                    solve_dual_integer_general,
                     solve_primal_integer, tdot, tmul, transpose, leq)
 
 REGRESSION = LpInstance(TropMatrix([[1, 2], [3, 4]]), TropVector([5.5, 6.25]),
@@ -247,6 +248,20 @@ class TestOracleEquivalence:
             assert solve_dual_integer_general(inst).phi_min_int == real
 
 
+class TestSolveDualInteger:
+    def test_direct_rule_for_integer_b(self):
+        assert solve_dual_integer(WORKED) == solve_dual_integer_direct(WORKED)
+        assert solve_dual_integer(WORKED).method == "direct-integer-b"
+
+    def test_descent_for_fractional_b(self):
+        assert solve_dual_integer(REGRESSION) == solve_dual_integer_general(REGRESSION)
+        assert solve_dual_integer(REGRESSION).method == "iterative"
+
+    def test_b_within_tol_of_an_integer_counts_as_integer(self):
+        inst = LpInstance(WORKED.a, TropVector(WORKED.b.data + 1e-12), WORKED.c)
+        assert solve_dual_integer(inst).method == "direct-integer-b"
+
+
 class TestGapReport:
     def test_fractional_scalar(self):
         report = duality_gap(LpInstance(TropMatrix([[0.5]]), TropVector([1]),
@@ -256,6 +271,13 @@ class TestGapReport:
     def test_integer_worked_instance(self):
         report = duality_gap(WORKED)
         assert (report.lower, report.real_optimum, report.upper) == (3.0, 3.0, 3.0)
+
+    def test_report_carries_both_integer_witnesses(self):
+        report = duality_gap(REGRESSION)
+        assert report.primal == solve_primal_integer(REGRESSION)
+        assert report.dual == solve_dual_integer_general(REGRESSION)
+        assert (report.lower, report.upper) == (report.primal.f_max_int,
+                                                report.dual.phi_min_int)
 
     def test_interval_orders_and_width(self):
         rng = np.random.default_rng(37)

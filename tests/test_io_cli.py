@@ -1,16 +1,18 @@
 """File formats, certificate re-validation, and the command-line front end."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 import util
-from troplp import EPSILON, InstanceFormatError, closure
+from troplp import EPSILON, InstanceFormatError, closure, intlp
 from troplp.cli import main
-from troplp.io import (EXIT_CERTIFICATE, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
-                       KINDS, parse_instance, parse_solution, render_text,
-                       serialize_solution, solve_to_payload, verify_payload)
+from troplp.io import (_KINDS, EXIT_CERTIFICATE, EXIT_INFEASIBLE, EXIT_INPUT,
+                       EXIT_OK, KINDS, check_tol, parse_instance,
+                       parse_solution, render_text, serialize_solution,
+                       solve_to_payload, verify_payload)
 
 E = EPSILON
 
@@ -143,6 +145,16 @@ class TestSolveToPayload:
         assert payload["x"] == [0.0]
         assert payload["pi"] == [0.0]
         assert payload["certificate"]["width"] == 1.0
+        assert verify_payload(payload) == []
+
+    def test_gap_solves_each_integer_program_once(self, monkeypatch):
+        inst = parse_instance('{"problem":"gap","A":[[1,2],[3,4]],'
+                              '"b":[5.5,6.25],"c":[0,0]}')
+        dual = util.count_calls(monkeypatch, intlp.solve_dual_integer_general)
+        primal = util.count_calls(monkeypatch, intlp.solve_primal_integer)
+        payload, code = solve_to_payload(inst, 1e-9)
+        assert code == EXIT_OK and payload["method"] == "iterative"
+        assert (len(dual), len(primal)) == (1, 1)
         assert verify_payload(payload) == []
 
     def test_dual_integer_picks_method_by_b(self):
@@ -316,3 +328,125 @@ class TestCliMain(object):
         inst = tmp_path / "inst.json"
         self._write(inst, {"problem": "star", "A": [[1e-12]], "tol": 1e-15})
         assert main(["solve", "--input", str(inst)]) == EXIT_INFEASIBLE
+
+
+GOLDEN = util.TESTS / "golden"
+
+
+def _fresh_solution(name, tmp_path):
+    """Solve the committed golden instance `name`; return the solution as JSON."""
+    out = tmp_path / "fresh.json"
+    main(["solve", "--input", str(GOLDEN / f"{name}.instance.json"),
+          "--output", str(out)])
+    return json.loads(out.read_text())
+
+
+def _check(doc, tmp_path, *flags):
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    return main(["check", "--input", str(path), *flags])
+
+
+class TestTolRule:
+    @pytest.mark.parametrize("value", [-1, -1e-12, float("nan"), float("inf"),
+                                       True, "1e-9", None, [1e-9]])
+    def test_rejected(self, value):
+        with pytest.raises(InstanceFormatError, match="tol must be"):
+            check_tol(value)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 1e-9, 2])
+    def test_accepted(self, value):
+        assert check_tol(value) == float(value)
+
+    def test_instance_tol_uses_the_rule(self):
+        with pytest.raises(InstanceFormatError, match="tol must be"):
+            parse_instance('{"problem":"mcm","A":[[1]],"tol":1e400}')
+
+    def test_payload_tol_and_override_use_the_rule(self):
+        inst = parse_instance('{"problem":"mcm","A":[[1]]}')
+        payload, _ = solve_to_payload(inst, 1e-9)
+        for tol, override in ((float("inf"), None), (1e-9, float("inf")),
+                              (1e-9, float("nan")), (1e-9, -1.0)):
+            with pytest.raises(InstanceFormatError, match="tol must be"):
+                verify_payload(dict(payload, tol=tol), override)
+
+    def test_check_tol_flag_cannot_forgive_tampering(self, tmp_path, capsys):
+        doc = _fresh_solution("dual", tmp_path)
+        doc["objective"] += 5
+        doc["pi"] = [100, 100]
+        assert _check(doc, tmp_path) == EXIT_CERTIFICATE
+        for flag in ("inf", "nan", "-inf", "-1"):
+            assert _check(doc, tmp_path, f"--tol={flag}") == EXIT_INPUT
+        assert "tol must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("obj", [
+        {"problem": "star", "A": [[1]]},
+        {"problem": "gap", "A": [[0.5]], "b": [1.5], "c": [0]},
+    ])
+    @pytest.mark.parametrize("flag", ["nan", "inf", "-inf", "-1"])
+    def test_solve_tol_flag(self, obj, flag, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(obj))
+        assert main(["solve", "--input", str(inst), f"--tol={flag}"]) == EXIT_INPUT
+        assert "tol must be" in capsys.readouterr().err
+
+
+class TestCheckMalformedFields:
+    """check answers every malformed stored field with exit 2 or 3."""
+
+    @pytest.mark.parametrize("name,field,value", [
+        ("mcm", "witness_cycle", ["a"]),
+        ("mcm", "witness_cycle", [0.7]),
+        ("mcm", "witness_cycle", [True, 1, 2]),
+        ("mcm", "witness_cycle", [0, 1, 3]),
+        ("infeasible-lambda-positive", "witness_cycle", []),
+        ("divergent-star", "witness_cycle", []),
+        ("primal", "objective", "abc"),
+        ("gap", "lower", "abc"),
+        ("gap", "method", "abc"),
+        ("dual-integer", "iterations", "abc"),
+        ("primal", "status", "divergent-star"),
+        ("star", "status", "infeasible-lambda-positive"),
+        ("tslp", "status", "ok"),
+    ])
+    def test_reported_as_problem(self, name, field, value, tmp_path, capsys):
+        doc = _fresh_solution(name, tmp_path)
+        doc[field] = value
+        assert _check(doc, tmp_path) == EXIT_CERTIFICATE
+        assert "troplp: certificate violation:" in capsys.readouterr().err
+
+    def test_fractional_cycle_node_not_truncated(self):
+        payload, _ = solve_to_payload(parse_instance('{"problem":"mcm","A":[[1]]}'), 1e-9)
+        assert payload["witness_cycle"] == [0] and verify_payload(payload) == []
+        problems = verify_payload(dict(payload, witness_cycle=[0.7]))
+        assert len(problems) == 1 and problems[0].startswith("witness_cycle:")
+
+    # check does not read these: they are metadata or recomputed residuals
+    UNREAD = ("tool", "version", "certificate")
+    WRONG = ("abc", True, None, ["a"], [0.7], {"a": 1})
+
+    @pytest.mark.parametrize("name", KINDS + ("infeasible-lambda-positive",
+                                              "divergent-star"))
+    def test_every_read_field_rejects_wrong_types(self, name, tmp_path, capsys):
+        fresh = _fresh_solution(name, tmp_path)
+        assert _check(fresh, tmp_path) == EXIT_OK
+        accepted = []
+        for field in fresh:
+            if field in self.UNREAD:
+                continue
+            for value in self.WRONG:
+                if value == fresh[field]:
+                    continue
+                code = _check(dict(fresh, **{field: value}), tmp_path)
+                if code not in (EXIT_INPUT, EXIT_CERTIFICATE):
+                    accepted.append((field, value, code))
+        assert accepted == []
+
+
+class TestKindTable:
+    def test_readme_lists_every_kind_and_its_fields(self):
+        readme = (util.TESTS.parent / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([a-z0-9-]+)` +\| `([A-Za-z ]+)` +\|", readme, re.M)
+        assert dict(rows) == {kind: " ".join(spec.fields)
+                              for kind, spec in _KINDS.items()}
+        assert len(rows) == len(KINDS)

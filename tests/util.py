@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from troplp import (EPSILON, LpInstance, TropMatrix, TropVector,
                     TwoSidedInstance, max_cycle_mean)
+
+TESTS = Path(__file__).parent
 
 
 def count_calls(monkeypatch, fn) -> list:
