@@ -17,14 +17,10 @@ from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, approx_equal,
 from .errors import (CertificateViolationError, DimensionMismatchError,
                      DivergentStarError, EnumerationCapExceededError,
                      FiniteRequiredError, InfeasibleLambdaError,
-                     InstanceFormatError, NoFeasiblePointError,
-                     NonIntegerBError, TropError)
-from .intlp import (GapReport, IntDualResult, IntDualState, IntPrimalResult,
-                    advance, ceil_frac, coverage, duality_gap,
-                    estimate_via_floor_b, floor_frac, fr, initial_state,
-                    snap_ceil, snap_floor, solve_dual_integer,
-                    solve_dual_integer_direct, solve_dual_integer_general,
-                    solve_primal_integer)
+                     InstanceFormatError, NoFeasiblePointError, TropError)
+from .intlp import (GapReport, IntDualResult, IntPrimalResult, ceil_frac,
+                    duality_gap, estimate_via_floor_b, floor_frac, fr,
+                    snap_floor, solve_dual_integer, solve_primal_integer)
 from .lp import (DualityCertificate, LpInstance, certify, solve_dual,
                  solve_primal)
 from .onesided import (OneSidedSolveResult, greatest_subsolution,
@@ -51,11 +47,10 @@ __all__ = [
     "LpInstance", "DualityCertificate", "solve_primal", "solve_dual",
     "certify",
     # integer programs
-    "IntPrimalResult", "IntDualResult", "IntDualState", "GapReport",
-    "fr", "ceil_frac", "floor_frac", "snap_floor", "snap_ceil",
-    "solve_primal_integer", "solve_dual_integer", "solve_dual_integer_direct",
-    "solve_dual_integer_general", "initial_state", "advance", "coverage",
-    "duality_gap", "estimate_via_floor_b",
+    "IntPrimalResult", "IntDualResult", "GapReport",
+    "fr", "ceil_frac", "floor_frac", "snap_floor",
+    "solve_primal_integer", "solve_dual_integer", "duality_gap",
+    "estimate_via_floor_b",
     # two-sided programs
     "TwoSidedInstance", "TwoSidedResult", "solve_tslp", "solve_tslp2",
     "tslp_feasible",
@@ -64,7 +59,7 @@ __all__ = [
     "brute_dual_integer", "primal_box", "dual_box",
     # errors
     "TropError", "DimensionMismatchError", "FiniteRequiredError",
-    "DivergentStarError", "InfeasibleLambdaError", "NonIntegerBError",
+    "DivergentStarError", "InfeasibleLambdaError",
     "CertificateViolationError", "EnumerationCapExceededError",
     "NoFeasiblePointError", "InstanceFormatError",
 ]

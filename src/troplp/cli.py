@@ -15,8 +15,7 @@ import sys
 
 from .core import DEFAULT_TOL
 from .errors import (CertificateViolationError, DimensionMismatchError,
-                     FiniteRequiredError, InstanceFormatError,
-                     NonIntegerBError)
+                     FiniteRequiredError, InstanceFormatError)
 from .io import (EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, check_solution_text,
                  check_tol, parse_instance, render_text, serialize_solution,
                  solve_to_payload)
@@ -90,8 +89,7 @@ def main(argv: list[str] | None = None) -> int:
                     else render_text(payload))
         _write(rendered, args.output)
         return code
-    except (InstanceFormatError, FiniteRequiredError, NonIntegerBError,
-            DimensionMismatchError) as exc:
+    except (InstanceFormatError, FiniteRequiredError, DimensionMismatchError) as exc:
         print(f"troplp: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CertificateViolationError as exc:

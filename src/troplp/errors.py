@@ -35,10 +35,6 @@ class InfeasibleLambdaError(TropError):
         self.witness_cycle = witness_cycle
 
 
-class NonIntegerBError(TropError):
-    """The direct integer-dual solver requires an integer right-hand side."""
-
-
 class CertificateViolationError(TropError):
     """A solver-produced witness failed its own certificate check.
 

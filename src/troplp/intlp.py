@@ -1,25 +1,30 @@
 """Tropical integer programs over the instance (A, b, c).
 
 The integer primal (maximize c'x, Ax <= b, x integer) is solved directly by
-flooring the real primal witness.  The integer dual (minimize pi'b,
-pi'A >= c', pi integer) has a direct solution when b is integer; for general
-real b the iterative descent below applies.  duality_gap() reports the
-interval between the two integer optima around the real optimum.
+flooring the real primal witness.  duality_gap() reports the interval between
+the two integer optima around the real optimum.
 
-The iterative dual solver works on the shifted variables sigma_i = pi_i + b_i,
-which must keep the fractional part of b_i for pi to be integer.  Each row i
-owns a finite candidate set: one phase-matching ceiling per column of the
-normalized matrix plus a floor value derived from the real optimum.  Starting
-from the row maxima, the solver repeatedly lowers every component currently
-attaining the objective max to its next lower candidate, and stops when that
-would uncover a column (some column would lose all rows satisfying its
-threshold) or when all maximal components sit at their floors.
+The integer dual (minimize pi'b, pi'A >= c', pi integer) has one closed form
+for every real b.  Write sigma_i = pi_i + b_i: pi is integer exactly when
+sigma_i keeps the phase fr(b_i), and the objective is max_i sigma_i.  By
+residuation (Butkovic, Max-linear Systems, 2010, ch. 3) column j's constraint
+max_i(pi_i + a_ij) >= c_j holds iff some row has sigma_i >= b_i + c_j - a_ij,
+and the least value of row i's phase that does so is
+u_ij = ceil_frac(b_i + c_j - a_ij, fr(b_i)).  A level t is therefore
+attainable iff every column has some u_ij <= t: setting each sigma_i to
+floor_frac(t, fr(b_i)), the greatest value of its phase not above t, then
+meets every such u_ij and keeps max_i sigma_i <= t.  The optimum is the least
+such t,
 
-Floor rule: the floor is the greatest phase-matching value that does NOT
-exceed the real lower bound.  Rounding the bound up to the phase instead can
-pin a maximal component above the true optimum; rounding down is safe because
-a floor below the bound can never bind at the objective max of a feasible
-point (feasible objectives never drop below the bound).
+    phi_int = max_j min_i ceil_frac(b_i + c_j - a_ij, fr(b_i)),
+
+attained by sigma_i = floor_frac(phi_int, fr(b_i)): the row that gives the
+max-min has phi_int in its own phase, so its sigma equals phi_int.  This is
+one O(mn) expression.  For integer b every phase is 0 and the formula is the
+paper's direct rule: phi_int = ceil(max_j min_i(b_i + c_j - a_ij)), the
+ceiling of the real optimum, with pi_i = phi_int - b_i.  The paper's candidate
+descent for general real b reaches the same value; it is kept as a test
+reference in oracles.descent_dual_integer.
 """
 
 from __future__ import annotations
@@ -30,39 +35,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, TropVector, tdot
-from .errors import NonIntegerBError
 from .lp import LpInstance
 from .onesided import greatest_subsolution
 
 
-def fr(x: float, tol: float = DEFAULT_TOL) -> float:
-    """Fractional part x - floor(x), snapped to 0 within tol of an integer."""
-    f = x - math.floor(x)
-    if f <= tol or f >= 1.0 - tol:
-        return 0.0
-    return f
+def fr(x, tol: float = DEFAULT_TOL):
+    """Fractional part x - floor(x), snapped to 0 within tol of an integer.
+
+    Elementwise over arrays; a scalar gives a scalar.
+    """
+    f = x - np.floor(x)
+    return np.where((f <= tol) | (f >= 1.0 - tol), 0.0, f)[()]
 
 
-def ceil_frac(x: float, phase: float, tol: float = DEFAULT_TOL) -> float:
-    """Least u >= x (within tol) whose fractional part equals phase."""
-    k = math.ceil(x - phase - tol)
-    return k + phase
+def ceil_frac(x, phase, tol: float = DEFAULT_TOL):
+    """Least u >= x (within tol) whose fractional part equals phase; elementwise."""
+    return np.ceil(x - phase - tol) + phase
 
 
-def floor_frac(x: float, phase: float, tol: float = DEFAULT_TOL) -> float:
-    """Greatest u <= x (within tol) whose fractional part equals phase."""
-    k = math.floor(x - phase + tol)
-    return k + phase
+def floor_frac(x, phase, tol: float = DEFAULT_TOL):
+    """Greatest u <= x (within tol) whose fractional part equals phase; elementwise."""
+    return np.floor(x - phase + tol) + phase
 
 
 def snap_floor(x: float, tol: float = DEFAULT_TOL) -> float:
     """floor(x) that forgives values within tol below an integer."""
     return float(math.floor(x + tol))
-
-
-def snap_ceil(x: float, tol: float = DEFAULT_TOL) -> float:
-    """ceil(x) that forgives values within tol above an integer."""
-    return float(math.ceil(x - tol))
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,6 @@ class IntPrimalResult:
 class IntDualResult:
     pi_opt: TropVector
     phi_min_int: float
-    iterations: int
-    method: str  # "direct-integer-b" or "iterative"
 
 
 @dataclass(frozen=True)
@@ -99,27 +95,6 @@ class GapReport:
         return self.dual.phi_min_int
 
 
-@dataclass
-class IntDualState:
-    """Mutable state of the iterative integer-dual descent.
-
-    candidate_matrix holds one phase-matching ceiling per column plus the
-    floor column at index n; row_candidates are the distinct row values
-    sorted descending, with cursors[i] pointing at sigma[i]'s position.
-    """
-
-    normalized: np.ndarray        # a_ij - b_i - c_j
-    candidate_matrix: np.ndarray  # m x (n+1)
-    floors: np.ndarray
-    phases: np.ndarray
-    sigma: np.ndarray
-    lower_bound: float
-    row_candidates: list[list[float]]
-    cursors: list[int]
-    active: tuple[int, ...] = ()
-    iterations: int = 0
-
-
 def solve_primal_integer(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntPrimalResult:
     """Floor of the real primal witness; optimal for the integer primal."""
     xhat = greatest_subsolution(inst.a, inst.b)
@@ -127,119 +102,14 @@ def solve_primal_integer(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntPrima
     return IntPrimalResult(x, tdot(inst.c, x))
 
 
-def solve_dual_integer_direct(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntDualResult:
-    """Direct integer-dual solution, valid only for integer b.
-
-    The optimum is t = ceil of the real optimal value, attained by the
-    constant shifted vector, i.e. pi_i = t - b_i.
-    """
-    b = inst.b.data
-    if any(fr(v, tol) != 0.0 for v in b):
-        raise NonIntegerBError("direct integer-dual solution requires integer b")
-    xhat = greatest_subsolution(inst.a, inst.b)
-    t = snap_ceil(tdot(inst.c, xhat), tol)
-    pi = TropVector(t - np.round(b))
-    return IntDualResult(pi, t, 0, "direct-integer-b")
-
-
-def initial_state(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntDualState:
-    a, b, c = inst.a.data, inst.b.data, inst.c.data
-    m, n = a.shape
-    xhat = (b[:, np.newaxis] - a).min(axis=0)
-    lower_bound = float((c + xhat).max())
-
-    phases = np.array([fr(v, tol) for v in b])
-    thresholds = b[:, np.newaxis] + c[np.newaxis, :] - a  # negated normalized matrix
-    candidate_matrix = np.empty((m, n + 1))
-    for i in range(m):
-        for j in range(n):
-            candidate_matrix[i, j] = ceil_frac(thresholds[i, j], phases[i], tol)
-        candidate_matrix[i, n] = floor_frac(lower_bound, phases[i], tol)
-
-    # Candidates of one row share a phase, so distinct values differ by >= 1
-    # and exact set() deduplication is safe.
-    row_candidates = [sorted(set(row), reverse=True) for row in candidate_matrix.tolist()]
-    sigma = candidate_matrix.max(axis=1)
-    return IntDualState(
-        normalized=a - b[:, np.newaxis] - c[np.newaxis, :],
-        candidate_matrix=candidate_matrix,
-        floors=candidate_matrix[:, n].copy(),
-        phases=phases,
-        sigma=sigma,
-        lower_bound=lower_bound,
-        row_candidates=row_candidates,
-        cursors=[0] * m,
-    )
-
-
-def _covered(candidate_matrix: np.ndarray, sigma: np.ndarray, tol: float) -> bool:
-    thresholds = candidate_matrix[:, :-1]
-    return bool(np.all((sigma[:, np.newaxis] >= thresholds - tol).any(axis=0)))
-
-
-def coverage(state: IntDualState, tol: float = DEFAULT_TOL
-             ) -> tuple[bool, tuple[frozenset[int], ...]]:
-    """Per-row sets of columns whose threshold sigma_i meets, and whether the
-    union covers every column (the feasibility test for the shifted dual)."""
-    thresholds = state.candidate_matrix[:, :-1]
-    m, n = thresholds.shape
-    sets = tuple(
-        frozenset(j for j in range(n) if state.sigma[i] >= thresholds[i, j] - tol)
-        for i in range(m))
-    covered = frozenset().union(*sets) == frozenset(range(n))
-    return covered, sets
-
-
-def advance(state: IntDualState, tol: float = DEFAULT_TOL) -> bool:
-    """One descent step.  Returns False (state unchanged) when stopped.
-
-    Lowers every component at the objective max that is still above its floor
-    to its next lower candidate, accepting the move only if every column stays
-    covered.
-    """
-    sigma = state.sigma
-    phi = float(sigma.max())
-    # Row candidates sit on a unit grid, so half a grid step separates
-    # "at the floor" from "above it" robustly.
-    active = tuple(i for i in range(len(sigma))
-                   if sigma[i] >= phi - tol and sigma[i] - state.floors[i] > 0.5)
-    state.active = active
-    if not active:
-        return False
-
-    proposed = sigma.copy()
-    next_cursors = list(state.cursors)
-    for i in active:
-        nxt = state.cursors[i] + 1
-        if nxt >= len(state.row_candidates[i]):
-            return False
-        proposed[i] = state.row_candidates[i][nxt]
-        next_cursors[i] = nxt
-
-    if not _covered(state.candidate_matrix, proposed, tol):
-        return False
-    state.sigma = proposed
-    state.cursors = next_cursors
-    state.iterations += 1
-    return True
-
-
-def solve_dual_integer_general(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntDualResult:
-    """Integer-dual solution for arbitrary real b via candidate descent."""
-    state = initial_state(inst, tol)
-    while advance(state, tol):
-        pass
-    b = inst.b.data
-    pi = TropVector(np.round(state.sigma - b))
-    phi = float((pi.data + b).max())
-    return IntDualResult(pi, phi, state.iterations, "iterative")
-
-
 def solve_dual_integer(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntDualResult:
-    """Integer-dual optimum: the direct rule for integer b, the descent otherwise."""
-    if all(fr(v, tol) == 0.0 for v in inst.b.data):
-        return solve_dual_integer_direct(inst, tol)
-    return solve_dual_integer_general(inst, tol)
+    """Integer-dual optimum by the closed form in the module docstring."""
+    a, b, c = inst.a.data, inst.b.data, inst.c.data
+    phases = fr(b, tol)
+    levels = ceil_frac(b[:, np.newaxis] + c[np.newaxis, :] - a, phases[:, np.newaxis], tol)
+    phi_int = levels.min(axis=0).max()
+    pi = np.round(floor_frac(phi_int, phases, tol) - b)
+    return IntDualResult(TropVector(pi), float((pi + b).max()))
 
 
 def duality_gap(inst: LpInstance, tol: float = DEFAULT_TOL) -> GapReport:
@@ -256,5 +126,4 @@ def estimate_via_floor_b(inst: LpInstance, tol: float = DEFAULT_TOL) -> float:
     any integer pi's objective from b to floor(b) moves it by less than 1.
     """
     floored = TropVector([snap_floor(v, tol) for v in inst.b.data])
-    return solve_dual_integer_direct(
-        LpInstance(inst.a, floored, inst.c), tol).phi_min_int
+    return solve_dual_integer(LpInstance(inst.a, floored, inst.c), tol).phi_min_int

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .closure import kleene_star, max_cycle_mean
+from .closure import _diverges, _star_sweep, kleene_star, max_cycle_mean
 from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, identity,
                    tadd, tmul, transpose)
 from .errors import (DivergentStarError, FiniteRequiredError,
@@ -337,8 +337,8 @@ def _x_body(inst: InstanceFile, objective: float, x: TropVector) -> dict:
             "certificate": {"primal_residual": _primal_residual(inst, x)}}
 
 
-def _pi_body(inst: InstanceFile, objective: float, pi: TropVector, **tags) -> dict:
-    return {"objective": objective, "pi": pi.to_list(), **tags,
+def _pi_body(inst: InstanceFile, objective: float, pi: TropVector) -> dict:
+    return {"objective": objective, "pi": pi.to_list(),
             "certificate": {"dual_slack": _dual_slack(inst, pi)}}
 
 
@@ -366,11 +366,6 @@ def _check_pi(inst: InstanceFile, payload: dict, tol: float, problems: list[str]
                         float(np.max(pi.data + inst.b.data)), tol)
 
 
-def _check_method(payload: dict, problems: list[str]):
-    if payload.get("method") not in ("direct-integer-b", "iterative"):
-        problems.append("unknown dual-integer method tag")
-
-
 def _solve_primal(inst: InstanceFile, tol: float) -> dict:
     x, f = solve_primal(LpInstance(inst.a, inst.b, inst.c))
     return _x_body(inst, f, x)
@@ -388,25 +383,14 @@ def _solve_primal_integer(inst: InstanceFile, tol: float) -> dict:
 
 def _solve_dual_integer(inst: InstanceFile, tol: float) -> dict:
     res = solve_dual_integer(LpInstance(inst.a, inst.b, inst.c), tol)
-    return _pi_body(inst, res.phi_min_int, res.pi_opt,
-                    method=res.method, iterations=res.iterations)
-
-
-def _verify_dual_integer(inst: InstanceFile, payload: dict, tol: float,
-                         problems: list[str]):
-    _check_pi(inst, payload, tol, problems, integral=True)
-    _check_method(payload, problems)
-    iterations = payload.get("iterations")
-    if type(iterations) is not int or iterations < 0:
-        problems.append(f"iterations: expected a nonnegative integer, got {iterations!r}")
+    return _pi_body(inst, res.phi_min_int, res.pi_opt)
 
 
 def _solve_gap(inst: InstanceFile, tol: float) -> dict:
     report = duality_gap(LpInstance(inst.a, inst.b, inst.c), tol)
     x, pi = report.primal.x_opt, report.dual.pi_opt
     return {"lower": report.lower, "real_optimum": report.real_optimum,
-            "upper": report.upper, "method": report.dual.method,
-            "x": x.to_list(), "pi": pi.to_list(),
+            "upper": report.upper, "x": x.to_list(), "pi": pi.to_list(),
             "certificate": {"primal_residual": _primal_residual(inst, x),
                             "dual_slack": _dual_slack(inst, pi),
                             "width": report.upper - report.lower}}
@@ -415,8 +399,8 @@ def _solve_gap(inst: InstanceFile, tol: float) -> dict:
 def _verify_gap(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
     lower = _check_x(inst, payload, tol, problems, integral=True, key="lower")
     upper = _check_pi(inst, payload, tol, problems, integral=True, key="upper")
-    real = _read_number(payload, "real_optimum")
-    _check_method(payload, problems)
+    real = _check_value(problems, payload, "real_optimum",
+                        solve_primal(LpInstance(inst.a, inst.b, inst.c))[1], tol)
     if not (lower - tol <= real <= upper + tol):
         problems.append(
             f"gap interval broken: lower {lower}, real {real}, upper {upper}")
@@ -425,7 +409,7 @@ def _verify_gap(inst: InstanceFile, payload: dict, tol: float, problems: list[st
 def _solve_tslp(inst: InstanceFile, tol: float) -> dict:
     res = solve_tslp(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
     worst = float(np.max(_two_sided_lhs(inst, res.y_opt) - res.y_opt.data))
-    return {"objective": res.g_min, "y": res.y_opt.to_list(), "u": res.u_opt.to_list(),
+    return {"objective": res.g_min, "y": res.y_opt.to_list(),
             "certificate": {"feasibility_residual": worst}}
 
 
@@ -447,9 +431,7 @@ def _check_y(inst: InstanceFile, payload: dict, tol: float,
 
 
 def _verify_tslp(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
-    excess = _check_y(inst, payload, tol, problems)
-    _read_vector(payload, "u", inst.a.rows)
-    worst = float(np.max(excess))
+    worst = float(np.max(_check_y(inst, payload, tol, problems)))
     if worst > tol:
         problems.append(f"two-sided witness infeasible by {worst}")
 
@@ -492,6 +474,9 @@ def _verify_mcm(inst: InstanceFile, payload: dict, tol: float, problems: list[st
     lam = _read_number(payload, "lambda", allow_eps=True)
     if lam != EPSILON:
         _check_cycle(inst.a, lam, payload, tol, problems)
+        # A cycle of mean above lam + tol closes a positive walk in A - (lam + tol).
+        if _diverges(_star_sweep(inst.a.data - (lam + tol))):
+            problems.append("lambda below the maximum cycle mean")
         return
     if payload.get("witness_cycle") is not None:
         problems.append("acyclic result must not carry a witness cycle")
@@ -554,7 +539,8 @@ _KINDS = {
     "dual": _Kind(_ABC, _solve_dual, _check_pi),
     "primal-integer": _Kind(_ABC, _solve_primal_integer,
                             partial(_check_x, integral=True)),
-    "dual-integer": _Kind(_ABC, _solve_dual_integer, _verify_dual_integer),
+    "dual-integer": _Kind(_ABC, _solve_dual_integer,
+                          partial(_check_pi, integral=True)),
     "gap": _Kind(_ABC, _solve_gap, _verify_gap),
     "tslp": _Kind(("A", "d", "c"), _solve_tslp, _verify_tslp,
                   _OPTIMAL_OR_INFEASIBLE, square=True),
@@ -596,7 +582,9 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
 
     Returns a list of human-readable violations; empty means the certificate
     holds.  A damaged instance or tolerance raises InstanceFormatError
-    instead; a missing status reads as the kind's solved status.
+    instead; a missing status reads as the kind's solved status.  Fields the
+    kind's check does not read, such as tool, version, or the method,
+    iterations and u of older files, are ignored.
     """
     kind = payload.get("problem")
     spec = _spec(kind)

@@ -1,8 +1,11 @@
-"""Slow exhaustive reference implementations for tests and acceptance runs.
+"""Slow reference implementations for tests and acceptance runs.
 
-Everything here is plain-Python enumeration.  Nothing is shared with the
-production solvers beyond scalar max/+ arithmetic, so these functions serve
-as independent ground truth at desk scale.  Never call them from solvers.
+The brute-force searches are plain-Python enumeration.  Nothing is shared
+with the production solvers beyond scalar max/+ arithmetic, so they serve as
+independent ground truth at desk scale.  descent_dual_integer is the paper's
+candidate descent for the integer dual; it shares the phase helpers fr,
+ceil_frac and floor_frac with intlp's closed form, so brute force stays the
+independent oracle for both.  Never call any of these from solvers.
 """
 
 from __future__ import annotations
@@ -11,9 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector
 from .errors import (DimensionMismatchError, DivergentStarError,
                      EnumerationCapExceededError, NoFeasiblePointError)
+from .intlp import ceil_frac, floor_frac, fr
 from .lp import LpInstance
 
 _MAX_CYCLE_NODES = 8
@@ -205,3 +211,126 @@ def dual_box(inst: LpInstance, margin: int = 1, cap: int = DEFAULT_CAP) -> Box:
     lowers = tuple(math.floor(lower_value - b[i]) - margin for i in range(m))
     uppers = tuple(math.ceil(upper_value - b[i]) + margin for i in range(m))
     return Box(lowers, uppers, cap)
+
+
+@dataclass
+class IntDualState:
+    """Mutable state of the paper's integer-dual descent.
+
+    The descent works on sigma_i = pi_i + b_i, which must keep the phase
+    fr(b_i).  candidate_matrix holds one phase-matching ceiling per column
+    plus the floor column at index n; row_candidates are the distinct row
+    values sorted descending, with cursors[i] pointing at sigma[i]'s position.
+
+    Floor rule: the floor is the greatest phase-matching value that does NOT
+    exceed the real lower bound.  Rounding the bound up to the phase instead
+    can pin a maximal component above the true optimum; rounding down is safe
+    because a floor below the bound can never bind at the objective max of a
+    feasible point (feasible objectives never drop below the bound).
+    """
+
+    normalized: np.ndarray        # a_ij - b_i - c_j
+    candidate_matrix: np.ndarray  # m x (n+1)
+    floors: np.ndarray
+    phases: np.ndarray
+    sigma: np.ndarray
+    lower_bound: float
+    row_candidates: list[list[float]]
+    cursors: list[int]
+    active: tuple[int, ...] = ()
+    iterations: int = 0
+
+
+def initial_state(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntDualState:
+    """Every sigma_i at its row maximum, the start of the descent."""
+    a, b, c = inst.a.data, inst.b.data, inst.c.data
+    xhat = (b[:, np.newaxis] - a).min(axis=0)
+    lower_bound = float((c + xhat).max())
+
+    phases = fr(b, tol)
+    thresholds = b[:, np.newaxis] + c[np.newaxis, :] - a  # negated normalized matrix
+    candidate_matrix = np.column_stack(
+        [ceil_frac(thresholds, phases[:, np.newaxis], tol),
+         floor_frac(lower_bound, phases, tol)])
+
+    # Candidates of one row share a phase, so distinct values differ by >= 1
+    # and exact set() deduplication is safe.
+    row_candidates = [sorted(set(row), reverse=True) for row in candidate_matrix.tolist()]
+    return IntDualState(
+        normalized=a - b[:, np.newaxis] - c[np.newaxis, :],
+        candidate_matrix=candidate_matrix,
+        floors=candidate_matrix[:, -1].copy(),
+        phases=phases,
+        sigma=candidate_matrix.max(axis=1),
+        lower_bound=lower_bound,
+        row_candidates=row_candidates,
+        cursors=[0] * len(b),
+    )
+
+
+def _covered(candidate_matrix: np.ndarray, sigma: np.ndarray, tol: float) -> bool:
+    thresholds = candidate_matrix[:, :-1]
+    return bool(np.all((sigma[:, np.newaxis] >= thresholds - tol).any(axis=0)))
+
+
+def coverage(state: IntDualState, tol: float = DEFAULT_TOL
+             ) -> tuple[bool, tuple[frozenset[int], ...]]:
+    """Per-row sets of columns whose threshold sigma_i meets, and whether the
+    union covers every column (the feasibility test for the shifted dual)."""
+    thresholds = state.candidate_matrix[:, :-1]
+    m, n = thresholds.shape
+    sets = tuple(
+        frozenset(j for j in range(n) if state.sigma[i] >= thresholds[i, j] - tol)
+        for i in range(m))
+    covered = frozenset().union(*sets) == frozenset(range(n))
+    return covered, sets
+
+
+def advance(state: IntDualState, tol: float = DEFAULT_TOL) -> bool:
+    """One descent step.  Returns False (state unchanged) when stopped.
+
+    Lowers every component at the objective max that is still above its floor
+    to its next lower candidate, accepting the move only if every column stays
+    covered.
+    """
+    sigma = state.sigma
+    phi = float(sigma.max())
+    # Row candidates sit on a unit grid, so half a grid step separates
+    # "at the floor" from "above it" robustly.
+    active = tuple(i for i in range(len(sigma))
+                   if sigma[i] >= phi - tol and sigma[i] - state.floors[i] > 0.5)
+    state.active = active
+    if not active:
+        return False
+
+    proposed = sigma.copy()
+    next_cursors = list(state.cursors)
+    for i in active:
+        nxt = state.cursors[i] + 1
+        if nxt >= len(state.row_candidates[i]):
+            return False
+        proposed[i] = state.row_candidates[i][nxt]
+        next_cursors[i] = nxt
+
+    if not _covered(state.candidate_matrix, proposed, tol):
+        return False
+    state.sigma = proposed
+    state.cursors = next_cursors
+    state.iterations += 1
+    return True
+
+
+def descent_dual_integer(inst: LpInstance, tol: float = DEFAULT_TOL
+                         ) -> tuple[TropVector, float, int]:
+    """The paper's integer-dual descent for real b: (pi, phi, iterations).
+
+    Starting from the row maxima, it lowers every component attaining the
+    objective max to its next lower candidate, and stops when that would
+    uncover a column or when all maximal components sit at their floors.
+    """
+    state = initial_state(inst, tol)
+    while advance(state, tol):
+        pass
+    b = inst.b.data
+    pi = np.round(state.sigma - b)
+    return TropVector(pi), float((pi + b).max()), state.iterations

@@ -16,12 +16,12 @@ from troplp import (EPSILON, CertificateViolationError, DivergentStarError,
                     brute_cycle_mean, brute_dual_integer, brute_primal_integer,
                     brute_star, certify, dual_box, estimate_via_floor_b,
                     greatest_subsolution, kleene_star, leq, max_cycle_mean,
-                    primal_box, solve_dual, solve_dual_integer_direct,
-                    solve_dual_integer_general, solve_primal,
+                    primal_box, solve_dual, solve_dual_integer, solve_primal,
                     solve_primal_integer, solve_tslp, solve_tslp2, tdot, tmul,
                     transpose, tslp_feasible)
 from troplp.cli import main
 from troplp.io import parse_solution, serialize_solution
+from troplp.oracles import descent_dual_integer
 
 TOL = 1e-9
 
@@ -123,14 +123,14 @@ def quarter_family():
     for _ in range(200):
         m, n = (int(v) for v in rng.integers(1, 5, 2))
         inst = util.quarter_lp_instance(rng, m, n)
-        family.append((inst, solve_dual_integer_general(inst, TOL)))
+        family.append((inst, solve_dual_integer(inst, TOL), descent_dual_integer(inst, TOL)))
     return family
 
 
 def test_criterion_05_integer_oracle_equivalence(quarter_family):
     violations = []
     start = time.perf_counter()
-    for k, (inst, dual) in enumerate(quarter_family):
+    for k, (inst, dual, (_, descent_phi, _)) in enumerate(quarter_family):
         primal = solve_primal_integer(inst, TOL)
         _, brute_f = brute_primal_integer(inst, primal_box(inst))
         if abs(primal.f_max_int - brute_f) > TOL:
@@ -138,13 +138,15 @@ def test_criterion_05_integer_oracle_equivalence(quarter_family):
         _, brute_phi = brute_dual_integer(inst, dual_box(inst))
         if abs(dual.phi_min_int - brute_phi) > TOL:
             violations.append(f"instance {k}: dual {dual.phi_min_int} vs {brute_phi}")
+        if abs(descent_phi - brute_phi) > TOL:
+            violations.append(f"instance {k}: descent {descent_phi} vs {brute_phi}")
         real = tdot(inst.c, greatest_subsolution(inst.a, inst.b))
         if not (primal.f_max_int <= real + TOL <= dual.phi_min_int + 2 * TOL):
             violations.append(f"instance {k}: sandwich broken")
     elapsed = time.perf_counter() - start
     if elapsed >= 60.0:
         violations.append(f"runtime {elapsed:.2f}s >= 60s")
-    _report(5, "integer primal/dual match brute force on 200 instances",
+    _report(5, "integer primal, dual and descent match brute force on 200 instances",
             violations, elapsed)
 
 
@@ -152,10 +154,10 @@ def test_criterion_06_floor_regression_instance():
     inst = LpInstance(TropMatrix([[1, 2], [3, 4]]), TropVector([5.5, 6.25]),
                       TropVector([0, 0]))
     violations = []
-    result = solve_dual_integer_general(inst, TOL)
+    _, phi, _ = descent_dual_integer(inst, TOL)
     _, brute_phi = brute_dual_integer(inst, dual_box(inst))
-    if abs(result.phi_min_int - 3.25) > TOL:
-        violations.append(f"iterative value {result.phi_min_int} != 3.25")
+    if abs(phi - 3.25) > TOL:
+        violations.append(f"descent value {phi} != 3.25")
     if abs(brute_phi - 3.25) > TOL:
         violations.append(f"oracle value {brute_phi} != 3.25")
     _report(6, "regression instance yields 3.25 (phase-floor rounded down)",
@@ -170,27 +172,26 @@ def test_criterion_07_direct_iterative_consistency():
         inst = LpInstance(util.finite_matrix(rng, m, n),
                           TropVector(rng.integers(-10, 11, m).astype(float)),
                           util.finite_vector(rng, n))
-        direct = solve_dual_integer_direct(inst, TOL)
-        general = solve_dual_integer_general(inst, TOL)
-        if general.phi_min_int != direct.phi_min_int:
-            violations.append(
-                f"instance {k}: {general.phi_min_int} != {direct.phi_min_int}")
-    _report(7, "iterative equals direct value exactly on 100 integer-b instances",
+        formula = solve_dual_integer(inst, TOL).phi_min_int
+        _, descent, _ = descent_dual_integer(inst, TOL)
+        if descent != formula:
+            violations.append(f"instance {k}: {descent} != {formula}")
+    _report(7, "descent equals the closed form exactly on 100 integer-b instances",
             violations)
 
 
 def test_criterion_08_iteration_bound(quarter_family):
     violations = []
-    for k, (inst, dual) in enumerate(quarter_family):
+    for k, (inst, _, (_, _, iterations)) in enumerate(quarter_family):
         m, n = inst.a.shape
-        if dual.iterations > m * n:
-            violations.append(f"instance {k}: {dual.iterations} > {m * n}")
+        if iterations > m * n:
+            violations.append(f"instance {k}: {iterations} > {m * n}")
     _report(8, "descent iterations never exceed m*n", violations)
 
 
 def test_criterion_09_floor_b_estimate(quarter_family):
     violations = []
-    for k, (inst, dual) in enumerate(quarter_family):
+    for k, (inst, dual, _) in enumerate(quarter_family):
         estimate = estimate_via_floor_b(inst, TOL)
         if abs(estimate - dual.phi_min_int) > 1.0:
             violations.append(
@@ -206,7 +207,7 @@ def test_criterion_10_integer_data_no_gap():
         inst = util.integer_lp_instance(rng, m, n)
         real = tdot(inst.c, greatest_subsolution(inst.a, inst.b))
         f_int = solve_primal_integer(inst, TOL).f_max_int
-        phi_int = solve_dual_integer_general(inst, TOL).phi_min_int
+        phi_int = solve_dual_integer(inst, TOL).phi_min_int
         if not (f_int == real == phi_int):
             violations.append(f"instance {k}: {f_int}, {real}, {phi_int}")
     _report(10, "all-integer data collapses the gap exactly", violations)

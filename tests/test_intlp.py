@@ -1,17 +1,21 @@
-"""Integer primal/dual solvers, the candidate descent, and gap reports."""
+"""Integer primal/dual solvers, the paper's descent oracle, and gap reports."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
-from troplp import (Box, IntDualState, LpInstance, NonIntegerBError,
-                    TropMatrix, TropVector, advance, brute_dual_integer,
-                    brute_primal_integer, ceil_frac, coverage, dual_box,
-                    duality_gap, estimate_via_floor_b, floor_frac, fr,
-                    greatest_subsolution, initial_state, primal_box,
-                    solve_dual_integer, solve_dual_integer_direct,
-                    solve_dual_integer_general,
-                    solve_primal_integer, tdot, tmul, transpose, leq)
+from troplp import (Box, IntDualResult, LpInstance, TropMatrix, TropVector,
+                    brute_dual_integer, brute_primal_integer, ceil_frac,
+                    dual_box, duality_gap, estimate_via_floor_b, floor_frac,
+                    fr, greatest_subsolution, leq, primal_box,
+                    solve_dual_integer, solve_primal_integer, tdot, tmul,
+                    transpose)
+from troplp.oracles import (IntDualState, advance, coverage,
+                            descent_dual_integer, initial_state)
 
 REGRESSION = LpInstance(TropMatrix([[1, 2], [3, 4]]), TropVector([5.5, 6.25]),
                         TropVector([0, 0]))
@@ -63,6 +67,23 @@ class TestFractionalParts:
     def test_ceil_floor_frac_agree_on_matching_points(self):
         assert ceil_frac(2.5, 0.5) == floor_frac(2.5, 0.5) == 2.5
 
+    def test_helpers_are_elementwise(self):
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.uniform(-20, 20, 300), rng.integers(-20, 21, 50) * 0.25,
+                            [2.0 + 1e-12, 2.0 - 1e-12]])
+        phase = fr(rng.uniform(0, 1, x.size))
+        assert np.array_equal(fr(x), [fr(v) for v in x])
+        assert np.array_equal(ceil_frac(x, phase),
+                              [ceil_frac(v, p) for v, p in zip(x, phase)])
+        assert np.array_equal(floor_frac(x, phase),
+                              [floor_frac(v, p) for v, p in zip(x, phase)])
+        # the scalar forms are the exact math.floor / math.ceil rules
+        for v, p in zip(x.tolist(), phase.tolist()):
+            f = v - math.floor(v)
+            assert fr(v) == (0.0 if f <= 1e-9 or f >= 1.0 - 1e-9 else f)
+            assert ceil_frac(v, p) == math.ceil(v - p - 1e-9) + p
+            assert floor_frac(v, p) == math.floor(v - p + 1e-9) + p
+
 
 class TestPrimalInteger:
     def test_fractional_witness_floors(self):
@@ -86,41 +107,37 @@ class TestPrimalInteger:
 
 
 class TestDualIntegerDirect:
+    """The closed form on integer b, where it is the paper's direct rule."""
+
     def test_scalar_example(self):
         inst = LpInstance(TropMatrix([[0.5]]), TropVector([1]), TropVector([0]))
-        res = solve_dual_integer_direct(inst)
+        res = solve_dual_integer(inst)
         assert res.pi_opt == TropVector([0])
         assert res.phi_min_int == 1.0
-        assert res.method == "direct-integer-b"
         # brute force over integer pi in [-5, 5]
         _, phi = brute_dual_integer(inst, Box((-5,), (5,)))
         assert phi == res.phi_min_int
 
     def test_worked_example(self):
-        res = solve_dual_integer_direct(WORKED)
+        res = solve_dual_integer(WORKED)
         assert res.pi_opt == TropVector([-2, -3])
         assert res.phi_min_int == 3.0
 
-    def test_non_integer_b_rejected(self):
-        with pytest.raises(NonIntegerBError):
-            solve_dual_integer_direct(LpInstance(TropMatrix([[1, 2], [3, 4]]),
-                                                 TropVector([5.5, 6]),
-                                                 TropVector([0, 0])))
-
 
 class TestDualIntegerGeneral:
+    """The closed form against the paper's descent (oracles) on real b."""
+
     def test_single_candidate_stops_immediately(self):
         inst = LpInstance(TropMatrix([[0]]), TropVector([0.5]), TropVector([0]))
-        res = solve_dual_integer_general(inst)
-        assert res.pi_opt == TropVector([0])
-        assert res.phi_min_int == 0.5
-        assert res.iterations == 0
-        assert res.method == "iterative"
+        pi, phi, iterations = descent_dual_integer(inst)
+        assert (pi, phi, iterations) == (TropVector([0]), 0.5, 0)
+        assert solve_dual_integer(inst) == IntDualResult(pi, phi)
 
     def test_regression_instance(self):
-        res = solve_dual_integer_general(REGRESSION)
+        res = solve_dual_integer(REGRESSION)
         assert res.phi_min_int == 3.25
         assert res.pi_opt == TropVector([-3, -3])
+        assert descent_dual_integer(REGRESSION)[:2] == (res.pi_opt, 3.25)
         _, phi = brute_dual_integer(REGRESSION, dual_box(REGRESSION))
         assert phi == 3.25
 
@@ -131,10 +148,9 @@ class TestDualIntegerGeneral:
             inst = LpInstance(util.finite_matrix(rng, m, n),
                               TropVector(rng.integers(-10, 11, m).astype(float)),
                               util.finite_vector(rng, n))
-            direct = solve_dual_integer_direct(inst)
-            general = solve_dual_integer_general(inst)
-            assert general.phi_min_int == direct.phi_min_int
-            assert leq(inst.c, tmul(transpose(inst.a), general.pi_opt))
+            res = solve_dual_integer(inst)
+            assert descent_dual_integer(inst)[1] == res.phi_min_int
+            assert leq(inst.c, tmul(transpose(inst.a), res.pi_opt))
 
     def test_literal_phase_ceiling_floor_overshoots(self):
         # Rebuilding the state with floors rounded UP to the phase (instead of
@@ -229,9 +245,10 @@ class TestOracleEquivalence:
             primal = solve_primal_integer(inst)
             bx, bf = brute_primal_integer(inst, primal_box(inst))
             assert primal.f_max_int == pytest.approx(bf, abs=1e-9)
-            dual = solve_dual_integer_general(inst)
+            dual = solve_dual_integer(inst)
             bpi, bphi = brute_dual_integer(inst, dual_box(inst))
             assert dual.phi_min_int == pytest.approx(bphi, abs=1e-9)
+            assert descent_dual_integer(inst)[1] == pytest.approx(bphi, abs=1e-9)
             # sandwich around the real optimum
             real = tdot(inst.c, greatest_subsolution(inst.a, inst.b))
             assert primal.f_max_int <= real + 1e-9
@@ -244,22 +261,82 @@ class TestOracleEquivalence:
             inst = util.integer_lp_instance(rng, m, n)
             real = tdot(inst.c, greatest_subsolution(inst.a, inst.b))
             assert solve_primal_integer(inst).f_max_int == real
-            assert solve_dual_integer_direct(inst).phi_min_int == real
-            assert solve_dual_integer_general(inst).phi_min_int == real
+            assert solve_dual_integer(inst).phi_min_int == real
+            assert descent_dual_integer(inst)[1] == real
+
+
+def _direct_rule(inst: LpInstance) -> IntDualResult:
+    """The paper's rule for integer b: t = ceil(real optimum), pi_i = t - b_i."""
+    t = float(math.ceil(tdot(inst.c, greatest_subsolution(inst.a, inst.b)) - 1e-9))
+    return IntDualResult(TropVector(t - np.round(inst.b.data)), t)
 
 
 class TestSolveDualInteger:
     def test_direct_rule_for_integer_b(self):
-        assert solve_dual_integer(WORKED) == solve_dual_integer_direct(WORKED)
-        assert solve_dual_integer(WORKED).method == "direct-integer-b"
+        assert solve_dual_integer(WORKED) == _direct_rule(WORKED)
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            m, n = (int(v) for v in rng.integers(1, 7, 2))
+            inst = LpInstance(util.finite_matrix(rng, m, n),
+                              TropVector(rng.integers(-10, 11, m).astype(float)),
+                              util.finite_vector(rng, n))
+            assert solve_dual_integer(inst) == _direct_rule(inst)
 
     def test_descent_for_fractional_b(self):
-        assert solve_dual_integer(REGRESSION) == solve_dual_integer_general(REGRESSION)
-        assert solve_dual_integer(REGRESSION).method == "iterative"
+        pi, phi, _ = descent_dual_integer(REGRESSION)
+        assert solve_dual_integer(REGRESSION) == IntDualResult(pi, phi)
 
     def test_b_within_tol_of_an_integer_counts_as_integer(self):
         inst = LpInstance(WORKED.a, TropVector(WORKED.b.data + 1e-12), WORKED.c)
-        assert solve_dual_integer(inst).method == "direct-integer-b"
+        res = solve_dual_integer(inst)
+        assert res.pi_opt == _direct_rule(WORKED).pi_opt
+        assert res.phi_min_int == pytest.approx(3.0, abs=1e-11)
+
+
+@st.composite
+def dyadic_instances(draw, max_dim=4):
+    """LP instances on a 1/4 or 1/64 grid in [-5, 5]: shifts and sums are exact."""
+    m, n = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    step = draw(st.sampled_from((4, 64)))
+
+    def grid(size):
+        ints = draw(st.lists(st.integers(-5 * step, 5 * step), min_size=size, max_size=size))
+        return np.array(ints, dtype=float) / step
+
+    return LpInstance(TropMatrix(grid(m * n).reshape(m, n)),
+                      TropVector(grid(m)), TropVector(grid(n)))
+
+
+class TestDualIntegerProperties:
+    @settings(deadline=None)
+    @given(dyadic_instances(), st.integers(-3, 3))
+    def test_integer_shift_of_b_or_c(self, inst, k):
+        res = solve_dual_integer(inst)
+        shifted_b = solve_dual_integer(LpInstance(inst.a, TropVector(inst.b.data + k), inst.c))
+        assert shifted_b == IntDualResult(res.pi_opt, res.phi_min_int + k)
+        shifted_c = solve_dual_integer(LpInstance(inst.a, inst.b, TropVector(inst.c.data + k)))
+        assert shifted_c.phi_min_int == res.phi_min_int + k
+
+    @settings(deadline=None)
+    @given(dyadic_instances(), st.randoms(use_true_random=False))
+    def test_permutation_invariance(self, inst, random):
+        m, n = inst.a.shape
+        rows, cols = random.sample(range(m), m), random.sample(range(n), n)
+        permuted = LpInstance(TropMatrix(inst.a.data[np.ix_(rows, cols)]),
+                              TropVector(inst.b.data[rows]), TropVector(inst.c.data[cols]))
+        res = solve_dual_integer(inst)
+        assert solve_dual_integer(permuted) == IntDualResult(
+            TropVector(res.pi_opt.data[rows]), res.phi_min_int)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dyadic_instances())
+    def test_matches_descent_and_brute_force(self, inst):
+        res = solve_dual_integer(inst)
+        assert leq(inst.c, tmul(transpose(inst.a), res.pi_opt))
+        assert np.array_equal(res.pi_opt.data, np.round(res.pi_opt.data))
+        assert res.phi_min_int == float(np.max(res.pi_opt.data + inst.b.data))
+        assert descent_dual_integer(inst)[1] == res.phi_min_int
+        assert brute_dual_integer(inst, dual_box(inst))[1] == res.phi_min_int
 
 
 class TestGapReport:
@@ -275,7 +352,7 @@ class TestGapReport:
     def test_report_carries_both_integer_witnesses(self):
         report = duality_gap(REGRESSION)
         assert report.primal == solve_primal_integer(REGRESSION)
-        assert report.dual == solve_dual_integer_general(REGRESSION)
+        assert report.dual == solve_dual_integer(REGRESSION)
         assert (report.lower, report.upper) == (report.primal.f_max_int,
                                                 report.dual.phi_min_int)
 
@@ -309,14 +386,14 @@ class TestFloorBEstimate:
         inst = LpInstance(TropMatrix([[0]]), TropVector([0.5]), TropVector([0]))
         estimate = estimate_via_floor_b(inst)
         assert estimate == 0.0
-        true_value = solve_dual_integer_general(inst).phi_min_int
+        true_value = solve_dual_integer(inst).phi_min_int
         assert abs(true_value - estimate) <= 1.0
 
     def test_integer_b_estimate_is_exact(self):
         estimate = estimate_via_floor_b(WORKED)
-        assert estimate == solve_dual_integer_direct(WORKED).phi_min_int
+        assert estimate == solve_dual_integer(WORKED).phi_min_int
 
     def test_regression_instance(self):
         estimate = estimate_via_floor_b(REGRESSION)
         assert estimate == 3.0
-        assert abs(solve_dual_integer_general(REGRESSION).phi_min_int - estimate) <= 1.0
+        assert abs(solve_dual_integer(REGRESSION).phi_min_int - estimate) <= 1.0

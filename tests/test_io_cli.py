@@ -150,23 +150,12 @@ class TestSolveToPayload:
     def test_gap_solves_each_integer_program_once(self, monkeypatch):
         inst = parse_instance('{"problem":"gap","A":[[1,2],[3,4]],'
                               '"b":[5.5,6.25],"c":[0,0]}')
-        dual = util.count_calls(monkeypatch, intlp.solve_dual_integer_general)
+        dual = util.count_calls(monkeypatch, intlp.solve_dual_integer)
         primal = util.count_calls(monkeypatch, intlp.solve_primal_integer)
         payload, code = solve_to_payload(inst, 1e-9)
-        assert code == EXIT_OK and payload["method"] == "iterative"
+        assert code == EXIT_OK
         assert (len(dual), len(primal)) == (1, 1)
         assert verify_payload(payload) == []
-
-    def test_dual_integer_picks_method_by_b(self):
-        integer_b = parse_instance(
-            '{"problem":"dual-integer","A":[[1,2],[3,4]],"b":[5,6],"c":[0,0]}')
-        payload, _ = solve_to_payload(integer_b, 1e-9)
-        assert payload["method"] == "direct-integer-b"
-        fractional_b = parse_instance(
-            '{"problem":"dual-integer","A":[[1,2],[3,4]],"b":[5.5,6.25],"c":[0,0]}')
-        payload, _ = solve_to_payload(fractional_b, 1e-9)
-        assert payload["method"] == "iterative"
-        assert payload["objective"] == 3.25
 
 
 class TestVerifyPayload:
@@ -216,6 +205,38 @@ class TestVerifyPayload:
         assert (problems == []) == ok
         if not ok:
             assert problems == ["lambda = -inf claimed but the digraph has a cycle"]
+
+    def test_mcm_lambda_below_the_maximum_rejected(self):
+        inst = parse_instance('{"problem":"mcm","A":[[1,"-inf"],["-inf",2]]}')
+        payload, _ = solve_to_payload(inst, 1e-9)
+        assert (payload["lambda"], payload["witness_cycle"]) == (2.0, [1])
+        tampered = dict(payload, **{"lambda": 1.0, "witness_cycle": [0]})
+        assert verify_payload(tampered) == ["lambda below the maximum cycle mean"]
+
+    @pytest.mark.parametrize("density", [1.0, 0.05])
+    def test_honest_mcm_passes_the_maximum_check(self, density):
+        rng = np.random.default_rng(65)
+        for _ in range(10):
+            a = util.sparse_square(rng, 40, density=density)
+            payload, _ = solve_to_payload(
+                parse_instance(json.dumps({"problem": "mcm", "A": util.rows_obj(a)})), 1e-9)
+            assert verify_payload(payload) == []
+
+    def test_gap_real_optimum_recomputed(self):
+        inst = parse_instance('{"problem":"gap","A":[[0.5]],"b":[1],"c":[0]}')
+        payload, _ = solve_to_payload(inst, 1e-9)
+        problems = verify_payload(dict(payload, real_optimum=0.9))
+        assert problems == ["real_optimum: stored 0.9 but recomputed 0.5"]
+
+    @pytest.mark.parametrize("name,extra", [
+        ("dual-integer", {"method": "iterative", "iterations": 2}),
+        ("gap", {"method": "direct-integer-b"}),
+        ("tslp", {"u": [50, 50]}),
+    ])
+    def test_fields_of_older_files_are_ignored(self, name, extra, tmp_path, capsys):
+        fresh = _fresh_solution(name, tmp_path)
+        assert not set(extra) & set(fresh)
+        assert _check(dict(fresh, **extra), tmp_path) == EXIT_OK
 
     def test_structurally_broken_solution_raises(self):
         with pytest.raises(InstanceFormatError):
@@ -403,8 +424,6 @@ class TestCheckMalformedFields:
         ("divergent-star", "witness_cycle", []),
         ("primal", "objective", "abc"),
         ("gap", "lower", "abc"),
-        ("gap", "method", "abc"),
-        ("dual-integer", "iterations", "abc"),
         ("primal", "status", "divergent-star"),
         ("star", "status", "infeasible-lambda-positive"),
         ("tslp", "status", "ok"),

@@ -1,4 +1,8 @@
-"""The brute-force reference implementations themselves."""
+"""The reference implementations themselves, and that solvers never use them."""
+
+import ast
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,3 +112,18 @@ class TestBoxes:
                               TropVector(rng.integers(-20, 21, n) * 0.25))
             brute_primal_integer(inst, primal_box(inst))
             brute_dual_integer(inst, dual_box(inst))
+
+
+PRODUCTION = ("core", "closure", "onesided", "lp", "intlp", "twosided", "io", "cli")
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_production_module_does_not_import_oracles(module):
+    source = Path(importlib.util.find_spec(f"troplp.{module}").origin).read_text(encoding="utf-8")
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.extend(alias.name for alias in node.names)
+    assert "oracles" not in {name.rsplit(".", 1)[-1] for name in names}
