@@ -20,7 +20,7 @@ from .errors import (CertificateViolationError, DimensionMismatchError,
                      InstanceFormatError, NoFeasiblePointError, TropError)
 from .intlp import (GapReport, IntDualResult, IntPrimalResult, ceil_frac,
                     duality_gap, estimate_via_floor_b, floor_frac, fr,
-                    snap_floor, solve_dual_integer, solve_primal_integer)
+                    solve_dual_integer, solve_primal_integer)
 from .lp import (DualityCertificate, LpInstance, certify, solve_dual,
                  solve_primal)
 from .onesided import (OneSidedSolveResult, greatest_subsolution,
@@ -48,7 +48,7 @@ __all__ = [
     "certify",
     # integer programs
     "IntPrimalResult", "IntDualResult", "GapReport",
-    "fr", "ceil_frac", "floor_frac", "snap_floor",
+    "fr", "ceil_frac", "floor_frac",
     "solve_primal_integer", "solve_dual_integer", "duality_gap",
     "estimate_via_floor_b",
     # two-sided programs

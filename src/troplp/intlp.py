@@ -29,7 +29,6 @@ reference in oracles.descent_dual_integer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +55,6 @@ def ceil_frac(x, phase, tol: float = DEFAULT_TOL):
 def floor_frac(x, phase, tol: float = DEFAULT_TOL):
     """Greatest u <= x (within tol) whose fractional part equals phase; elementwise."""
     return np.floor(x - phase + tol) + phase
-
-
-def snap_floor(x: float, tol: float = DEFAULT_TOL) -> float:
-    """floor(x) that forgives values within tol below an integer."""
-    return float(math.floor(x + tol))
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class GapReport:
 def solve_primal_integer(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntPrimalResult:
     """Floor of the real primal witness; optimal for the integer primal."""
     xhat = greatest_subsolution(inst.a, inst.b)
-    x = TropVector([snap_floor(v, tol) for v in xhat.data])
+    x = TropVector(floor_frac(xhat.data, 0.0, tol))
     return IntPrimalResult(x, tdot(inst.c, x))
 
 
@@ -125,5 +119,5 @@ def estimate_via_floor_b(inst: LpInstance, tol: float = DEFAULT_TOL) -> float:
     Differs from the true integer-dual optimum by at most 1, because shifting
     any integer pi's objective from b to floor(b) moves it by less than 1.
     """
-    floored = TropVector([snap_floor(v, tol) for v in inst.b.data])
+    floored = TropVector(floor_frac(inst.b.data, 0.0, tol))
     return solve_dual_integer(LpInstance(inst.a, floored, inst.c), tol).phi_min_int

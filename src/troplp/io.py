@@ -4,7 +4,9 @@ Instances are single JSON objects with a "problem" kind, the matrices and
 vectors that kind requires, and an optional "tol".  Epsilon entries are
 written as the string "-inf" and are accepted only where the kind permits
 them.  Solutions embed the instance they were computed from, so a solution
-file alone is enough to re-check its certificate.
+file alone is enough to re-check its certificate.  A solution payload is the
+JSON document itself, epsilon spelled "-inf" in memory as on disk: one reader
+(_read_array) turns its arrays into floats and one writer (_json) back.
 
 A problem kind is one entry of the `_KINDS` table: its instance fields,
 whether epsilon and a non-square A are allowed, the statuses its solutions
@@ -17,8 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -57,50 +61,62 @@ def _reject_constant(token: str):
 def check_tol(value) -> float:
     """The tolerance rule for instances, solutions and --tol: a finite number >= 0."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value < 0):
+            or not 0 <= value <= sys.float_info.max):
         raise InstanceFormatError(f"tol must be a finite nonnegative number, got {value!r}")
     return float(value)
 
 
 def _number(value, allow_eps: bool, where: str) -> float:
-    if isinstance(value, bool):
+    if type(value) is bool:
         raise InstanceFormatError(f"{where}: booleans are not numbers")
-    if value == "-inf" or (isinstance(value, float) and value == EPSILON):
-        # string form in files, float form in decoded/in-memory objects
+    if value == "-inf":
         if not allow_eps:
             raise InstanceFormatError(f'{where}: "-inf" not permitted here')
         return EPSILON
-    if isinstance(value, (int, float)):
-        x = float(value)
-        if math.isnan(x) or math.isinf(x):
-            raise InstanceFormatError(f"{where}: non-finite number {value!r}")
-        return x
-    raise InstanceFormatError(f"{where}: expected a number, got {value!r}")
+    if type(value) not in (int, float):
+        raise InstanceFormatError(f"{where}: expected a number, got {value!r}")
+    if type(value) is int and abs(value) >= _INT_OVERFLOW:
+        raise InstanceFormatError(f"{where}: integer out of float range")
+    x = float(value)
+    if not math.isfinite(x):
+        raise InstanceFormatError(f"{where}: non-finite number {value!r}")
+    return x
 
 
-def _parse_matrix(value, allow_eps: bool, where: str) -> TropMatrix:
+_type_of = np.frompyfunc(type, 1, 1)
+_INT_OVERFLOW = 2**1024 - 2**970  # the least integer float() cannot convert
+
+
+def _read_array(value, ndim: int, allow_eps: bool, where: str) -> np.ndarray:
+    """A list of numbers (ndim 1) or of equal-length rows (ndim 2) as a float
+    array, its entries checked a whole array at a time.  The error is the one
+    _number gives for the first bad entry, or the malformed row before it."""
     if not isinstance(value, list) or not value:
-        raise InstanceFormatError(f"{where}: expected a non-empty list of rows")
-    rows = []
-    width = None
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or not row:
-            raise InstanceFormatError(f"{where}: row {i} is not a non-empty list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InstanceFormatError(
-                f"{where}: row {i} has length {len(row)}, expected {width}")
-        rows.append([_number(v, allow_eps, f"{where}[{i}][{j}]")
-                     for j, v in enumerate(row)])
-    return TropMatrix(rows)
-
-
-def _parse_vector(value, allow_eps: bool, where: str) -> TropVector:
-    if not isinstance(value, list) or not value:
-        raise InstanceFormatError(f"{where}: expected a non-empty list of numbers")
-    return TropVector([_number(v, allow_eps, f"{where}[{i}]")
-                       for i, v in enumerate(value)])
+        raise InstanceFormatError(
+            f"{where}: expected a non-empty list of {'numbers' if ndim == 1 else 'rows'}")
+    rows = [value] if ndim == 1 else value
+    width = len(rows[0]) if isinstance(rows[0], list) else 0
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not row or len(row) != width:
+            if i:  # a bad entry in an earlier row is reported first
+                _read_array(rows[:i], 2, allow_eps, where)
+            raise InstanceFormatError(f"{where}: row {i} " + (
+                f"has length {len(row)}, expected {width}" if isinstance(row, list) and row
+                else "is not a non-empty list"))
+    cells = np.fromiter(chain.from_iterable(rows), dtype=object, count=len(rows) * width)
+    kinds = _type_of(cells)
+    ints = kinds == int
+    real = (kinds == float) | ints
+    real[ints] = np.abs(cells[ints]) < _INT_OVERFLOW
+    values = np.where(real, cells, EPSILON).astype(float)
+    good = np.isfinite(values)
+    if allow_eps:
+        good[~real] = cells[~real] == "-inf"
+    if not good.all():
+        i, j = divmod(int(np.argmin(good)), width)
+        _number(cells[i * width + j], allow_eps,
+                f"{where}[{j}]" if ndim == 1 else f"{where}[{i}][{j}]")
+    return values if ndim == 1 else values.reshape(len(rows), width)
 
 
 def _spec(kind) -> _Kind:
@@ -109,6 +125,19 @@ def _spec(kind) -> _Kind:
         raise InstanceFormatError(
             f"unknown problem kind {kind!r}; expected one of {', '.join(KINDS)}")
     return spec
+
+
+# The largest magnitude of a finite instance entry.  The solvers and checks
+# add at most 2n + 2 entries, and such a sum stays finite in float64 for every
+# n below 8e7.
+_MAX_ENTRY = 1e300
+
+
+def _check_magnitude(key: str, values: np.ndarray):
+    big = (np.abs(values) > _MAX_ENTRY) & (values != EPSILON)
+    if big.any():
+        raise InstanceFormatError(f"{key}: finite entries must not exceed {_MAX_ENTRY:.0e} "
+                                  f"in magnitude, got {float(values[big][0])!r}")
 
 
 def _instance_from_obj(obj, default_problem: str | None = None) -> InstanceFile:
@@ -128,93 +157,85 @@ def _instance_from_obj(obj, default_problem: str | None = None) -> InstanceFile:
         if key not in obj:
             raise InstanceFormatError(f'missing required field "{key}" for kind {problem!r}')
 
-    a = _parse_matrix(obj["A"], spec.eps, "A")
+    a = TropMatrix(_read_array(obj["A"], 2, spec.eps, "A"))
     if spec.square and a.rows != a.cols:
         raise InstanceFormatError(f"A must be square for kind {problem!r}, got {a.shape}")
 
     b = c = d = None
     if "b" in required:
-        b = _parse_vector(obj["b"], spec.eps, "b")
+        b = TropVector(_read_array(obj["b"], 1, spec.eps, "b"))
         if len(b) != a.rows:
             raise InstanceFormatError(
                 f"b has length {len(b)} but A has {a.rows} rows")
     if "c" in required:
-        c = _parse_vector(obj["c"], False, "c")
+        c = TropVector(_read_array(obj["c"], 1, False, "c"))
         if len(c) != a.cols:
             raise InstanceFormatError(
                 f"c has length {len(c)} but A has {a.cols} columns")
     if "d" in required:
-        d = _parse_vector(obj["d"], False, "d")
+        d = TropVector(_read_array(obj["d"], 1, False, "d"))
         if len(d) != a.rows:
             raise InstanceFormatError(
                 f"d has length {len(d)} but A has {a.rows} rows")
 
     tol = check_tol(obj["tol"]) if "tol" in obj else None
+    for key, field in (("A", a), ("b", b), ("c", c), ("d", d)):
+        if field is not None:
+            _check_magnitude(key, field.data)
     return InstanceFile(problem, a, b, c, d, tol)
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(
+            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise InstanceFormatError(f"invalid JSON: {exc}") from None
 
 
 def parse_instance(text: str, default_problem: str | None = None) -> InstanceFile:
     """Parse and validate one instance from JSON text."""
-    try:
-        obj = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return _instance_from_obj(obj, default_problem)
+    return _instance_from_obj(_load_json(text), default_problem)
 
 
-def _encode(value):
-    if isinstance(value, float):
-        return "-inf" if value == EPSILON else value
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    return value
-
-
-def _decode(value):
-    if value == "-inf":
-        return EPSILON
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _decode(v) for k, v in value.items()}
-    return value
+def _json(value):
+    """JSON form of a float or float array: numbers and lists, epsilon as "-inf"."""
+    values = np.asarray(value, dtype=float)
+    eps = np.isneginf(values)
+    if eps.any():
+        values = values.astype(object)
+        values[eps] = "-inf"
+    return values.tolist()
 
 
 def instance_to_obj(inst: InstanceFile) -> dict:
-    obj: dict = {"problem": inst.problem, "A": inst.a.to_lists()}
-    if inst.b is not None:
-        obj["b"] = inst.b.to_list()
-    if inst.c is not None:
-        obj["c"] = inst.c.to_list()
-    if inst.d is not None:
-        obj["d"] = inst.d.to_list()
+    obj: dict = {"problem": inst.problem, "A": _json(inst.a.data)}
+    for key, vec in (("b", inst.b), ("c", inst.c), ("d", inst.d)):
+        if vec is not None:
+            obj[key] = _json(vec.data)
     if inst.tol is not None:
         obj["tol"] = inst.tol
     return obj
 
 
 def serialize_solution(payload: dict) -> str:
-    """Canonical JSON text: fixed key order, epsilon as "-inf", floats via
-    shortest round-tripping repr so parsing reproduces them bit-exactly."""
-    return json.dumps(_encode(payload), indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: fixed key order, floats via shortest round-tripping
+    repr so parsing reproduces them bit-exactly.  The payload already spells
+    epsilon "-inf"; allow_nan=False rejects a float -inf that slipped in."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def parse_solution(text: str) -> dict:
-    try:
-        obj = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    """The solution document in text, unchanged: epsilon stays "-inf"."""
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise InstanceFormatError("solution must be a JSON object")
-    decoded = _decode(obj)
     for key in ("problem", "instance"):
-        if key not in decoded:
+        if key not in obj:
             raise InstanceFormatError(f'solution is missing the "{key}" field')
-    return decoded
+    return obj
 
 
 def render_text(payload: dict) -> str:
@@ -230,11 +251,11 @@ def render_text(payload: dict) -> str:
         elif isinstance(value, list) and value and isinstance(value[0], list):
             lines.append(f"{pad}{key}:")
             for row in value:
-                lines.append(f"{pad}  " + "  ".join(str(_encode(v)) for v in row))
+                lines.append(f"{pad}  " + "  ".join(str(v) for v in row))
         elif isinstance(value, list):
-            lines.append(f"{pad}{key}: " + "  ".join(str(_encode(v)) for v in value))
+            lines.append(f"{pad}{key}: " + "  ".join(str(v) for v in value))
         else:
-            lines.append(f"{pad}{key}: {_encode(value)}")
+            lines.append(f"{pad}{key}: {value}")
 
     for k, v in payload.items():
         emit(k, v, 0)
@@ -288,10 +309,10 @@ def _read_number(payload: dict, key: str, allow_eps: bool = False) -> float:
 
 
 def _read_vector(payload: dict, key: str, length: int) -> TropVector:
-    vec = _parse_vector(payload.get(key), False, key)
-    if len(vec) != length:
-        raise InstanceFormatError(f"{key}: has length {len(vec)}, expected {length}")
-    return vec
+    values = _read_array(payload.get(key), 1, False, key)
+    if len(values) != length:
+        raise InstanceFormatError(f"{key}: has length {len(values)}, expected {length}")
+    return TropVector(values)
 
 
 def _read_cycle(payload: dict, nodes: int) -> list[int]:
@@ -333,12 +354,12 @@ def _check_cycle(a: TropMatrix, lam: float, payload: dict, tol: float,
 # Per-kind solvers (instance -> solution body) and checks.
 
 def _x_body(inst: InstanceFile, objective: float, x: TropVector) -> dict:
-    return {"objective": objective, "x": x.to_list(),
+    return {"objective": _json(objective), "x": _json(x.data),
             "certificate": {"primal_residual": _primal_residual(inst, x)}}
 
 
 def _pi_body(inst: InstanceFile, objective: float, pi: TropVector) -> dict:
-    return {"objective": objective, "pi": pi.to_list(),
+    return {"objective": _json(objective), "pi": _json(pi.data),
             "certificate": {"dual_slack": _dual_slack(inst, pi)}}
 
 
@@ -389,8 +410,8 @@ def _solve_dual_integer(inst: InstanceFile, tol: float) -> dict:
 def _solve_gap(inst: InstanceFile, tol: float) -> dict:
     report = duality_gap(LpInstance(inst.a, inst.b, inst.c), tol)
     x, pi = report.primal.x_opt, report.dual.pi_opt
-    return {"lower": report.lower, "real_optimum": report.real_optimum,
-            "upper": report.upper, "x": x.to_list(), "pi": pi.to_list(),
+    return {"lower": _json(report.lower), "real_optimum": _json(report.real_optimum),
+            "upper": _json(report.upper), "x": _json(x.data), "pi": _json(pi.data),
             "certificate": {"primal_residual": _primal_residual(inst, x),
                             "dual_slack": _dual_slack(inst, pi),
                             "width": report.upper - report.lower}}
@@ -409,14 +430,14 @@ def _verify_gap(inst: InstanceFile, payload: dict, tol: float, problems: list[st
 def _solve_tslp(inst: InstanceFile, tol: float) -> dict:
     res = solve_tslp(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
     worst = float(np.max(_two_sided_lhs(inst, res.y_opt) - res.y_opt.data))
-    return {"objective": res.g_min, "y": res.y_opt.to_list(),
+    return {"objective": _json(res.g_min), "y": _json(res.y_opt.data),
             "certificate": {"feasibility_residual": worst}}
 
 
 def _solve_tslp2(inst: InstanceFile, tol: float) -> dict:
     res = solve_tslp2(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
     worst = float(np.max(np.abs(_two_sided_lhs(inst, res.y_opt) - res.y_opt.data)))
-    return {"objective": res.g_min, "y": res.y_opt.to_list(),
+    return {"objective": _json(res.g_min), "y": _json(res.y_opt.data),
             "solution_kind": res.feasibility_kind,
             "certificate": {"equation_residual": worst}}
 
@@ -446,12 +467,12 @@ def _verify_tslp2(inst: InstanceFile, payload: dict, tol: float, problems: list[
 
 def _solve_star(inst: InstanceFile, tol: float) -> dict:
     star = kleene_star(inst.a, tol)
-    return {"star": star.to_lists(),
+    return {"star": _json(star.data),
             "certificate": {"fixed_point_residual": _star_residual(inst.a, star)}}
 
 
 def _verify_star(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
-    star = _parse_matrix(payload.get("star"), True, "star")
+    star = TropMatrix(_read_array(payload.get("star"), 2, True, "star"))
     if star.shape != inst.a.shape:
         raise InstanceFormatError(f"star has shape {star.shape}, expected {inst.a.shape}")
     worst = _star_residual(inst.a, star)
@@ -466,7 +487,7 @@ def _solve_mcm(inst: InstanceFile, tol: float) -> dict:
     cm = max_cycle_mean(inst.a)
     cycle = None if cm.witness_cycle is None else list(cm.witness_cycle)
     error = None if cycle is None else abs(_cycle_mean(inst.a, cycle) - cm.lambda_)
-    return {"lambda": cm.lambda_, "witness_cycle": cycle,
+    return {"lambda": _json(cm.lambda_), "witness_cycle": cycle,
             "certificate": {"witness_mean_error": error}}
 
 
@@ -494,9 +515,9 @@ def _verify_divergence(inst: InstanceFile, payload: dict, tol: float,
 
 def _solve_onesided(inst: InstanceFile, tol: float) -> dict:
     res = solve_equality(inst.a, inst.b, tol)
-    return {"principal": res.principal.to_list(),
+    return {"principal": _json(res.principal.data),
             "solvable_as_equality": res.solvable_as_equality,
-            "residual": res.residual,
+            "residual": _json(res.residual),
             "certificate": {"subsolution_residual": _primal_residual(inst, res.principal)}}
 
 
@@ -570,7 +591,7 @@ def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
         status = ("divergent-star" if isinstance(exc, DivergentStarError)
                   else "infeasible-lambda-positive")
         cycle = None if exc.witness_cycle is None else list(exc.witness_cycle)
-        body, code = {"lambda": exc.lambda_, "witness_cycle": cycle}, EXIT_INFEASIBLE
+        body, code = {"lambda": _json(exc.lambda_), "witness_cycle": cycle}, EXIT_INFEASIBLE
     payload = _head(inst.problem, tol, status)
     payload.update(body)
     payload["instance"] = instance_to_obj(inst)

@@ -5,14 +5,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from troplp import EPSILON, InstanceFormatError, closure, intlp
 from troplp.cli import main
-from troplp.io import (_KINDS, EXIT_CERTIFICATE, EXIT_INFEASIBLE, EXIT_INPUT,
-                       EXIT_OK, KINDS, check_tol, parse_instance,
-                       parse_solution, render_text, serialize_solution,
-                       solve_to_payload, verify_payload)
+from troplp.io import (_KINDS, _MAX_ENTRY, EXIT_CERTIFICATE, EXIT_INFEASIBLE,
+                       EXIT_INPUT, EXIT_OK, KINDS, _number, _read_array,
+                       check_tol, parse_instance, parse_solution, render_text,
+                       serialize_solution, solve_to_payload, verify_payload)
 
 E = EPSILON
 
@@ -85,13 +87,121 @@ class TestParseInstance:
         assert inst.problem == "star"
 
 
+def _reference_read(value, ndim, allow_eps, where):
+    """Entry-by-entry reader with the wording _read_array must reproduce."""
+    if not isinstance(value, list) or not value:
+        noun = "numbers" if ndim == 1 else "rows"
+        raise InstanceFormatError(f"{where}: expected a non-empty list of {noun}")
+    if ndim == 1:
+        return np.array([_number(v, allow_eps, f"{where}[{i}]") for i, v in enumerate(value)])
+    rows = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or not row:
+            raise InstanceFormatError(f"{where}: row {i} is not a non-empty list")
+        if len(row) != len(value[0]):
+            raise InstanceFormatError(
+                f"{where}: row {i} has length {len(row)}, expected {len(value[0])}")
+        rows.append([_number(v, allow_eps, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
+    return np.array(rows)
+
+
+def _outcome(read, *args):
+    try:
+        values = read(*args)
+    except InstanceFormatError as exc:
+        return str(exc)
+    return values.shape, values.dtype, values.tobytes()
+
+
+_GOOD_CELL = st.one_of(st.integers(-10**6, 10**6),
+                       st.floats(-1e6, 1e6, allow_nan=False), st.just("-inf"))
+_BAD_CELL = st.one_of(
+    st.booleans(), st.none(),
+    st.sampled_from(["1.5", " -inf", "-Infinity", "x", "",
+                     float("nan"), float("inf"), float("-inf"),
+                     10**400, -10**400, 2**1024 - 2**970, 1 - 2**1024 + 2**970]),
+    st.floats(), st.lists(_GOOD_CELL, max_size=2))
+_CELL = st.one_of(_GOOD_CELL, _GOOD_CELL, _GOOD_CELL, _BAD_CELL)
+_ROW = st.one_of(st.lists(_CELL, min_size=3, max_size=3), st.lists(_CELL, max_size=4), _CELL)
+
+
+class TestReadArray:
+    """The vectorized reader agrees with an entry-by-entry reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=st.one_of(st.lists(_CELL, max_size=5), st.lists(_ROW, max_size=4), _CELL),
+           ndim=st.sampled_from([1, 2]), allow_eps=st.booleans())
+    def test_matches_entry_by_entry_reference(self, value, ndim, allow_eps):
+        args = (value, ndim, allow_eps, "A")
+        assert _outcome(_read_array, *args) == _outcome(_reference_read, *args)
+
+    @pytest.mark.parametrize("value,ndim,message", [
+        ([[1, "x"]], 2, "A[0][1]: expected a number, got 'x'"),
+        ([[True], [1, 2]], 2, "A[0][0]: booleans are not numbers"),
+        ([[1], [1, 2]], 2, "A: row 1 has length 2, expected 1"),
+        ([1, 10**400], 1, "A[1]: integer out of float range"),
+        ([float("-inf")], 1, "A[0]: non-finite number -inf"),
+    ])
+    def test_messages(self, value, ndim, message):
+        with pytest.raises(InstanceFormatError) as info:
+            _read_array(value, ndim, True, "A")
+        assert str(info.value) == message
+
+
+class TestHugeNumbers:
+    """Literals and entries past float64's range are input errors (exit 2)."""
+
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"problem":"primal","A":[[%s]],"b":[0],"c":[0]}' % HUGE,
+         "A[0][0]: integer out of float range"),
+        ('{"problem":"mcm","A":[[1]],"tol":%s}' % HUGE, "tol must be"),
+        ('{"problem":"mcm","A":[[1%s]]}' % ("0" * 5000), "invalid JSON: Exceeds the limit"),
+        ('{"problem":"primal","A":[[-1e308]],"b":[1e308],"c":[0]}',
+         "A: finite entries must not exceed 1e+300 in magnitude, got -1e+308"),
+        ('{"problem":"star","A":[[-1e308,1e308],[1e308,-1e308]]}', "A: finite entries"),
+        ('{"problem":"mcm","A":[[1e308,1e308],[1e308,1e308]]}', "A: finite entries"),
+        ('{"problem":"primal","A":[[1]],"b":[0],"c":[-2e300]}', "c: finite entries"),
+    ])
+    def test_solve_input_error(self, text, message, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(text)
+        assert main(["solve", "--input", str(inst)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("troplp: input error: ") and message in err
+
+    def test_bound_is_inclusive(self):
+        obj = {"problem": "mcm", "A": [[-_MAX_ENTRY, "-inf"], [_MAX_ENTRY, -_MAX_ENTRY]]}
+        payload, code = solve_to_payload(parse_instance(json.dumps(obj)), 1e-9)
+        assert code == EXIT_OK and verify_payload(payload) == []
+
+    def test_check_huge_literals(self, tmp_path, capsys):
+        text = serialize_solution(_fresh_solution("primal", tmp_path))
+        path = tmp_path / "sol.json"
+        path.write_text(text.replace('"tol": 1e-09', '"tol": 1' + "0" * 5000, 1))
+        assert main(["check", "--input", str(path)]) == EXIT_INPUT
+        doc = json.loads(text)
+        doc["x"][0] = 10**400
+        assert _check(doc, tmp_path) == EXIT_CERTIFICATE
+        assert "x[0]: integer out of float range" in capsys.readouterr().err
+
+
 class TestRoundTrip:
     def test_bit_exact_floats_and_eps(self):
-        payload = {"problem": "mcm", "values": [0.1, 1e-17, -1e300, 3.0, E],
-                   "nested": {"lambda": E}, "count": 3,
+        payload = {"problem": "mcm", "values": [0.1, 1e-17, -1e300, 3.0, "-inf"],
+                   "nested": {"lambda": "-inf"}, "count": 3,
                    "instance": {"A": [[0.1 + 0.2]]}}
         again = parse_solution(serialize_solution(payload))
         assert again == payload
+
+    def test_float_eps_rejected(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize_solution({"problem": "mcm", "lambda": E, "instance": {}})
+
+    def test_parse_solution_returns_the_document(self):
+        text = '{"problem": "mcm", "lambda": "-inf", "instance": {"A": [["-inf"]]}}'
+        assert parse_solution(text) == json.loads(text)
 
     def test_every_kind_round_trips(self):
         rng = np.random.default_rng(61)
@@ -172,7 +282,7 @@ class TestVerifyPayload:
         assert code == EXIT_OK
         assert verify_payload(payload) == []
         tampered = dict(payload)
-        if payload[field] == E:  # an acyclic mcm draw: tamper to a number
+        if payload[field] == "-inf":  # an acyclic mcm draw: tamper to a number
             tampered[field] = 1.0
         else:
             tampered[field] = payload[field] + 0.25
@@ -195,11 +305,11 @@ class TestVerifyPayload:
         assert any("infeasible" in p for p in verify_payload(tampered))
 
     @pytest.mark.parametrize("rows,ok", [
-        ([[E, 1], [E, E]], True),
-        ([[E, 1], [-1, E]], False),
+        ([["-inf", 1], ["-inf", "-inf"]], True),
+        ([["-inf", 1], [-1, "-inf"]], False),
     ])
     def test_acyclic_mcm_claim_checked(self, rows, ok):
-        payload = {"problem": "mcm", "lambda": E, "witness_cycle": None,
+        payload = {"problem": "mcm", "lambda": "-inf", "witness_cycle": None,
                    "instance": {"problem": "mcm", "A": rows}}
         problems = verify_payload(payload)
         assert (problems == []) == ok
