@@ -109,14 +109,19 @@ def _star_sweep(data: np.ndarray) -> np.ndarray:
     out = np.array(data)
     idx = np.arange(n)
     out[idx, idx] = np.maximum(out[idx, idx], 0.0)
-    for k in range(n):
-        np.maximum(out, out[:, k:k + 1] + out[k:k + 1, :], out=out)
+    # A closed walk of positive weight doubles its sums at each step, so they
+    # can overflow to +inf and, added to an epsilon entry, to nan; _diverges
+    # reads either on the diagonal as divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            np.maximum(out, out[:, k:k + 1] + out[k:k + 1, :], out=out)
     return out
 
 
 def _diverges(swept: np.ndarray) -> bool:
-    """True when the sweep saw a closed walk of positive weight."""
-    return bool(np.diagonal(swept).max() > 0.0)
+    """True when the sweep saw a closed walk of positive weight: a diagonal
+    entry that is positive, or +inf or nan from an overflowing one."""
+    return not bool((np.diagonal(swept) <= 0.0).all())
 
 
 def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:

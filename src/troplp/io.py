@@ -131,12 +131,18 @@ def _spec(kind) -> _Kind:
 # add at most 2n + 2 entries, and such a sum stays finite in float64 for every
 # n below 8e7.
 _MAX_ENTRY = 1e300
+# The largest magnitude of a finite number stored in a solution.  An honest
+# one is a sum of at most n instance entries, so it stays below this bound
+# for any n that fits in memory.  A certificate sum in a check adds at most
+# two stored numbers and one entry, which stays finite; the sweep of the mcm
+# check, which can overflow on a tampered lambda, reads that as divergence.
+_MAX_STORED = 1e307
 
 
-def _check_magnitude(key: str, values: np.ndarray):
-    big = (np.abs(values) > _MAX_ENTRY) & (values != EPSILON)
+def _check_magnitude(key: str, values: np.ndarray, bound: float = _MAX_ENTRY):
+    big = (np.abs(values) > bound) & (values != EPSILON)
     if big.any():
-        raise InstanceFormatError(f"{key}: finite entries must not exceed {_MAX_ENTRY:.0e} "
+        raise InstanceFormatError(f"{key}: finite entries must not exceed {bound:.0e} "
                                   f"in magnitude, got {float(values[big][0])!r}")
 
 
@@ -220,11 +226,28 @@ def instance_to_obj(inst: InstanceFile) -> dict:
     return obj
 
 
+# Without indent the stdlib encodes through its C accelerator; indent=2 would
+# select the pure-Python encoder and put every number on its own line.
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _layout(value, pad: str) -> str:
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        return ("{\n" + ",\n".join(f"{inner}{_encode(key)}: {_layout(item, inner)}"
+                                   for key, item in value.items()) + f"\n{pad}}}")
+    if isinstance(value, list) and value and all(isinstance(row, list) for row in value):
+        return "[\n" + ",\n".join(inner + _encode(row) for row in value) + f"\n{pad}]"
+    return _encode(value)
+
+
 def serialize_solution(payload: dict) -> str:
-    """Canonical JSON text: fixed key order, floats via shortest round-tripping
-    repr so parsing reproduces them bit-exactly.  The payload already spells
-    epsilon "-inf"; allow_nan=False rejects a float -inf that slipped in."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text of a str-keyed document: one key per line, one
+    matrix row per line, every other value (a row, a vector, a scalar) on one
+    line; fixed key order, and floats via shortest round-tripping repr so
+    parsing reproduces them bit-exactly.  The payload already spells epsilon
+    "-inf"; allow_nan=False rejects a float -inf that slipped in."""
+    return _layout(payload, "") + "\n"
 
 
 def parse_solution(text: str) -> dict:
@@ -305,13 +328,16 @@ def _cycle_mean(a: TropMatrix, cycle: list[int]) -> float:
 # InstanceFormatError, which verify_payload reports as a problem.
 
 def _read_number(payload: dict, key: str, allow_eps: bool = False) -> float:
-    return _number(payload.get(key), allow_eps, key)
+    value = _number(payload.get(key), allow_eps, key)
+    _check_magnitude(key, np.float64(value), _MAX_STORED)
+    return value
 
 
 def _read_vector(payload: dict, key: str, length: int) -> TropVector:
     values = _read_array(payload.get(key), 1, False, key)
     if len(values) != length:
         raise InstanceFormatError(f"{key}: has length {len(values)}, expected {length}")
+    _check_magnitude(key, values, _MAX_STORED)
     return TropVector(values)
 
 
@@ -475,6 +501,7 @@ def _verify_star(inst: InstanceFile, payload: dict, tol: float, problems: list[s
     star = TropMatrix(_read_array(payload.get("star"), 2, True, "star"))
     if star.shape != inst.a.shape:
         raise InstanceFormatError(f"star has shape {star.shape}, expected {inst.a.shape}")
+    _check_magnitude("star", star.data, _MAX_STORED)
     worst = _star_residual(inst.a, star)
     if worst > tol:
         problems.append(f"star is not a fixed point of x -> Ax + I ({worst})")

@@ -209,6 +209,15 @@ class TestKleeneStar:
         assert exc.value.lambda_ == cm.lambda_
         assert exc.value.witness_cycle == cm.witness_cycle
 
+    def test_overflowing_divergence_is_detected(self):
+        # the sweep doubles a positive cycle's sums until they overflow, and
+        # the epsilon column turns the last diagonal entry into nan
+        data = np.full((40, 40), 1e300)
+        data[:, -1] = E
+        with pytest.raises(DivergentStarError) as exc:
+            kleene_star(TropMatrix(data))
+        assert exc.value.lambda_ == pytest.approx(1e300)
+
     def test_lambda_within_tol_returns_star(self):
         # a two-cycle of mean 5e-10: positive, but inside tol = 1e-9
         a = TropMatrix([[E, 1.0], [-1.0 + 1e-9, E]])

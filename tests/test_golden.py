@@ -5,8 +5,14 @@ it, written by `troplp solve`.  Solving the instance again must reproduce the
 solution byte for byte, and `troplp check` must accept the committed file.
 The two failure statuses have one file each: `infeasible-lambda-positive`
 (a tslp instance) and `divergent-star`.
+
+After a deliberate change of the solution format, regenerate every solution
+from the repository root with
+
+    for f in tests/golden/*.instance.json; do PYTHONPATH=src python -m troplp.cli solve --input "$f" --output "${f%.instance.json}.solution.json"; done
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -37,3 +43,14 @@ def test_solve_reproduces_golden_bytes(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", NAMES)
 def test_check_accepts_golden_solution(name, capsys):
     assert main(["check", "--input", str(GOLDEN / f"{name}.solution.json")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("indent", [2, None])
+@pytest.mark.parametrize("name", NAMES)
+def test_check_accepts_any_layout(name, indent, tmp_path, capsys):
+    """Files in an earlier layout (indent=2, every number on its own line) or
+    on a single line still check."""
+    doc = json.loads((GOLDEN / f"{name}.solution.json").read_text())
+    path = tmp_path / "relaid.json"
+    path.write_text(json.dumps(doc, indent=indent))
+    assert main(["check", "--input", str(path)]) == EXIT_OK

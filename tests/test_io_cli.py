@@ -187,6 +187,122 @@ class TestHugeNumbers:
         assert "x[0]: integer out of float range" in capsys.readouterr().err
 
 
+class TestStoredMagnitude:
+    """check reports a stored number above 1e307 in magnitude as a violation
+    (exit 3), so that no certificate sum it forms overflows."""
+
+    def test_overflowing_witness(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"problem":"primal","A":[[1e300]],"b":[0],"c":[1e300]}')
+        sol = tmp_path / "sol.json"
+        assert main(["solve", "--input", str(inst), "--output", str(sol)]) == EXIT_OK
+        doc = json.loads(sol.read_text())
+        doc["x"] = [1.7976931348623157e308]
+        assert _check(doc, tmp_path) == EXIT_CERTIFICATE
+        assert ("x: finite entries must not exceed 1e+307 in magnitude, "
+                "got 1.7976931348623157e+308") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,field,value", [
+        ("mcm", "lambda", -1.7e308),
+        ("divergent-star", "lambda", 1.7e308),
+        ("primal", "objective", 2e307),
+        ("dual", "pi", [-2e307, 0]),
+        ("gap", "upper", -1.1e307),
+        ("tslp", "y", [1.7e308, 0]),
+        ("onesided", "principal", [0, -1.7e308]),
+        ("onesided", "residual", 1.7e308),
+        ("star", "star", [[0, 0], [1.7e308, 0]]),
+    ])
+    def test_reported_as_problem(self, name, field, value, tmp_path, capsys):
+        doc = _fresh_solution(name, tmp_path)
+        doc[field] = value
+        assert _check(doc, tmp_path) == EXIT_CERTIFICATE
+        assert (f"troplp: certificate violation: {field}: finite entries must not "
+                "exceed 1e+307") in capsys.readouterr().err
+
+    def test_bound_is_inclusive(self):
+        inst = parse_instance('{"problem":"star","A":[["-inf",-1e300],[-1e300,0]]}')
+        payload, code = solve_to_payload(inst, 1e-9)
+        assert code == EXIT_OK and verify_payload(payload) == []
+        stored = [[0.0, 1e307], [-1e307, 0.0]]
+        problems = verify_payload(dict(payload, star=stored))
+        assert problems and not any("must not exceed" in p for p in problems)
+
+    def test_tampered_lambda_with_overflowing_sweep(self, tmp_path, capsys):
+        # lambda is the mean of its witness self-loop, but the cycles of mean
+        # 0 make the check's sweep overflow on its way to divergence
+        a = [[0.0] * 40 for _ in range(40)]
+        a[0][0] = -1e300
+        for row in a:
+            row[-1] = "-inf"
+        payload, _ = solve_to_payload(parse_instance(json.dumps(
+            {"problem": "mcm", "A": a})), 1e-9)
+        doc = dict(payload, **{"lambda": -1e300, "witness_cycle": [0]})
+        assert _check(doc, tmp_path) == EXIT_CERTIFICATE
+        assert "lambda below the maximum cycle mean" in capsys.readouterr().err
+
+
+_NUMBERS = st.one_of(st.integers(-10**20, 10**20),
+                    st.floats(allow_nan=False, allow_infinity=False), st.just("-inf"))
+_MATRICES = st.lists(st.lists(_NUMBERS, max_size=4), min_size=1, max_size=4)
+_LEAVES = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=4),
+                    st.lists(_NUMBERS, max_size=4), _MATRICES, st.just({}))
+_DOCS = st.dictionaries(st.text(max_size=4), st.recursive(
+    _LEAVES, lambda inner: st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12), max_size=5)
+
+
+def _walk(value):
+    """Every dict and list inside value, value included."""
+    yield value
+    for item in value.values() if isinstance(value, dict) else value:
+        if isinstance(item, (dict, list)):
+            yield from _walk(item)
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCS)
+    def test_round_trip_and_layout(self, doc):
+        text = serialize_solution(doc)
+        assert json.loads(text) == doc
+        assert serialize_solution(json.loads(text)) == text
+        lines = {line.strip().rstrip(",") for line in text.splitlines()}
+        for matrix in _walk(doc):
+            if isinstance(matrix, list) and matrix and all(
+                    isinstance(row, list) for row in matrix):
+                assert all(json.dumps(row) in lines for row in matrix)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCS, st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+           st.data())
+    def test_non_finite_float_rejected(self, doc, bad, data):
+        target = data.draw(st.sampled_from(list(_walk(doc))))
+        if isinstance(target, dict):
+            target["bad"] = bad
+        else:
+            target.insert(data.draw(st.integers(0, len(target))), bad)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize_solution(doc)
+
+    def test_layout(self):
+        doc = {"problem": "mcm", "lambda": 1.0, "witness_cycle": [0, 1],
+               "empty": {}, "instance": {"A": [[0.5, "-inf"], [1, 2]]}}
+        assert serialize_solution(doc) == (
+            '{\n'
+            '  "problem": "mcm",\n'
+            '  "lambda": 1.0,\n'
+            '  "witness_cycle": [0, 1],\n'
+            '  "empty": {},\n'
+            '  "instance": {\n'
+            '    "A": [\n'
+            '      [0.5, "-inf"],\n'
+            '      [1, 2]\n'
+            '    ]\n'
+            '  }\n'
+            '}\n')
+
+
 class TestRoundTrip:
     def test_bit_exact_floats_and_eps(self):
         payload = {"problem": "mcm", "values": [0.1, 1e-17, -1e300, 3.0, "-inf"],
@@ -404,6 +520,20 @@ class TestCliMain(object):
 
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_input_not_utf8(self, command, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_bytes(b'\xff\xfe{"problem": "mcm", "A": [[1]]}')
+        assert main([command, "--input", str(inst)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"troplp: cannot read {inst}: ")
+
+    def test_output_in_missing_directory(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        self._write(inst, {"problem": "mcm", "A": [[1]]})
+        out = tmp_path / "missing" / "sol.json"
+        assert main(["solve", "--input", str(inst), "--output", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"troplp: cannot write {out}: ")
 
     def test_bad_json(self, tmp_path):
         inst = tmp_path / "inst.json"
