@@ -12,7 +12,10 @@ k arcs ending at each node.  No strongly connected decomposition is needed:
 the source has no incoming arc and adds no cycle.  The star is finite iff
 lambda(A) <= 0, and a positive cycle through node i leaves a positive entry
 (i, i) after the sweep, so the sweep's own diagonal tells convergence and the
-cycle mean is computed only to name the divergent cycle.
+cycle mean is computed only when it turns positive: to name the divergent
+cycle, or, when lambda is positive but within tol, to sweep A - lambda
+instead, since a sweep of A would be inflated by about the cycle's length
+times lambda.  kleene_star is the shifted star at shift 0.
 """
 
 from __future__ import annotations
@@ -129,24 +132,19 @@ def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
 
     The series is finite only when the maximum cycle mean is nonpositive, in
     which case it equals the partial sum up to exponent n-1 and is computed
-    by a Floyd-Warshall sweep in O(n^3).  Karp runs only when the sweep's
-    diagonal turns positive, and the star is refused only when lambda > tol.
+    by a Floyd-Warshall sweep in O(n^3); it is the shifted star at lam = 0.
     """
-    _require_square(a)
-    swept = _star_sweep(a.data)
-    if _diverges(swept):
-        cm = max_cycle_mean(a)
-        if cm.lambda_ > tol:
-            raise DivergentStarError(
-                f"star series diverges: maximum cycle mean {cm.lambda_} > 0",
-                lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
-    return TropMatrix(swept)
+    return kleene_star_scaled(a, 0.0, tol)
 
 
 def kleene_star_scaled(a: TropMatrix, lam: float, tol: float = DEFAULT_TOL) -> TropMatrix:
     """Kleene star of the matrix with every entry shifted down by lam.
 
-    Converges exactly when lam is at least the maximum cycle mean of A.
+    Converges exactly when lam is at least the maximum cycle mean lambda of
+    A.  Karp runs only when the sweep's diagonal turns positive; the star is
+    refused only when lam < lambda - tol, and for lam in [lambda - tol,
+    lambda) it is the star of A - lambda, whose fixed-point residual stays
+    within lambda - lam rather than growing with the length of the cycle.
     """
     _require_square(a)
     swept = _star_sweep(a.data - lam)
@@ -154,6 +152,8 @@ def kleene_star_scaled(a: TropMatrix, lam: float, tol: float = DEFAULT_TOL) -> T
         cm = max_cycle_mean(a)
         if lam < cm.lambda_ - tol:
             raise DivergentStarError(
-                f"shifted star diverges: shift {lam} below maximum cycle mean {cm.lambda_}",
+                f"star diverges: shift {lam} below maximum cycle mean {cm.lambda_}",
                 lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
+        if cm.lambda_ > lam:
+            swept = _star_sweep(a.data - cm.lambda_)
     return TropMatrix(swept)

@@ -19,11 +19,6 @@ EPSILON = float("-inf")
 DEFAULT_TOL = 1e-9
 
 
-def is_eps(x: float) -> bool:
-    """True if x is the bottom element -inf."""
-    return x == EPSILON
-
-
 def _as_array(entries, ndim: int) -> np.ndarray:
     try:
         arr = np.array(entries, dtype=float)
@@ -202,11 +197,6 @@ def tdot_min(u: TropVector, v: TropVector) -> float:
     return float(np.min(u.data + v.data))
 
 
-def touter(u: TropVector, v: TropVector) -> TropMatrix:
-    """Max-plus outer product: entry (i, j) is u_i + v_j."""
-    return TropMatrix(u.data[:, np.newaxis] + v.data[np.newaxis, :])
-
-
 def transpose(a: TropMatrix) -> TropMatrix:
     return TropMatrix(a.data.T)
 
@@ -232,23 +222,9 @@ def diag(x: TropVector) -> TropMatrix:
     return TropMatrix(out)
 
 
-def inverse_diag(x: TropVector) -> TropMatrix:
-    """Inverse of diag(x), i.e. diag(-x)."""
-    _require_finite(x)
-    return diag(TropVector(-x.data))
-
-
 def identity(n: int) -> TropMatrix:
     """Unit matrix: zeros on the diagonal, epsilon elsewhere."""
     return diag(TropVector(np.zeros(n)))
-
-
-def eps_matrix(rows: int, cols: int) -> TropMatrix:
-    return TropMatrix(np.full((rows, cols), EPSILON))
-
-
-def eps_vector(n: int) -> TropVector:
-    return TropVector(np.full(n, EPSILON))
 
 
 def leq(a, b, tol: float = DEFAULT_TOL) -> bool:

@@ -30,13 +30,15 @@ import numpy as np
 from ._version import __version__
 from .closure import _diverges, _star_sweep, kleene_star, max_cycle_mean
 from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, identity,
-                   tadd, tmul, transpose)
+                   tadd, tmul)
 from .errors import (DivergentStarError, FiniteRequiredError,
                      InfeasibleLambdaError, InstanceFormatError)
 from .intlp import duality_gap, solve_dual_integer, solve_primal_integer
-from .lp import LpInstance, solve_dual, solve_primal
-from .onesided import _check_system, solve_equality
-from .twosided import TwoSidedInstance, solve_tslp, solve_tslp2
+from .lp import (LpInstance, dual_slack, primal_residual, solve_dual,
+                 solve_primal)
+from .onesided import _check_system, shortfall, solve_equality
+from .twosided import (FEASIBLE, UNIQUE_FIXED_POINT, TwoSidedInstance,
+                       solve_tslp, solve_tslp2, two_sided_lhs)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -285,22 +287,8 @@ def render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Certificate formulas, each shared by a solver and its check.
-
-def _primal_residual(inst: InstanceFile, x: TropVector) -> float:
-    """max(Ax - b): positive when x violates Ax <= b."""
-    return float(np.max(tmul(inst.a, x).data - inst.b.data))
-
-
-def _dual_slack(inst: InstanceFile, pi: TropVector) -> float:
-    """min(pi'A - c): negative when pi violates pi'A >= c'."""
-    return float(np.min(tmul(transpose(inst.a), pi).data - inst.c.data))
-
-
-def _two_sided_lhs(inst: InstanceFile, y: TropVector) -> np.ndarray:
-    """The left-hand side max(Ay, d) of the two-sided programs."""
-    return np.maximum(tmul(inst.a, y).data, inst.d.data)
-
+# Certificate formulas of the star and mcm kinds; those of the other kinds
+# live next to their solvers (lp, onesided, twosided), which share them.
 
 def _residual_eps_aware(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Largest absolute difference, counting matching -inf entries as 0."""
@@ -381,18 +369,18 @@ def _check_cycle(a: TropMatrix, lam: float, payload: dict, tol: float,
 
 def _x_body(inst: InstanceFile, objective: float, x: TropVector) -> dict:
     return {"objective": _json(objective), "x": _json(x.data),
-            "certificate": {"primal_residual": _primal_residual(inst, x)}}
+            "certificate": {"primal_residual": primal_residual(inst, x)}}
 
 
 def _pi_body(inst: InstanceFile, objective: float, pi: TropVector) -> dict:
     return {"objective": _json(objective), "pi": _json(pi.data),
-            "certificate": {"dual_slack": _dual_slack(inst, pi)}}
+            "certificate": {"dual_slack": dual_slack(inst, pi)}}
 
 
 def _check_x(inst: InstanceFile, payload: dict, tol: float, problems: list[str],
              integral: bool = False, key: str = "objective") -> float:
     x = _read_vector(payload, "x", inst.a.cols)
-    slack = _primal_residual(inst, x)
+    slack = primal_residual(inst, x)
     if slack > tol:
         problems.append(f"primal witness infeasible by {slack}")
     if integral:
@@ -404,7 +392,7 @@ def _check_x(inst: InstanceFile, payload: dict, tol: float, problems: list[str],
 def _check_pi(inst: InstanceFile, payload: dict, tol: float, problems: list[str],
               integral: bool = False, key: str = "objective") -> float:
     pi = _read_vector(payload, "pi", inst.a.rows)
-    slack = _dual_slack(inst, pi)
+    slack = dual_slack(inst, pi)
     if slack < -tol:
         problems.append(f"dual witness infeasible by {-slack}")
     if integral:
@@ -438,8 +426,8 @@ def _solve_gap(inst: InstanceFile, tol: float) -> dict:
     x, pi = report.primal.x_opt, report.dual.pi_opt
     return {"lower": _json(report.lower), "real_optimum": _json(report.real_optimum),
             "upper": _json(report.upper), "x": _json(x.data), "pi": _json(pi.data),
-            "certificate": {"primal_residual": _primal_residual(inst, x),
-                            "dual_slack": _dual_slack(inst, pi),
+            "certificate": {"primal_residual": primal_residual(inst, x),
+                            "dual_slack": dual_slack(inst, pi),
                             "width": report.upper - report.lower}}
 
 
@@ -455,14 +443,14 @@ def _verify_gap(inst: InstanceFile, payload: dict, tol: float, problems: list[st
 
 def _solve_tslp(inst: InstanceFile, tol: float) -> dict:
     res = solve_tslp(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
-    worst = float(np.max(_two_sided_lhs(inst, res.y_opt) - res.y_opt.data))
+    worst = float(np.max(two_sided_lhs(inst, res.y_opt) - res.y_opt.data))
     return {"objective": _json(res.g_min), "y": _json(res.y_opt.data),
             "certificate": {"feasibility_residual": worst}}
 
 
 def _solve_tslp2(inst: InstanceFile, tol: float) -> dict:
     res = solve_tslp2(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
-    worst = float(np.max(np.abs(_two_sided_lhs(inst, res.y_opt) - res.y_opt.data)))
+    worst = float(np.max(np.abs(two_sided_lhs(inst, res.y_opt) - res.y_opt.data)))
     return {"objective": _json(res.g_min), "y": _json(res.y_opt.data),
             "solution_kind": res.feasibility_kind,
             "certificate": {"equation_residual": worst}}
@@ -474,7 +462,7 @@ def _check_y(inst: InstanceFile, payload: dict, tol: float,
     y = _read_vector(payload, "y", inst.a.rows)
     _check_value(problems, payload, "objective",
                  float(np.max(inst.c.data + y.data)), tol)
-    return _two_sided_lhs(inst, y) - y.data
+    return two_sided_lhs(inst, y) - y.data
 
 
 def _verify_tslp(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
@@ -487,7 +475,7 @@ def _verify_tslp2(inst: InstanceFile, payload: dict, tol: float, problems: list[
     worst = float(np.max(np.abs(_check_y(inst, payload, tol, problems))))
     if worst > tol:
         problems.append(f"fixed-point equation violated by {worst}")
-    if payload.get("solution_kind") not in ("feasible", "unique-fixed-point"):
+    if payload.get("solution_kind") not in (FEASIBLE, UNIQUE_FIXED_POINT):
         problems.append("unknown tslp2 solution kind")
 
 
@@ -545,17 +533,17 @@ def _solve_onesided(inst: InstanceFile, tol: float) -> dict:
     return {"principal": _json(res.principal.data),
             "solvable_as_equality": res.solvable_as_equality,
             "residual": _json(res.residual),
-            "certificate": {"subsolution_residual": _primal_residual(inst, res.principal)}}
+            "certificate": {"subsolution_residual": primal_residual(inst, res.principal)}}
 
 
 def _verify_onesided(inst: InstanceFile, payload: dict, tol: float,
                      problems: list[str]):
     p = _read_vector(payload, "principal", inst.a.cols)
     _check_system(inst.a, inst.b)
-    over = _primal_residual(inst, p)
+    over = primal_residual(inst, p)
     if over > tol:
         problems.append(f"principal exceeds b by {over}")
-    residual = float(np.max(inst.b.data - tmul(inst.a, p).data))
+    residual = shortfall(inst.a, inst.b, p)
     _check_value(problems, payload, "residual", residual, tol)
     if payload.get("solvable_as_equality") is not (residual <= tol):
         problems.append("solvable_as_equality flag disagrees with residual")

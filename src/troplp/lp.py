@@ -59,6 +59,18 @@ def solve_dual(inst: LpInstance) -> tuple[TropVector, float]:
     return pi, tdot(pi, inst.b)
 
 
+def primal_residual(inst, x: TropVector) -> float:
+    """max(Ax - b), positive when x violates Ax <= b; inst is anything with
+    .a and .b."""
+    return float(np.max(tmul(inst.a, x).data - inst.b.data))
+
+
+def dual_slack(inst, pi: TropVector) -> float:
+    """min(pi'A - c), negative when pi violates pi'A >= c'; inst is anything
+    with .a and .c."""
+    return float(np.min(tmul(transpose(inst.a), pi).data - inst.c.data))
+
+
 def certify(inst: LpInstance, tol: float = DEFAULT_TOL) -> DualityCertificate:
     """Solve both sides and assert feasibility plus zero gap.
 
@@ -66,14 +78,12 @@ def certify(inst: LpInstance, tol: float = DEFAULT_TOL) -> DualityCertificate:
     """
     x, f_max = solve_primal(inst)
     pi, phi_min = solve_dual(inst)
-    primal_slack = np.max(tmul(inst.a, x).data - inst.b.data)
-    if primal_slack > tol:
-        raise CertificateViolationError(
-            f"primal witness infeasible by {primal_slack}")
-    dual_slack = np.min(tmul(transpose(inst.a), pi).data - inst.c.data)
-    if dual_slack < -tol:
-        raise CertificateViolationError(
-            f"dual witness infeasible by {-dual_slack}")
+    excess = primal_residual(inst, x)
+    if excess > tol:
+        raise CertificateViolationError(f"primal witness infeasible by {excess}")
+    slack = dual_slack(inst, pi)
+    if slack < -tol:
+        raise CertificateViolationError(f"dual witness infeasible by {-slack}")
     if abs(f_max - phi_min) > tol:
         raise CertificateViolationError(
             f"duality gap {abs(f_max - phi_min)} exceeds tolerance")

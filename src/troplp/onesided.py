@@ -67,9 +67,13 @@ def solve_equality(a: TropMatrix, b: TropVector,
                    tol: float = DEFAULT_TOL) -> OneSidedSolveResult:
     """Solve A x = b; the system is solvable iff the principal solution attains b."""
     x = greatest_subsolution(a, b)
-    image = tmul(a, x)
-    residual = float(np.max(b.data - image.data))
+    residual = shortfall(a, b, x)
     return OneSidedSolveResult(x, residual <= tol, residual)
+
+
+def shortfall(a: TropMatrix, b: TropVector, x: TropVector) -> float:
+    """max(b - Ax): how far Ax falls short of b; at most 0 when Ax >= b."""
+    return float(np.max(b.data - tmul(a, x).data))
 
 
 def subeigen_nonempty(a: TropMatrix, lam: float, tol: float = DEFAULT_TOL) -> bool:

@@ -6,12 +6,16 @@ lower vector d:
   - inequality form:  A y + d <= y   (componentwise, + is the tropical sum)
   - equation form:    A y + d  = y
 
-Feasible points exist exactly when the maximum cycle mean of A is
-nonpositive.  The inequality form reduces, through y = A* u, to a one-sided
-dual program on the transposed star; the equation form has the closed-form
-optimum y = A* d.  Either way one cycle mean and one star sweep, both
-O(n^3), dominate; the cycle mean already settles feasibility, so the sweep
-runs without a second divergence test.
+Feasible points exist exactly when the maximum cycle mean lambda of A is
+nonpositive.  Every feasible y of either form has y >= d and y >= A y, hence
+y >= A^k d for every k and so y >= A* d; and A* d satisfies the equation.
+So A* d is the least feasible point of both forms, and since c'y is isotone
+it is the optimum of both.  One cycle mean and one star sweep, both O(n^3),
+do the work; the cycle mean already settles feasibility, so the sweep runs
+without a second divergence test.  A lambda in (0, tol] counts as feasible,
+and the sweep then runs on A - lambda, which keeps A y + d within lambda of
+y; a sweep of A itself would be inflated by about the cycle's length times
+lambda.
 """
 
 from __future__ import annotations
@@ -21,14 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import _star_sweep, max_cycle_mean
-from .core import DEFAULT_TOL, TropMatrix, TropVector, tdot, tmul, transpose
+from .core import DEFAULT_TOL, TropMatrix, TropVector, tdot, tmul
 from .errors import (CertificateViolationError, DimensionMismatchError,
                      FiniteRequiredError, InfeasibleLambdaError)
-from .lp import LpInstance, solve_dual
 
 FEASIBLE = "feasible"
 UNIQUE_FIXED_POINT = "unique-fixed-point"
-INFEASIBLE_LAMBDA = "infeasible-lambda-positive"
 
 
 @dataclass(frozen=True)
@@ -50,18 +52,14 @@ class TwoSidedInstance:
 @dataclass(frozen=True)
 class TwoSidedResult:
     y_opt: TropVector
-    u_opt: TropVector | None
     g_min: float
     feasibility_kind: str
 
 
-def _checked_cycle_mean(inst: TwoSidedInstance, tol: float):
-    cm = max_cycle_mean(inst.a)
-    if cm.lambda_ > tol:
-        raise InfeasibleLambdaError(
-            f"no feasible point: maximum cycle mean {cm.lambda_} > 0",
-            lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
-    return cm
+def two_sided_lhs(inst, y: TropVector) -> np.ndarray:
+    """The left-hand side max(Ay, d) of both forms; inst is anything with
+    square .a and .d."""
+    return np.maximum(tmul(inst.a, y).data, inst.d.data)
 
 
 def tslp_feasible(inst: TwoSidedInstance, y: TropVector,
@@ -69,28 +67,26 @@ def tslp_feasible(inst: TwoSidedInstance, y: TropVector,
     """Check A y + d <= y entrywise within tol."""
     if len(y) != inst.a.rows:
         raise DimensionMismatchError(f"y must have length {inst.a.rows}")
-    lhs = np.maximum(tmul(inst.a, y).data, inst.d.data)
-    return bool(np.all(lhs <= y.data + tol))
+    return bool(np.all(two_sided_lhs(inst, y) <= y.data + tol))
+
+
+def _least_point(inst: TwoSidedInstance, tol: float) -> tuple[TropVector, float]:
+    """The least feasible point y = A* d of both forms, and lambda(A)."""
+    cm = max_cycle_mean(inst.a)
+    if cm.lambda_ > tol:
+        raise InfeasibleLambdaError(
+            f"no feasible point: maximum cycle mean {cm.lambda_} > 0",
+            lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
+    star = TropMatrix(_star_sweep(inst.a.data - max(cm.lambda_, 0.0)))
+    return tmul(star, inst.d), cm.lambda_
 
 
 def solve_tslp(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedResult:
-    """Minimize c'y subject to A y + d <= y.
-
-    Via y = A* u the problem becomes the one-sided dual with matrix A*
-    transposed, right-hand side A*' c and costs d; its closed-form optimal
-    witness maps back to y = A* u.
-    """
-    _checked_cycle_mean(inst, tol)
-    star = TropMatrix(_star_sweep(inst.a.data))
-    star_t = transpose(star)
-    sub = LpInstance(star_t, tmul(star_t, inst.c), inst.d)
-    u, g_min = solve_dual(sub)
-    y = tmul(star, u)
+    """Minimize c'y subject to A y + d <= y; the optimum is y = A* d."""
+    y, _ = _least_point(inst, tol)
     if not tslp_feasible(inst, y, tol):
         raise CertificateViolationError("two-sided witness failed feasibility")
-    if abs(tdot(inst.c, y) - g_min) > tol:
-        raise CertificateViolationError("two-sided objective mismatch")
-    return TwoSidedResult(y, u, g_min, FEASIBLE)
+    return TwoSidedResult(y, tdot(inst.c, y), FEASIBLE)
 
 
 def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedResult:
@@ -99,11 +95,8 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
     When the maximum cycle mean is strictly negative the feasible set is the
     single point A* d, reported as the unique-fixed-point kind.
     """
-    cm = _checked_cycle_mean(inst, tol)
-    star = TropMatrix(_star_sweep(inst.a.data))
-    y = tmul(star, inst.d)
-    lhs = np.maximum(tmul(inst.a, y).data, inst.d.data)
-    if np.max(np.abs(lhs - y.data)) > tol:
+    y, lam = _least_point(inst, tol)
+    if np.max(np.abs(two_sided_lhs(inst, y) - y.data)) > tol:
         raise CertificateViolationError("fixed-point witness violates the equation")
-    kind = UNIQUE_FIXED_POINT if cm.lambda_ < -tol else FEASIBLE
-    return TwoSidedResult(y, None, tdot(inst.c, y), kind)
+    kind = UNIQUE_FIXED_POINT if lam < -tol else FEASIBLE
+    return TwoSidedResult(y, tdot(inst.c, y), kind)

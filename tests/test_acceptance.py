@@ -12,16 +12,16 @@ import pytest
 
 import util
 from troplp import (EPSILON, CertificateViolationError, DivergentStarError,
-                    LpInstance, TropMatrix, TropVector, approx_equal,
-                    brute_cycle_mean, brute_dual_integer, brute_primal_integer,
-                    brute_star, certify, dual_box, estimate_via_floor_b,
-                    greatest_subsolution, kleene_star, leq, max_cycle_mean,
-                    primal_box, solve_dual, solve_dual_integer, solve_primal,
-                    solve_primal_integer, solve_tslp, solve_tslp2, tdot, tmul,
-                    transpose, tslp_feasible)
+                    LpInstance, TropMatrix, TropVector, approx_equal, certify,
+                    estimate_via_floor_b, greatest_subsolution, kleene_star,
+                    leq, max_cycle_mean, solve_dual, solve_dual_integer,
+                    solve_primal, solve_primal_integer, solve_tslp,
+                    solve_tslp2, tdot, tmul, transpose, tslp_feasible)
 from troplp.cli import main
 from troplp.io import parse_solution, serialize_solution
-from troplp.oracles import descent_dual_integer
+from troplp.oracles import (brute_cycle_mean, brute_dual_integer,
+                            brute_primal_integer, brute_star,
+                            descent_dual_integer, dual_box, primal_box)
 
 TOL = 1e-9
 

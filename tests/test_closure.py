@@ -9,11 +9,11 @@ from hypothesis.extra import numpy as hnp
 import util
 from troplp import (EPSILON, DimensionMismatchError, DivergentStarError,
                     TropMatrix, TropVector, TwoSidedInstance, approx_equal,
-                    brute_cycle_mean, brute_star, diag, identity,
-                    inverse_diag, kleene_star, kleene_star_scaled,
+                    diag, identity, kleene_star, kleene_star_scaled,
                     max_cycle_mean, solve_tslp, solve_tslp2, tadd, tmul)
 from troplp import closure
 from troplp.closure import _star_sweep
+from troplp.oracles import brute_cycle_mean, brute_star
 
 E = EPSILON
 
@@ -178,7 +178,7 @@ class TestMaxCycleMean:
             n = int(rng.integers(2, 6))
             a = util.sparse_square(rng, n)
             x = util.finite_vector(rng, n)
-            scaled = tmul(tmul(inverse_diag(x), a), diag(x))
+            scaled = tmul(tmul(diag(TropVector(-x.data)), a), diag(x))
             lam = max_cycle_mean(a).lambda_
             lam_scaled = max_cycle_mean(scaled).lambda_
             if lam == E:
@@ -219,10 +219,14 @@ class TestKleeneStar:
         assert exc.value.lambda_ == pytest.approx(1e300)
 
     def test_lambda_within_tol_returns_star(self):
-        # a two-cycle of mean 5e-10: positive, but inside tol = 1e-9
+        # a two-cycle of mean 5e-10: positive, but inside tol = 1e-9; the
+        # star is that of A - lambda, a fixed point of A within tol
         a = TropMatrix([[E, 1.0], [-1.0 + 1e-9, E]])
-        assert 0 < max_cycle_mean(a).lambda_ <= 1e-9
-        assert kleene_star(a, 1e-9) == TropMatrix(_star_sweep(a.data))
+        lam = max_cycle_mean(a).lambda_
+        assert 0 < lam <= 1e-9
+        star = kleene_star(a, 1e-9)
+        assert star == TropMatrix(_star_sweep(a.data - lam))
+        assert approx_equal(tadd(tmul(a, star), identity(2)), star, tol=1e-9)
         with pytest.raises(DivergentStarError):
             kleene_star(a, 1e-10)
 
@@ -268,9 +272,13 @@ class TestKleeneStarScaled:
         assert exc.value.witness_cycle in ((0, 1), (1, 0))
 
     def test_shift_within_tol_below_lambda_returns_star(self):
+        # lambda = 1 lies within tol above the shift: the star is that of
+        # A - lambda, a fixed point of A - shift within tol
         a = TropMatrix([[0, 3], [-1, 0]])
         star = kleene_star_scaled(a, 1.0 - 5e-10, 1e-9)
-        assert star == TropMatrix(_star_sweep(a.data - (1.0 - 5e-10)))
+        assert star == TropMatrix(_star_sweep(a.data - 1.0))
+        shifted = TropMatrix(a.data - (1.0 - 5e-10))
+        assert approx_equal(tadd(tmul(shifted, star), identity(2)), star, tol=1e-9)
 
 
 class TestKarpCallCount:

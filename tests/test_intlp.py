@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from troplp import (Box, IntDualResult, LpInstance, TropMatrix, TropVector,
-                    brute_dual_integer, brute_primal_integer, ceil_frac,
-                    dual_box, duality_gap, estimate_via_floor_b, floor_frac,
-                    fr, greatest_subsolution, leq, primal_box,
-                    solve_dual_integer, solve_primal_integer, tdot, tmul,
-                    transpose)
-from troplp.oracles import (IntDualState, advance, coverage,
-                            descent_dual_integer, initial_state)
+from troplp import (IntDualResult, LpInstance, TropMatrix, TropVector,
+                    ceil_frac, duality_gap, estimate_via_floor_b, floor_frac,
+                    fr, greatest_subsolution, leq, solve_dual_integer,
+                    solve_primal_integer, tdot, tmul, transpose)
+from troplp.oracles import (Box, IntDualState, advance, brute_dual_integer,
+                            brute_primal_integer, coverage,
+                            descent_dual_integer, dual_box, initial_state,
+                            primal_box)
 
 REGRESSION = LpInstance(TropMatrix([[1, 2], [3, 4]]), TropVector([5.5, 6.25]),
                         TropVector([0, 0]))

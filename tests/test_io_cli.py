@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from troplp import EPSILON, InstanceFormatError, closure, intlp
+from troplp import EPSILON, InstanceFormatError, TropMatrix, closure, intlp
 from troplp.cli import main
 from troplp.io import (_KINDS, _MAX_ENTRY, EXIT_CERTIFICATE, EXIT_INFEASIBLE,
                        EXIT_INPUT, EXIT_OK, KINDS, _number, _read_array,
@@ -589,6 +589,66 @@ class TestCliMain(object):
         inst = tmp_path / "inst.json"
         self._write(inst, {"problem": "star", "A": [[1e-12]], "tol": 1e-15})
         assert main(["solve", "--input", str(inst)]) == EXIT_INFEASIBLE
+
+
+# A three-cycle of mean 8e-10: positive, but within the default tol 1e-9.
+WITHIN_TOL = [[-5, 1, -5], [-5, -5, 1], [-1.9999999976, -5, -5]]
+
+
+@st.composite
+def planted_cycles(draw):
+    """(A, d, c) with one planted cycle of mean in (0, 0.999e-9] in A.  Its
+    arcs but one are integers in [-3, 3], so a segment of it weighs at most
+    22, and every arc off it is below -25: every other cycle is negative.
+    The mean stays 1e-12 below tol = 1e-9, far above the rounding of sums of
+    this size; at a mean of exactly tol see test_mean_equal_to_tol."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a = rng.uniform(-30, -25, (n, n))
+    nodes = rng.permutation(n)[:draw(st.integers(min_value=1, max_value=n))]
+    weights = rng.integers(-3, 4, len(nodes)).astype(float)
+    mean = draw(st.floats(min_value=1e-12, max_value=0.999e-9))
+    weights[-1] = len(nodes) * mean - weights[:-1].sum()
+    a[nodes, np.roll(nodes, -1)] = weights
+    return a.tolist(), rng.uniform(-10, 10, n).tolist(), rng.uniform(-10, 10, n).tolist()
+
+
+class TestCycleMeanWithinTol:
+    """A maximum cycle mean in (0, tol] is accepted as feasible, and the
+    answer is swept from A - lambda, so its own certificate holds."""
+
+    @staticmethod
+    def _objs(a, d, c):
+        return [{"problem": "tslp", "A": a, "d": d, "c": c},
+                {"problem": "tslp2", "A": a, "d": d, "c": c},
+                {"problem": "star", "A": a}]
+
+    @pytest.mark.parametrize("obj", _objs(WITHIN_TOL, [0, 0, 0], [0, 0, 0]),
+                             ids=lambda obj: obj["problem"])
+    def test_reproducer_solves_and_checks(self, obj, tmp_path, capsys):
+        inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+        inst.write_text(json.dumps(obj))
+        assert main(["solve", "--input", str(inst), "--output", str(sol)]) == EXIT_OK
+        assert main(["check", "--input", str(sol)]) == EXIT_OK
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_cycles())
+    def test_planted_cycle_solves_and_checks(self, acd):
+        lam = closure.max_cycle_mean(TropMatrix(acd[0])).lambda_
+        assert 0 < lam <= 1e-9
+        for obj in self._objs(*acd):
+            payload, code = solve_to_payload(parse_instance(json.dumps(obj)), 1e-9)
+            assert code == EXIT_OK
+            assert verify_payload(payload) == []
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "tol is absolute: a cycle mean of exactly tol leaves a residual of tol "
+        "plus the rounding of y + tol - y, and check reads it as a violation"))
+    def test_mean_equal_to_tol(self):
+        obj = {"problem": "tslp", "A": [[1e-9]], "d": [-9.180529521276107], "c": [0]}
+        payload, code = solve_to_payload(parse_instance(json.dumps(obj)), 1e-9)
+        assert code == EXIT_OK
+        assert verify_payload(payload) == []
 
 
 GOLDEN = util.TESTS / "golden"

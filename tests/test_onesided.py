@@ -8,11 +8,11 @@ from hypothesis.extra import numpy as hnp
 
 import util
 from troplp import (EPSILON, DivergentStarError, FiniteRequiredError,
-                    TropMatrix, TropVector, brute_cycle_mean,
-                    greatest_subsolution, kleene_star_scaled, leq,
-                    max_cycle_mean, solve_equality, subeigen_generate,
-                    subeigen_member, subeigen_nonempty, tmul, tmul_min,
-                    conjugate)
+                    TropMatrix, TropVector, greatest_subsolution,
+                    kleene_star_scaled, leq, max_cycle_mean, solve_equality,
+                    subeigen_generate, subeigen_member, subeigen_nonempty,
+                    tmul, tmul_min, conjugate)
+from troplp.oracles import brute_cycle_mean
 
 E = EPSILON
 

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from troplp import (EPSILON, Box, DivergentStarError,
-                    EnumerationCapExceededError, LpInstance,
-                    NoFeasiblePointError, TropMatrix, TropVector,
-                    brute_cycle_mean, brute_dual_integer, brute_primal_integer,
-                    brute_star, dual_box, identity, primal_box)
+from troplp import (EPSILON, DivergentStarError, EnumerationCapExceededError,
+                    LpInstance, NoFeasiblePointError, TropMatrix, TropVector,
+                    identity)
+from troplp.oracles import (Box, brute_cycle_mean, brute_dual_integer,
+                            brute_primal_integer, brute_star, dual_box,
+                            primal_box)
 
 E = EPSILON
 
@@ -114,7 +115,8 @@ class TestBoxes:
             brute_dual_integer(inst, dual_box(inst))
 
 
-PRODUCTION = ("core", "closure", "onesided", "lp", "intlp", "twosided", "io", "cli")
+PRODUCTION = ("__init__", "core", "closure", "onesided", "lp", "intlp", "twosided",
+              "io", "cli")
 
 
 @pytest.mark.parametrize("module", PRODUCTION)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from troplp import (InfeasibleLambdaError, LpInstance, TropMatrix, TropVector,
-                    TwoSidedInstance, kleene_star, solve_dual, solve_tslp,
+                    TwoSidedInstance, kleene_star, leq, solve_dual, solve_tslp,
                     solve_tslp2, subeigen_generate, tdot, tmul, transpose,
                     tslp_feasible)
 
@@ -20,7 +22,6 @@ class TestSolveTslp:
         assert tslp_feasible(TS1, res.y_opt)
         assert tdot(TS1.c, res.y_opt) == pytest.approx(res.g_min, abs=1e-12)
         assert res.feasibility_kind == "feasible"
-        assert res.u_opt is not None
 
     def test_scalar_example(self):
         inst = TwoSidedInstance(TropMatrix([[-1]]), TropVector([5]), TropVector([0]))
@@ -69,7 +70,6 @@ class TestSolveTslp2:
         assert res.y_opt == TropVector([5])
         assert res.g_min == 5.0
         assert res.feasibility_kind == "unique-fixed-point"
-        assert res.u_opt is None
 
     def test_worked_example(self):
         inst = TwoSidedInstance(TropMatrix([[-1, 0], [-3, -2]]),
@@ -110,6 +110,23 @@ class TestSolveTslp2:
             # the other association order agrees within tolerance
             row = tmul(transpose(star), inst.c)
             assert tdot(row, inst.d) == pytest.approx(res.g_min, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=1, max_value=8),
+       margin=st.sampled_from([0.0, 0.5, 1.0]))
+def test_both_forms_return_the_least_feasible_point(seed, n, margin):
+    # every feasible y is A* u for some u >= d (u = y itself, as y >= Ay), so
+    # a y_opt below every such A* u is the least feasible point
+    rng = np.random.default_rng(seed)
+    inst = util.tslp_instance(rng, n, margin=margin)
+    y = solve_tslp(inst).y_opt
+    assert y == solve_tslp2(inst).y_opt
+    star = kleene_star(inst.a)
+    us = np.vstack([inst.d.data, np.maximum(inst.d.data, rng.uniform(-15, 15, (50, n)))])
+    for u in us:
+        assert leq(y, tmul(star, TropVector(u)))
 
 
 class TestFeasibility:
