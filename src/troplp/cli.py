@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: solve (dispatch on the instance's problem kind), check
+Commands: solve (dispatch on the instance's problem kind), check
 (re-validate a solution file's certificate without re-solving), and the star
 and mcm utilities which accept instance files whose "problem" field may be
 omitted.  Exit codes: 0 success, 1 infeasible or divergent, 2 input or
@@ -21,27 +21,22 @@ from .io import (EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, check_solution_text,
                  solve_to_payload)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="troplp",
-        description="Max-plus linear algebra and tropical LP/ILP solvers.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("solve", "solve the instance according to its problem kind"),
-        ("check", "re-validate a solution file's certificate"),
-        ("star", "Kleene star of a square matrix instance"),
-        ("mcm", "maximum cycle mean of a square matrix instance"),
-    )
-    for name, help_text in specs:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--input", required=True, help="input file path")
-        cmd.add_argument("--output", default=None,
-                         help="output file path (default: stdout)")
-        cmd.add_argument("--tol", type=float, default=None,
-                         help=f"absolute tolerance (default {DEFAULT_TOL})")
-        cmd.add_argument("--format", dest="fmt", choices=("json", "text"),
-                         default="json", help="output format")
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="troplp",
+    description="Max-plus linear algebra and tropical LP/ILP solvers.")
+_PARSER.add_argument(
+    "command", choices=("solve", "check", "star", "mcm"),
+    help="solve: solve the instance according to its problem kind; "
+         "check: re-validate a solution file's certificate; "
+         "star: Kleene star of a square matrix instance; "
+         "mcm: maximum cycle mean of a square matrix instance")
+_PARSER.add_argument("--input", required=True, help="input file path")
+_PARSER.add_argument("--output", default=None,
+                     help="output file path (default: stdout)")
+_PARSER.add_argument("--tol", type=float, default=None,
+                     help=f"absolute tolerance (default {DEFAULT_TOL})")
+_PARSER.add_argument("--format", dest="fmt", choices=("json", "text"),
+                     default="json", help="output format")
 
 
 def _write(text: str, path: str | None):
@@ -53,7 +48,7 @@ def _write(text: str, path: str | None):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()

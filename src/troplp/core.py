@@ -36,21 +36,46 @@ def _as_array(entries, ndim: int) -> np.ndarray:
     return arr
 
 
-class TropMatrix:
-    """Dense rectangular matrix over the max-plus semiring.
+class _TropArray:
+    """Read-only float64 array of a fixed number of dimensions.
 
     Immutable: the backing array is read-only and every operation returns a
-    new value, so instances may be shared freely between threads.
+    new value, so instances may be shared freely between threads.  Values of
+    different shapes, a matrix and a vector among them, are never equal.
     """
 
     __slots__ = ("_data",)
+    _ndim: int
 
     def __init__(self, entries):
-        self._data = _as_array(entries, 2)
+        self._data = _as_array(entries, self._ndim)
 
     @property
     def data(self) -> np.ndarray:
         return self._data
+
+    def is_finite(self) -> bool:
+        """True if no entry is epsilon."""
+        return not np.isneginf(self._data).any()
+
+    def __getitem__(self, idx) -> float:
+        return float(self._data[idx])
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, _TropArray)
+                and bool(np.array_equal(self._data, other._data)))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._data.tolist()!r})"
+
+
+class TropMatrix(_TropArray):
+    """Dense rectangular matrix over the max-plus semiring.  Immutable."""
+
+    __slots__ = ()
+    _ndim = 2
 
     @property
     def rows(self) -> int:
@@ -64,60 +89,21 @@ class TropMatrix:
     def shape(self) -> tuple[int, int]:
         return self._data.shape
 
-    def is_finite(self) -> bool:
-        """True if no entry is epsilon."""
-        return not np.isneginf(self._data).any()
-
     def to_lists(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self._data]
 
-    def __getitem__(self, idx) -> float:
-        return float(self._data[idx])
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TropMatrix)
-                and self.shape == other.shape
-                and bool(np.array_equal(self._data, other._data)))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"TropMatrix({self.to_lists()!r})"
-
-
-class TropVector:
+class TropVector(_TropArray):
     """Column vector over the max-plus semiring.  Immutable."""
 
-    __slots__ = ("_data",)
-
-    def __init__(self, entries):
-        self._data = _as_array(entries, 1)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._data
-
-    def is_finite(self) -> bool:
-        return not np.isneginf(self._data).any()
+    __slots__ = ()
+    _ndim = 1
 
     def to_list(self) -> list[float]:
         return [float(x) for x in self._data]
 
     def __len__(self) -> int:
         return self._data.shape[0]
-
-    def __getitem__(self, idx) -> float:
-        return float(self._data[idx])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TropVector)
-                and len(self) == len(other)
-                and bool(np.array_equal(self._data, other._data)))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"TropVector({self.to_list()!r})"
 
 
 def _require_same_shape(a, b):
@@ -155,46 +141,46 @@ def _accumulate(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def tmul(a: TropMatrix, b):
-    """Max-plus product: matrix x matrix -> matrix, matrix x vector -> vector."""
+def _product(op, a: TropMatrix, b):
+    """Product over (op, +): matrix x matrix -> matrix, matrix x vector -> vector."""
     if isinstance(b, TropVector):
         if a.cols != len(b):
             raise DimensionMismatchError(
                 f"inner dimensions disagree: {a.shape} x ({len(b)},)")
-        return TropVector((a.data + b.data[np.newaxis, :]).max(axis=1))
+        return TropVector(op.reduce(a.data + b.data[np.newaxis, :], axis=1))
     if a.cols != b.rows:
         raise DimensionMismatchError(
             f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return TropMatrix(_accumulate(np.maximum, a.data, b.data))
+    return TropMatrix(_accumulate(op, a.data, b.data))
+
+
+def tmul(a: TropMatrix, b):
+    """Max-plus product: matrix x matrix -> matrix, matrix x vector -> vector."""
+    return _product(np.maximum, a, b)
 
 
 def tmul_min(a: TropMatrix, b):
     """Min-plus product; every entry of both operands must be finite."""
     _require_finite(a, b)
-    if isinstance(b, TropVector):
-        if a.cols != len(b):
-            raise DimensionMismatchError(
-                f"inner dimensions disagree: {a.shape} x ({len(b)},)")
-        return TropVector((a.data + b.data[np.newaxis, :]).min(axis=1))
-    if a.cols != b.rows:
-        raise DimensionMismatchError(
-            f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return TropMatrix(_accumulate(np.minimum, a.data, b.data))
+    return _product(np.minimum, a, b)
+
+
+def _dot(op, u: TropVector, v: TropVector) -> float:
+    """Inner product over (op, +): op-reduce of u_i + v_i."""
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"length mismatch: {len(u)} vs {len(v)}")
+    return float(op.reduce(u.data + v.data))
 
 
 def tdot(u: TropVector, v: TropVector) -> float:
     """Max-plus inner product max_i(u_i + v_i)."""
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"length mismatch: {len(u)} vs {len(v)}")
-    return float(np.max(u.data + v.data))
+    return _dot(np.maximum, u, v)
 
 
 def tdot_min(u: TropVector, v: TropVector) -> float:
     """Min-plus inner product min_i(u_i + v_i); finite entries required."""
     _require_finite(u, v)
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"length mismatch: {len(u)} vs {len(v)}")
-    return float(np.min(u.data + v.data))
+    return _dot(np.minimum, u, v)
 
 
 def transpose(a: TropMatrix) -> TropMatrix:

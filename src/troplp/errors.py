@@ -16,7 +16,12 @@ class FiniteRequiredError(TropError):
 
 
 class DivergentStarError(TropError):
-    """The Kleene star series is unbounded (positive maximum cycle mean)."""
+    """The Kleene star series is unbounded (positive maximum cycle mean).
+
+    lambda_ is the maximum cycle mean and witness_cycle a cycle attaining
+    it.  InfeasibleLambdaError, raised by the two-sided solvers, is a
+    DivergentStarError.
+    """
 
     def __init__(self, message: str, lambda_: float | None = None,
                  witness_cycle: tuple[int, ...] | None = None):
@@ -25,14 +30,13 @@ class DivergentStarError(TropError):
         self.witness_cycle = witness_cycle
 
 
-class InfeasibleLambdaError(TropError):
-    """A two-sided program is infeasible: the maximum cycle mean is positive."""
+class InfeasibleLambdaError(DivergentStarError):
+    """A two-sided program is infeasible: the maximum cycle mean is positive.
 
-    def __init__(self, message: str, lambda_: float | None = None,
-                 witness_cycle: tuple[int, ...] | None = None):
-        super().__init__(message)
-        self.lambda_ = lambda_
-        self.witness_cycle = witness_cycle
+    It is a DivergentStarError because a two-sided program is infeasible
+    exactly when the Kleene star of its A diverges; it carries the same
+    lambda_ and witness_cycle.
+    """
 
 
 class CertificateViolationError(TropError):

@@ -31,8 +31,7 @@ from ._version import __version__
 from .closure import _diverges, _star_sweep, kleene_star, max_cycle_mean
 from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, identity,
                    tadd, tmul)
-from .errors import (DivergentStarError, FiniteRequiredError,
-                     InfeasibleLambdaError, InstanceFormatError)
+from .errors import DivergentStarError, FiniteRequiredError, InstanceFormatError
 from .intlp import duality_gap, solve_dual_integer, solve_primal_integer
 from .lp import (LpInstance, dual_slack, primal_residual, solve_dual,
                  solve_primal)
@@ -168,29 +167,21 @@ def _instance_from_obj(obj, default_problem: str | None = None) -> InstanceFile:
     a = TropMatrix(_read_array(obj["A"], 2, spec.eps, "A"))
     if spec.square and a.rows != a.cols:
         raise InstanceFormatError(f"A must be square for kind {problem!r}, got {a.shape}")
+    _check_magnitude("A", a.data)
 
-    b = c = d = None
-    if "b" in required:
-        b = TropVector(_read_array(obj["b"], 1, spec.eps, "b"))
-        if len(b) != a.rows:
-            raise InstanceFormatError(
-                f"b has length {len(b)} but A has {a.rows} rows")
-    if "c" in required:
-        c = TropVector(_read_array(obj["c"], 1, False, "c"))
-        if len(c) != a.cols:
-            raise InstanceFormatError(
-                f"c has length {len(c)} but A has {a.cols} columns")
-    if "d" in required:
-        d = TropVector(_read_array(obj["d"], 1, False, "d"))
-        if len(d) != a.rows:
-            raise InstanceFormatError(
-                f"d has length {len(d)} but A has {a.rows} rows")
+    vectors = {}
+    for key, length, axis in (("b", a.rows, "rows"), ("c", a.cols, "columns"),
+                              ("d", a.rows, "rows")):
+        if key in required:
+            vec = TropVector(_read_array(obj[key], 1, spec.eps, key))
+            if len(vec) != length:
+                raise InstanceFormatError(
+                    f"{key} has length {len(vec)} but A has {length} {axis}")
+            _check_magnitude(key, vec.data)
+            vectors[key] = vec
 
     tol = check_tol(obj["tol"]) if "tol" in obj else None
-    for key, field in (("A", a), ("b", b), ("c", c), ("d", d)):
-        if field is not None:
-            _check_magnitude(key, field.data)
-    return InstanceFile(problem, a, b, c, d, tol)
+    return InstanceFile(problem, a, tol=tol, **vectors)
 
 
 def _load_json(text: str):
@@ -443,17 +434,15 @@ def _verify_gap(inst: InstanceFile, payload: dict, tol: float, problems: list[st
 
 def _solve_tslp(inst: InstanceFile, tol: float) -> dict:
     res = solve_tslp(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
-    worst = float(np.max(two_sided_lhs(inst, res.y_opt) - res.y_opt.data))
     return {"objective": _json(res.g_min), "y": _json(res.y_opt.data),
-            "certificate": {"feasibility_residual": worst}}
+            "certificate": {"feasibility_residual": res.residual}}
 
 
 def _solve_tslp2(inst: InstanceFile, tol: float) -> dict:
     res = solve_tslp2(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
-    worst = float(np.max(np.abs(two_sided_lhs(inst, res.y_opt) - res.y_opt.data)))
     return {"objective": _json(res.g_min), "y": _json(res.y_opt.data),
             "solution_kind": res.feasibility_kind,
-            "certificate": {"equation_residual": worst}}
+            "certificate": {"equation_residual": res.residual}}
 
 
 def _check_y(inst: InstanceFile, payload: dict, tol: float,
@@ -553,8 +542,9 @@ class _Kind(NamedTuple):
     """One problem kind.  A NamedTuple rather than a dataclass: it is just as
     immutable and takes less import time, which every CLI start pays.
 
-    statuses[0] is the status of a solved instance; the others are written
-    when the solver raises InfeasibleLambdaError or DivergentStarError.
+    statuses[0] is the status of a solved instance; statuses[1], present
+    only for kinds whose solver can raise DivergentStarError (its subclass
+    InfeasibleLambdaError included), is written when it does.
     """
 
     fields: tuple[str, ...]
@@ -602,9 +592,8 @@ def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
     try:
         body = spec.solve(inst, tol)
         status, code = spec.statuses[0], EXIT_OK
-    except (InfeasibleLambdaError, DivergentStarError) as exc:
-        status = ("divergent-star" if isinstance(exc, DivergentStarError)
-                  else "infeasible-lambda-positive")
+    except DivergentStarError as exc:
+        status = spec.statuses[1]
         cycle = None if exc.witness_cycle is None else list(exc.witness_cycle)
         body, code = {"lambda": _json(exc.lambda_), "witness_cycle": cycle}, EXIT_INFEASIBLE
     payload = _head(inst.problem, tol, status)
@@ -619,8 +608,9 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
     Returns a list of human-readable violations; empty means the certificate
     holds.  A damaged instance or tolerance raises InstanceFormatError
     instead; a missing status reads as the kind's solved status.  Fields the
-    kind's check does not read, such as tool, version, or the method,
-    iterations and u of older files, are ignored.
+    kind's check does not read, such as tool, version, the certificate
+    block (every residual is recomputed), or the method, iterations and u of
+    older files, are ignored.
     """
     kind = payload.get("problem")
     spec = _spec(kind)

@@ -51,12 +51,15 @@ def solve_primal(inst: LpInstance) -> tuple[TropVector, float]:
     return x, tdot(inst.c, x)
 
 
-def solve_dual(inst: LpInstance) -> tuple[TropVector, float]:
-    """Optimal dual witness pi_i = t - b_i with t the common optimal value."""
-    x = greatest_subsolution(inst.a, inst.b)
-    t = tdot(inst.c, x)
+def _dual_witness(inst: LpInstance, t: float) -> tuple[TropVector, float]:
+    """The dual witness pi_i = t - b_i of the optimal value t, and its value."""
     pi = TropVector(t - inst.b.data)
     return pi, tdot(pi, inst.b)
+
+
+def solve_dual(inst: LpInstance) -> tuple[TropVector, float]:
+    """Optimal dual witness pi_i = t - b_i with t the common optimal value."""
+    return _dual_witness(inst, solve_primal(inst)[1])
 
 
 def primal_residual(inst, x: TropVector) -> float:
@@ -77,7 +80,7 @@ def certify(inst: LpInstance, tol: float = DEFAULT_TOL) -> DualityCertificate:
     A failure here signals an implementation bug, not bad input.
     """
     x, f_max = solve_primal(inst)
-    pi, phi_min = solve_dual(inst)
+    pi, phi_min = _dual_witness(inst, f_max)
     excess = primal_residual(inst, x)
     if excess > tol:
         raise CertificateViolationError(f"primal witness infeasible by {excess}")

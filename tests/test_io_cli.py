@@ -1,5 +1,6 @@
 """File formats, certificate re-validation, and the command-line front end."""
 
+import argparse
 import json
 import re
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from troplp import EPSILON, InstanceFormatError, TropMatrix, closure, intlp
+from troplp import (EPSILON, InstanceFormatError, TropMatrix, TropVector,
+                    closure, intlp, twosided)
 from troplp.cli import main
 from troplp.io import (_KINDS, _MAX_ENTRY, EXIT_CERTIFICATE, EXIT_INFEASIBLE,
                        EXIT_INPUT, EXIT_OK, KINDS, _number, _read_array,
@@ -383,6 +385,21 @@ class TestSolveToPayload:
         assert (len(dual), len(primal)) == (1, 1)
         assert verify_payload(payload) == []
 
+    @pytest.mark.parametrize("kind,key", [("tslp", "feasibility_residual"),
+                                          ("tslp2", "equation_residual")])
+    def test_two_sided_residual_computed_once(self, kind, key, monkeypatch):
+        # the certificate residual is the one of the solver's own self-check
+        inst = parse_instance(json.dumps(util.golden_instance_obj(
+            np.random.default_rng(66), kind)))
+        calls = util.count_calls(monkeypatch, twosided.two_sided_lhs)
+        payload, code = solve_to_payload(inst, 1e-9)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        lhs = twosided.two_sided_lhs(inst, TropVector(payload["y"]))
+        worst = lhs - np.array(payload["y"])
+        assert payload["certificate"][key] == float(
+            np.max(worst if kind == "tslp" else np.abs(worst)))
+
 
 class TestVerifyPayload:
     @pytest.mark.parametrize("kind,field", [
@@ -520,6 +537,61 @@ class TestCliMain(object):
 
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == EXIT_INPUT
+
+    def test_parser_is_built_at_import(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counting(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(argparse, "ArgumentParser", Counting)
+        inst = tmp_path / "inst.json"
+        sol = tmp_path / "sol.json"
+        self._write(inst, {"problem": "mcm", "A": [[1]]})
+        assert main(["solve", "--input", str(inst), "--output", str(sol)]) == EXIT_OK
+        assert main(["check", "--input", str(sol)]) == EXIT_OK
+        assert built == []
+
+    def test_readme_command_forms(self, tmp_path, capsys):
+        paths = {name: tmp_path / f"{name}.json" for name in
+                 ("inst", "sol", "matrix", "divergent", "tampered", "missing")}
+        self._write(paths["inst"], {"problem": "tslp", "A": [[-1, -2], [-3, -1]],
+                                    "d": [0, 0], "c": [0, 0]})
+        self._write(paths["matrix"], {"A": [[-1, 0], [-3, -2]]})
+        self._write(paths["divergent"], {"problem": "star", "A": [[1]]})
+        forms = [  # in order: check and the tampered copy read the solution
+            ("solve --input {inst} --output {sol} --tol 1e-9 --format json", EXIT_OK),
+            ("solve --input {inst} --format text", EXIT_OK),
+            ("check --input {sol}", EXIT_OK),
+            ("check --input {sol} --format text", EXIT_OK),
+            ("star --input {matrix}", EXIT_OK),
+            ("mcm --input {matrix} --format text", EXIT_OK),
+            ("solve --input {divergent}", EXIT_INFEASIBLE),
+            ("check --input {tampered}", EXIT_CERTIFICATE),
+            ("solve --input {missing}", EXIT_INPUT),
+        ]
+        for form, code in forms:
+            if "{tampered}" in form:
+                doc = json.loads(paths["sol"].read_text())
+                doc["objective"] += 1.0
+                paths["tampered"].write_text(json.dumps(doc))
+            argv = form.format(**{k: str(v) for k, v in paths.items()}).split()
+            assert main(argv) == code, form
+        out = capsys.readouterr().out
+        assert "objective: 0.0" in out and "status: passed" in out
+        assert "lambda: -1.0" in out
+
+    @pytest.mark.parametrize("argv", [["frobnicate", "--input", "inst.json"],
+                                      ["solve"], ["check", "--output", "out.json"], []])
+    def test_usage_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("usage: troplp")
+        assert "error: " in err
 
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_input_not_utf8(self, command, tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 import util
 from troplp import (DimensionMismatchError, FiniteRequiredError, LpInstance,
                     TropMatrix, TropVector, certify, greatest_subsolution,
-                    leq, solve_dual, solve_primal, tdot, tmul, transpose)
+                    leq, onesided, solve_dual, solve_primal, tdot, tmul,
+                    transpose)
 
 
 WORKED = LpInstance(TropMatrix([[1, 2], [3, 4]]), TropVector([5, 6]),
@@ -90,6 +91,13 @@ class TestCertify:
             m, n = (int(v) for v in rng.integers(1, 9, 2))
             cert = certify(util.lp_instance(rng, m, n))
             assert abs(cert.f_max - cert.phi_min) <= 1e-9
+
+    def test_runs_the_residuation_once(self, monkeypatch):
+        # pi = f_max - b needs only the primal value, not a second x
+        calls = util.count_calls(monkeypatch, onesided.greatest_subsolution)
+        cert = certify(WORKED)
+        assert len(calls) == 1
+        assert cert.pi_opt == solve_dual(WORKED)[0]
 
 
 class TestWeakDualityAndOptimality:
