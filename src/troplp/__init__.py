@@ -15,9 +15,8 @@ from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, approx_equal,
                    conjugate, diag, identity, leq, tadd, tdot, tdot_min, tmul,
                    tmul_min, transpose)
 from .errors import (CertificateViolationError, DimensionMismatchError,
-                     DivergentStarError, EnumerationCapExceededError,
-                     FiniteRequiredError, InfeasibleLambdaError,
-                     InstanceFormatError, NoFeasiblePointError, TropError)
+                     DivergentStarError, FiniteRequiredError,
+                     InfeasibleLambdaError, InstanceFormatError, TropError)
 from .intlp import (GapReport, IntDualResult, IntPrimalResult, ceil_frac,
                     duality_gap, estimate_via_floor_b, floor_frac, fr,
                     solve_dual_integer, solve_primal_integer)
@@ -54,6 +53,5 @@ __all__ = [
     # errors
     "TropError", "DimensionMismatchError", "FiniteRequiredError",
     "DivergentStarError", "InfeasibleLambdaError",
-    "CertificateViolationError", "EnumerationCapExceededError",
-    "NoFeasiblePointError", "InstanceFormatError",
+    "CertificateViolationError", "InstanceFormatError",
 ]

@@ -46,13 +46,5 @@ class CertificateViolationError(TropError):
     """
 
 
-class EnumerationCapExceededError(TropError):
-    """A brute-force enumeration would exceed its configured size cap."""
-
-
-class NoFeasiblePointError(TropError):
-    """A brute-force search found no feasible point inside its box."""
-
-
 class InstanceFormatError(TropError):
     """Instance or solution text failed parsing or validation."""

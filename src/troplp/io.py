@@ -10,9 +10,11 @@ JSON document itself, epsilon spelled "-inf" in memory as on disk: one reader
 
 A problem kind is one entry of the `_KINDS` table: its instance fields,
 whether epsilon and a non-square A are allowed, the statuses its solutions
-carry, its solver and its certificate check.  The solver and the check share
-one copy of each certificate formula, and the check reads every stored field
-through the same typed readers that parse instances.
+carry, its solver and its certificate check.  A solution stores only what
+the check reads: the witnesses, the values and statuses they certify, and
+the instance.  The check shares one copy of each certificate formula with
+the solvers' self-checks, and reads every stored field through the same
+typed readers that parse instances.
 """
 
 from __future__ import annotations
@@ -244,13 +246,11 @@ def serialize_solution(payload: dict) -> str:
 
 
 def parse_solution(text: str) -> dict:
-    """The solution document in text, unchanged: epsilon stays "-inf"."""
+    """The solution document in text, unchanged: epsilon stays "-inf".
+    verify_payload checks its fields."""
     obj = _load_json(text)
     if not isinstance(obj, dict):
         raise InstanceFormatError("solution must be a JSON object")
-    for key in ("problem", "instance"):
-        if key not in obj:
-            raise InstanceFormatError(f'solution is missing the "{key}" field')
     return obj
 
 
@@ -287,12 +287,6 @@ def _residual_eps_aware(lhs: np.ndarray, rhs: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):
         diff = np.where(both_eps, 0.0, np.abs(lhs - rhs))
     return float(np.max(diff))
-
-
-def _star_residual(a: TropMatrix, star: TropMatrix) -> float:
-    """How far star is from the fixed point star = A star + I."""
-    fixed_point = tadd(tmul(a, star), identity(a.rows))
-    return _residual_eps_aware(fixed_point.data, star.data)
 
 
 def _cycle_mean(a: TropMatrix, cycle: list[int]) -> float:
@@ -358,14 +352,12 @@ def _check_cycle(a: TropMatrix, lam: float, payload: dict, tol: float,
 
 # Per-kind solvers (instance -> solution body) and checks.
 
-def _x_body(inst: InstanceFile, objective: float, x: TropVector) -> dict:
-    return {"objective": _json(objective), "x": _json(x.data),
-            "certificate": {"primal_residual": primal_residual(inst, x)}}
+def _x_body(objective: float, x: TropVector) -> dict:
+    return {"objective": _json(objective), "x": _json(x.data)}
 
 
-def _pi_body(inst: InstanceFile, objective: float, pi: TropVector) -> dict:
-    return {"objective": _json(objective), "pi": _json(pi.data),
-            "certificate": {"dual_slack": dual_slack(inst, pi)}}
+def _pi_body(objective: float, pi: TropVector) -> dict:
+    return {"objective": _json(objective), "pi": _json(pi.data)}
 
 
 def _check_x(inst: InstanceFile, payload: dict, tol: float, problems: list[str],
@@ -394,32 +386,29 @@ def _check_pi(inst: InstanceFile, payload: dict, tol: float, problems: list[str]
 
 def _solve_primal(inst: InstanceFile, tol: float) -> dict:
     x, f = solve_primal(LpInstance(inst.a, inst.b, inst.c))
-    return _x_body(inst, f, x)
+    return _x_body(f, x)
 
 
 def _solve_dual(inst: InstanceFile, tol: float) -> dict:
     pi, phi = solve_dual(LpInstance(inst.a, inst.b, inst.c))
-    return _pi_body(inst, phi, pi)
+    return _pi_body(phi, pi)
 
 
 def _solve_primal_integer(inst: InstanceFile, tol: float) -> dict:
     res = solve_primal_integer(LpInstance(inst.a, inst.b, inst.c), tol)
-    return _x_body(inst, res.f_max_int, res.x_opt)
+    return _x_body(res.f_max_int, res.x_opt)
 
 
 def _solve_dual_integer(inst: InstanceFile, tol: float) -> dict:
     res = solve_dual_integer(LpInstance(inst.a, inst.b, inst.c), tol)
-    return _pi_body(inst, res.phi_min_int, res.pi_opt)
+    return _pi_body(res.phi_min_int, res.pi_opt)
 
 
 def _solve_gap(inst: InstanceFile, tol: float) -> dict:
     report = duality_gap(LpInstance(inst.a, inst.b, inst.c), tol)
     x, pi = report.primal.x_opt, report.dual.pi_opt
     return {"lower": _json(report.lower), "real_optimum": _json(report.real_optimum),
-            "upper": _json(report.upper), "x": _json(x.data), "pi": _json(pi.data),
-            "certificate": {"primal_residual": primal_residual(inst, x),
-                            "dual_slack": dual_slack(inst, pi),
-                            "width": report.upper - report.lower}}
+            "upper": _json(report.upper), "x": _json(x.data), "pi": _json(pi.data)}
 
 
 def _verify_gap(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
@@ -434,15 +423,13 @@ def _verify_gap(inst: InstanceFile, payload: dict, tol: float, problems: list[st
 
 def _solve_tslp(inst: InstanceFile, tol: float) -> dict:
     res = solve_tslp(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
-    return {"objective": _json(res.g_min), "y": _json(res.y_opt.data),
-            "certificate": {"feasibility_residual": res.residual}}
+    return {"objective": _json(res.g_min), "y": _json(res.y_opt.data)}
 
 
 def _solve_tslp2(inst: InstanceFile, tol: float) -> dict:
     res = solve_tslp2(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
     return {"objective": _json(res.g_min), "y": _json(res.y_opt.data),
-            "solution_kind": res.feasibility_kind,
-            "certificate": {"equation_residual": res.residual}}
+            "solution_kind": res.feasibility_kind}
 
 
 def _check_y(inst: InstanceFile, payload: dict, tol: float,
@@ -470,8 +457,7 @@ def _verify_tslp2(inst: InstanceFile, payload: dict, tol: float, problems: list[
 
 def _solve_star(inst: InstanceFile, tol: float) -> dict:
     star = kleene_star(inst.a, tol)
-    return {"star": _json(star.data),
-            "certificate": {"fixed_point_residual": _star_residual(inst.a, star)}}
+    return {"star": _json(star.data)}
 
 
 def _verify_star(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
@@ -479,7 +465,8 @@ def _verify_star(inst: InstanceFile, payload: dict, tol: float, problems: list[s
     if star.shape != inst.a.shape:
         raise InstanceFormatError(f"star has shape {star.shape}, expected {inst.a.shape}")
     _check_magnitude("star", star.data, _MAX_STORED)
-    worst = _star_residual(inst.a, star)
+    fixed_point = tadd(tmul(inst.a, star), identity(inst.a.rows))
+    worst = _residual_eps_aware(fixed_point.data, star.data)
     if worst > tol:
         problems.append(f"star is not a fixed point of x -> Ax + I ({worst})")
     worst = _residual_eps_aware(tmul(star, star).data, star.data)
@@ -490,9 +477,7 @@ def _verify_star(inst: InstanceFile, payload: dict, tol: float, problems: list[s
 def _solve_mcm(inst: InstanceFile, tol: float) -> dict:
     cm = max_cycle_mean(inst.a)
     cycle = None if cm.witness_cycle is None else list(cm.witness_cycle)
-    error = None if cycle is None else abs(_cycle_mean(inst.a, cycle) - cm.lambda_)
-    return {"lambda": _json(cm.lambda_), "witness_cycle": cycle,
-            "certificate": {"witness_mean_error": error}}
+    return {"lambda": _json(cm.lambda_), "witness_cycle": cycle}
 
 
 def _verify_mcm(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
@@ -521,8 +506,7 @@ def _solve_onesided(inst: InstanceFile, tol: float) -> dict:
     res = solve_equality(inst.a, inst.b, tol)
     return {"principal": _json(res.principal.data),
             "solvable_as_equality": res.solvable_as_equality,
-            "residual": _json(res.residual),
-            "certificate": {"subsolution_residual": primal_residual(inst, res.principal)}}
+            "residual": _json(res.residual)}
 
 
 def _verify_onesided(inst: InstanceFile, payload: dict, tol: float,
@@ -606,13 +590,17 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
     """Re-validate a solution payload against its embedded instance.
 
     Returns a list of human-readable violations; empty means the certificate
-    holds.  A damaged instance or tolerance raises InstanceFormatError
-    instead; a missing status reads as the kind's solved status.  Fields the
-    kind's check does not read, such as tool, version, the certificate
-    block (every residual is recomputed), or the method, iterations and u of
-    older files, are ignored.
+    holds.  A missing problem or instance field, an unknown kind, a damaged
+    instance or a bad tolerance raises InstanceFormatError instead; a missing
+    status reads as the kind's solved status.  The check recomputes every
+    residual from the stored witnesses and the instance.  Fields it does not
+    read are ignored: tool, version, and the certificate block, method,
+    iterations and u that older files carry.
     """
-    kind = payload.get("problem")
+    for key in ("problem", "instance"):
+        if key not in payload:
+            raise InstanceFormatError(f'solution is missing the "{key}" field')
+    kind = payload["problem"]
     spec = _spec(kind)
     inst = _instance_from_obj(payload["instance"], default_problem=kind)
     if inst.problem != kind:

@@ -17,13 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector
-from .errors import (DimensionMismatchError, DivergentStarError,
-                     EnumerationCapExceededError, NoFeasiblePointError)
+from .errors import DimensionMismatchError, DivergentStarError, TropError
 from .intlp import ceil_frac, floor_frac, fr
 from .lp import LpInstance
 
 _MAX_CYCLE_NODES = 8
 DEFAULT_CAP = 10_000_000
+
+
+class EnumerationCapExceededError(TropError):
+    """A brute-force enumeration would exceed its configured size cap."""
+
+
+class NoFeasiblePointError(TropError):
+    """A brute-force search found no feasible point inside its box."""
 
 
 @dataclass(frozen=True)

@@ -51,14 +51,9 @@ class TwoSidedInstance:
 
 @dataclass(frozen=True)
 class TwoSidedResult:
-    """The optimum y_opt, its value g_min, and the residual of the solver's
-    self-check: max(A y + d - y) for solve_tslp, max|A y + d - y| for
-    solve_tslp2."""
-
     y_opt: TropVector
     g_min: float
     feasibility_kind: str
-    residual: float
 
 
 def two_sided_lhs(inst, y: TropVector) -> np.ndarray:
@@ -89,10 +84,9 @@ def _least_point(inst: TwoSidedInstance, tol: float) -> tuple[TropVector, float]
 def solve_tslp(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedResult:
     """Minimize c'y subject to A y + d <= y; the optimum is y = A* d."""
     y, _ = _least_point(inst, tol)
-    lhs = two_sided_lhs(inst, y)
-    if not np.all(lhs <= y.data + tol):
+    if not tslp_feasible(inst, y, tol):
         raise CertificateViolationError("two-sided witness failed feasibility")
-    return TwoSidedResult(y, tdot(inst.c, y), FEASIBLE, float(np.max(lhs - y.data)))
+    return TwoSidedResult(y, tdot(inst.c, y), FEASIBLE)
 
 
 def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedResult:
@@ -106,4 +100,4 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
     if residual > tol:
         raise CertificateViolationError("fixed-point witness violates the equation")
     kind = UNIQUE_FIXED_POINT if lam < -tol else FEASIBLE
-    return TwoSidedResult(y, tdot(inst.c, y), kind, residual)
+    return TwoSidedResult(y, tdot(inst.c, y), kind)

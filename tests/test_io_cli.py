@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from troplp import (EPSILON, InstanceFormatError, TropMatrix, TropVector,
-                    closure, intlp, twosided)
+from troplp import (EPSILON, InstanceFormatError, TropMatrix, closure, intlp,
+                    twosided)
 from troplp.cli import main
 from troplp.io import (_KINDS, _MAX_ENTRY, EXIT_CERTIFICATE, EXIT_INFEASIBLE,
                        EXIT_INPUT, EXIT_OK, KINDS, _number, _read_array,
@@ -345,7 +345,7 @@ class TestSolveToPayload:
         assert code == EXIT_OK
         assert payload["objective"] == 3.0
         assert payload["x"] == [3.0, 2.0]
-        assert payload["certificate"]["primal_residual"] <= 0.0
+        assert verify_payload(payload) == []
 
     def test_infeasible_tslp(self):
         inst = parse_instance(
@@ -372,7 +372,6 @@ class TestSolveToPayload:
             == (0.0, 0.5, 1.0)
         assert payload["x"] == [0.0]
         assert payload["pi"] == [0.0]
-        assert payload["certificate"]["width"] == 1.0
         assert verify_payload(payload) == []
 
     def test_gap_solves_each_integer_program_once(self, monkeypatch):
@@ -385,20 +384,15 @@ class TestSolveToPayload:
         assert (len(dual), len(primal)) == (1, 1)
         assert verify_payload(payload) == []
 
-    @pytest.mark.parametrize("kind,key", [("tslp", "feasibility_residual"),
-                                          ("tslp2", "equation_residual")])
-    def test_two_sided_residual_computed_once(self, kind, key, monkeypatch):
-        # the certificate residual is the one of the solver's own self-check
+    @pytest.mark.parametrize("kind", ["tslp", "tslp2"])
+    def test_two_sided_residual_computed_once(self, kind, monkeypatch):
+        # the solver's own self-check is the only residual solve computes
         inst = parse_instance(json.dumps(util.golden_instance_obj(
             np.random.default_rng(66), kind)))
         calls = util.count_calls(monkeypatch, twosided.two_sided_lhs)
         payload, code = solve_to_payload(inst, 1e-9)
         assert code == EXIT_OK
         assert len(calls) == 1
-        lhs = twosided.two_sided_lhs(inst, TropVector(payload["y"]))
-        worst = lhs - np.array(payload["y"])
-        assert payload["certificate"][key] == float(
-            np.max(worst if kind == "tslp" else np.abs(worst)))
 
 
 class TestVerifyPayload:
@@ -481,9 +475,24 @@ class TestVerifyPayload:
         assert not set(extra) & set(fresh)
         assert _check(dict(fresh, **extra), tmp_path) == EXIT_OK
 
+    @pytest.mark.parametrize("name", KINDS)
+    def test_certificate_block_of_older_files_is_ignored(self, name, tmp_path, capsys):
+        # older files carry an unverified certificate block before the instance
+        fresh = _fresh_solution(name, tmp_path)
+        instance = fresh.pop("instance")
+        older = dict(fresh, certificate={"primal_residual": 1e6, "width": -7.5,
+                                         "witness_mean_error": None},
+                     instance=instance)
+        assert _check(older, tmp_path) == EXIT_OK
+
     def test_structurally_broken_solution_raises(self):
         with pytest.raises(InstanceFormatError):
             verify_payload({"problem": "primal", "instance": {"A": [[1]]}})
+
+    def test_missing_instance_raises_format_error(self):
+        with pytest.raises(InstanceFormatError,
+                           match='solution is missing the "instance" field'):
+            verify_payload({"problem": "mcm"})
 
 
 class TestCliMain(object):
@@ -812,8 +821,8 @@ class TestCheckMalformedFields:
         problems = verify_payload(dict(payload, witness_cycle=[0.7]))
         assert len(problems) == 1 and problems[0].startswith("witness_cycle:")
 
-    # check does not read these: they are metadata or recomputed residuals
-    UNREAD = ("tool", "version", "certificate")
+    # check does not read these: they are metadata
+    UNREAD = ("tool", "version")
     WRONG = ("abc", True, None, ["a"], [0.7], {"a": 1})
 
     @pytest.mark.parametrize("name", KINDS + ("infeasible-lambda-positive",

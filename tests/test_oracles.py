@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from troplp import (EPSILON, DivergentStarError, EnumerationCapExceededError,
-                    LpInstance, NoFeasiblePointError, TropMatrix, TropVector,
-                    identity)
-from troplp.oracles import (Box, brute_cycle_mean, brute_dual_integer,
-                            brute_primal_integer, brute_star, dual_box,
-                            primal_box)
+from troplp import (EPSILON, DivergentStarError, LpInstance, TropMatrix,
+                    TropVector, identity)
+from troplp.oracles import (Box, EnumerationCapExceededError,
+                            NoFeasiblePointError, brute_cycle_mean,
+                            brute_dual_integer, brute_primal_integer,
+                            brute_star, dual_box, primal_box)
 
 E = EPSILON
 
