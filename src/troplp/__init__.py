@@ -16,7 +16,7 @@ from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, approx_equal,
                    tmul_min, transpose)
 from .errors import (CertificateViolationError, DimensionMismatchError,
                      DivergentStarError, FiniteRequiredError,
-                     InfeasibleLambdaError, InstanceFormatError, TropError)
+                     InstanceFormatError, TropError)
 from .intlp import (GapReport, IntDualResult, IntPrimalResult, ceil_frac,
                     duality_gap, estimate_via_floor_b, floor_frac, fr,
                     solve_dual_integer, solve_primal_integer)
@@ -52,6 +52,5 @@ __all__ = [
     "tslp_feasible",
     # errors
     "TropError", "DimensionMismatchError", "FiniteRequiredError",
-    "DivergentStarError", "InfeasibleLambdaError",
-    "CertificateViolationError", "InstanceFormatError",
+    "DivergentStarError", "CertificateViolationError", "InstanceFormatError",
 ]

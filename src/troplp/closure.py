@@ -15,7 +15,9 @@ lambda(A) <= 0, and a positive cycle through node i leaves a positive entry
 cycle mean is computed only when it turns positive: to name the divergent
 cycle, or, when lambda is positive but within tol, to sweep A - lambda
 instead, since a sweep of A would be inflated by about the cycle's length
-times lambda.  kleene_star is the shifted star at shift 0.
+times lambda.  star_given_mean is that rule once the cycle mean is known,
+and the two-sided solvers call it with theirs.  kleene_star is the shifted
+star at shift 0.
 """
 
 from __future__ import annotations
@@ -141,19 +143,22 @@ def kleene_star_scaled(a: TropMatrix, lam: float, tol: float = DEFAULT_TOL) -> T
     """Kleene star of the matrix with every entry shifted down by lam.
 
     Converges exactly when lam is at least the maximum cycle mean lambda of
-    A.  Karp runs only when the sweep's diagonal turns positive; the star is
-    refused only when lam < lambda - tol, and for lam in [lambda - tol,
-    lambda) it is the star of A - lambda, whose fixed-point residual stays
-    within lambda - lam rather than growing with the length of the cycle.
+    A.  Karp runs only when the sweep's diagonal turns positive, and
+    star_given_mean then decides.
     """
     _require_square(a)
     swept = _star_sweep(a.data - lam)
     if _diverges(swept):
-        cm = max_cycle_mean(a)
-        if lam < cm.lambda_ - tol:
-            raise DivergentStarError(
-                f"star diverges: shift {lam} below maximum cycle mean {cm.lambda_}",
-                lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
-        if cm.lambda_ > lam:
-            swept = _star_sweep(a.data - cm.lambda_)
+        return star_given_mean(a, lam, max_cycle_mean(a), tol)
     return TropMatrix(swept)
+
+
+def star_given_mean(a: TropMatrix, shift: float, cm: CycleMeanResult,
+                    tol: float = DEFAULT_TOL) -> TropMatrix:
+    """The divergence rule, given A's maximum cycle mean cm: refuse when
+    shift < lambda - tol, else return the star of A - max(lambda, shift)."""
+    if shift < cm.lambda_ - tol:
+        raise DivergentStarError(
+            f"star diverges: shift {shift} below maximum cycle mean {cm.lambda_}",
+            lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
+    return TropMatrix(_star_sweep(a.data - max(cm.lambda_, shift)))

@@ -213,13 +213,34 @@ def identity(n: int) -> TropMatrix:
     return diag(TropVector(np.zeros(n)))
 
 
+def excess(lhs, rhs, tol: float = DEFAULT_TOL) -> float | None:
+    """The tolerance rule: lhs <= rhs holds when lhs <= rhs + tol entrywise.
+
+    Operands are floats or float arrays that broadcast; -inf <= anything.
+    None when the rule holds, else the largest lhs - rhs where it fails.
+    Every certificate inequality of the solvers and of io's checks is decided
+    here."""
+    bad = np.asarray(lhs > rhs + tol)
+    if not bad.any():
+        return None
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    return float(np.max(lhs[bad] - rhs[bad]))
+
+
+def mismatch(lhs, rhs, tol: float = DEFAULT_TOL) -> float | None:
+    """lhs = rhs within tol: the rule of excess in both directions.  Returns
+    None when both hold, else the largest |lhs - rhs| where one fails."""
+    found = [e for e in (excess(lhs, rhs, tol), excess(rhs, lhs, tol)) if e is not None]
+    return max(found, default=None)
+
+
 def leq(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Entrywise a <= b within an absolute tolerance; -inf <= anything."""
     _require_same_shape(a, b)
-    return bool(np.all(a.data <= b.data + tol))
+    return excess(a.data, b.data, tol) is None
 
 
 def approx_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Entrywise equality within an absolute tolerance; -inf matches -inf."""
     _require_same_shape(a, b)
-    return bool(np.all(np.isclose(a.data, b.data, rtol=0.0, atol=tol)))
+    return mismatch(a.data, b.data, tol) is None

@@ -19,8 +19,8 @@ class DivergentStarError(TropError):
     """The Kleene star series is unbounded (positive maximum cycle mean).
 
     lambda_ is the maximum cycle mean and witness_cycle a cycle attaining
-    it.  InfeasibleLambdaError, raised by the two-sided solvers, is a
-    DivergentStarError.
+    it.  The two-sided solvers raise it too: a two-sided program is
+    infeasible exactly when the star of its A diverges.
     """
 
     def __init__(self, message: str, lambda_: float | None = None,
@@ -28,15 +28,6 @@ class DivergentStarError(TropError):
         super().__init__(message)
         self.lambda_ = lambda_
         self.witness_cycle = witness_cycle
-
-
-class InfeasibleLambdaError(DivergentStarError):
-    """A two-sided program is infeasible: the maximum cycle mean is positive.
-
-    It is a DivergentStarError because a two-sided program is infeasible
-    exactly when the Kleene star of its A diverges; it carries the same
-    lambda_ and witness_cycle.
-    """
 
 
 class CertificateViolationError(TropError):

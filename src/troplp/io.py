@@ -31,11 +31,11 @@ import numpy as np
 
 from ._version import __version__
 from .closure import _diverges, _star_sweep, kleene_star, max_cycle_mean
-from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, identity,
-                   tadd, tmul)
+from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, excess,
+                   identity, mismatch, tadd, tdot, tmul)
 from .errors import DivergentStarError, FiniteRequiredError, InstanceFormatError
 from .intlp import duality_gap, solve_dual_integer, solve_primal_integer
-from .lp import (LpInstance, dual_slack, primal_residual, solve_dual,
+from .lp import (LpInstance, dual_violation, primal_violation, solve_dual,
                  solve_primal)
 from .onesided import _check_system, shortfall, solve_equality
 from .twosided import (FEASIBLE, UNIQUE_FIXED_POINT, TwoSidedInstance,
@@ -280,14 +280,7 @@ def render_text(payload: dict) -> str:
 
 # Certificate formulas of the star and mcm kinds; those of the other kinds
 # live next to their solvers (lp, onesided, twosided), which share them.
-
-def _residual_eps_aware(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Largest absolute difference, counting matching -inf entries as 0."""
-    both_eps = np.isneginf(lhs) & np.isneginf(rhs)
-    with np.errstate(invalid="ignore"):
-        diff = np.where(both_eps, 0.0, np.abs(lhs - rhs))
-    return float(np.max(diff))
-
+# core.excess decides each inequality, core.mismatch each equality.
 
 def _cycle_mean(a: TropMatrix, cycle: list[int]) -> float:
     """Mean arc weight of the closed walk `cycle`; -inf if an arc is absent."""
@@ -327,14 +320,14 @@ def _read_cycle(payload: dict, nodes: int) -> list[int]:
 def _check_value(problems: list[str], payload: dict, key: str,
                  recomputed: float, tol: float) -> float:
     stored = _read_number(payload, key)
-    if not math.isclose(stored, recomputed, rel_tol=0.0, abs_tol=tol):
+    if mismatch(stored, recomputed, tol) is not None:
         problems.append(f"{key}: stored {stored!r} but recomputed {recomputed!r}")
     return stored
 
 
 def _check_integral(problems: list[str], label: str, vec: TropVector, tol: float):
-    worst = float(np.max(np.abs(vec.data - np.round(vec.data))))
-    if worst > tol:
+    worst = mismatch(vec.data, np.round(vec.data), tol)
+    if worst is not None:
         problems.append(f"{label}: components deviate from integers by {worst}")
 
 
@@ -345,7 +338,7 @@ def _check_cycle(a: TropMatrix, lam: float, payload: dict, tol: float,
     if mean == EPSILON:
         problems.append("witness cycle uses arcs absent from A")
         return None
-    if abs(mean - lam) > tol:
+    if mismatch(mean, lam, tol) is not None:
         problems.append(f"witness cycle mean {mean} != lambda {lam}")
     return mean
 
@@ -363,25 +356,23 @@ def _pi_body(objective: float, pi: TropVector) -> dict:
 def _check_x(inst: InstanceFile, payload: dict, tol: float, problems: list[str],
              integral: bool = False, key: str = "objective") -> float:
     x = _read_vector(payload, "x", inst.a.cols)
-    slack = primal_residual(inst, x)
-    if slack > tol:
-        problems.append(f"primal witness infeasible by {slack}")
+    over = primal_violation(inst, x, tol)
+    if over is not None:
+        problems.append(f"primal witness infeasible by {over}")
     if integral:
         _check_integral(problems, "x", x, tol)
-    return _check_value(problems, payload, key,
-                        float(np.max(inst.c.data + x.data)), tol)
+    return _check_value(problems, payload, key, tdot(inst.c, x), tol)
 
 
 def _check_pi(inst: InstanceFile, payload: dict, tol: float, problems: list[str],
               integral: bool = False, key: str = "objective") -> float:
     pi = _read_vector(payload, "pi", inst.a.rows)
-    slack = dual_slack(inst, pi)
-    if slack < -tol:
-        problems.append(f"dual witness infeasible by {-slack}")
+    over = dual_violation(inst, pi, tol)
+    if over is not None:
+        problems.append(f"dual witness infeasible by {over}")
     if integral:
         _check_integral(problems, "pi", pi, tol)
-    return _check_value(problems, payload, key,
-                        float(np.max(pi.data + inst.b.data)), tol)
+    return _check_value(problems, payload, key, tdot(pi, inst.b), tol)
 
 
 def _solve_primal(inst: InstanceFile, tol: float) -> dict:
@@ -416,7 +407,7 @@ def _verify_gap(inst: InstanceFile, payload: dict, tol: float, problems: list[st
     upper = _check_pi(inst, payload, tol, problems, integral=True, key="upper")
     real = _check_value(problems, payload, "real_optimum",
                         solve_primal(LpInstance(inst.a, inst.b, inst.c))[1], tol)
-    if not (lower - tol <= real <= upper + tol):
+    if excess(lower, real, tol) is not None or excess(real, upper, tol) is not None:
         problems.append(
             f"gap interval broken: lower {lower}, real {real}, upper {upper}")
 
@@ -433,23 +424,22 @@ def _solve_tslp2(inst: InstanceFile, tol: float) -> dict:
 
 
 def _check_y(inst: InstanceFile, payload: dict, tol: float,
-             problems: list[str]) -> np.ndarray:
-    """Check the stored objective of y; return max(Ay, d) - y."""
+             problems: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Check the stored objective of y; return max(Ay, d) and y."""
     y = _read_vector(payload, "y", inst.a.rows)
-    _check_value(problems, payload, "objective",
-                 float(np.max(inst.c.data + y.data)), tol)
-    return two_sided_lhs(inst, y) - y.data
+    _check_value(problems, payload, "objective", tdot(inst.c, y), tol)
+    return two_sided_lhs(inst, y), y.data
 
 
 def _verify_tslp(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
-    worst = float(np.max(_check_y(inst, payload, tol, problems)))
-    if worst > tol:
+    worst = excess(*_check_y(inst, payload, tol, problems), tol)
+    if worst is not None:
         problems.append(f"two-sided witness infeasible by {worst}")
 
 
 def _verify_tslp2(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
-    worst = float(np.max(np.abs(_check_y(inst, payload, tol, problems))))
-    if worst > tol:
+    worst = mismatch(*_check_y(inst, payload, tol, problems), tol)
+    if worst is not None:
         problems.append(f"fixed-point equation violated by {worst}")
     if payload.get("solution_kind") not in (FEASIBLE, UNIQUE_FIXED_POINT):
         problems.append("unknown tslp2 solution kind")
@@ -466,11 +456,11 @@ def _verify_star(inst: InstanceFile, payload: dict, tol: float, problems: list[s
         raise InstanceFormatError(f"star has shape {star.shape}, expected {inst.a.shape}")
     _check_magnitude("star", star.data, _MAX_STORED)
     fixed_point = tadd(tmul(inst.a, star), identity(inst.a.rows))
-    worst = _residual_eps_aware(fixed_point.data, star.data)
-    if worst > tol:
+    worst = mismatch(fixed_point.data, star.data, tol)
+    if worst is not None:
         problems.append(f"star is not a fixed point of x -> Ax + I ({worst})")
-    worst = _residual_eps_aware(tmul(star, star).data, star.data)
-    if worst > tol:
+    worst = mismatch(tmul(star, star).data, star.data, tol)
+    if worst is not None:
         problems.append(f"star is not idempotent ({worst})")
 
 
@@ -513,12 +503,12 @@ def _verify_onesided(inst: InstanceFile, payload: dict, tol: float,
                      problems: list[str]):
     p = _read_vector(payload, "principal", inst.a.cols)
     _check_system(inst.a, inst.b)
-    over = primal_residual(inst, p)
-    if over > tol:
+    over = primal_violation(inst, p, tol)
+    if over is not None:
         problems.append(f"principal exceeds b by {over}")
     residual = shortfall(inst.a, inst.b, p)
     _check_value(problems, payload, "residual", residual, tol)
-    if payload.get("solvable_as_equality") is not (residual <= tol):
+    if payload.get("solvable_as_equality") is not (excess(residual, 0.0, tol) is None):
         problems.append("solvable_as_equality flag disagrees with residual")
 
 
@@ -527,8 +517,8 @@ class _Kind(NamedTuple):
     immutable and takes less import time, which every CLI start pays.
 
     statuses[0] is the status of a solved instance; statuses[1], present
-    only for kinds whose solver can raise DivergentStarError (its subclass
-    InfeasibleLambdaError included), is written when it does.
+    only for kinds whose solver can raise DivergentStarError, is written when
+    it does.
     """
 
     fields: tuple[str, ...]

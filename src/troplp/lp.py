@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import DEFAULT_TOL, TropMatrix, TropVector, tdot, tmul, transpose
+from .core import (DEFAULT_TOL, TropMatrix, TropVector, excess, mismatch, tdot,
+                   tmul, transpose)
 from .errors import (CertificateViolationError, DimensionMismatchError,
                      FiniteRequiredError)
 from .onesided import greatest_subsolution
@@ -62,16 +61,16 @@ def solve_dual(inst: LpInstance) -> tuple[TropVector, float]:
     return _dual_witness(inst, solve_primal(inst)[1])
 
 
-def primal_residual(inst, x: TropVector) -> float:
-    """max(Ax - b), positive when x violates Ax <= b; inst is anything with
-    .a and .b."""
-    return float(np.max(tmul(inst.a, x).data - inst.b.data))
+def primal_violation(inst, x: TropVector, tol: float = DEFAULT_TOL) -> float | None:
+    """The rule of core.excess on Ax <= b: None when x is feasible, else the
+    largest excess of Ax over b; inst is anything with .a and .b."""
+    return excess(tmul(inst.a, x).data, inst.b.data, tol)
 
 
-def dual_slack(inst, pi: TropVector) -> float:
-    """min(pi'A - c), negative when pi violates pi'A >= c'; inst is anything
-    with .a and .c."""
-    return float(np.min(tmul(transpose(inst.a), pi).data - inst.c.data))
+def dual_violation(inst, pi: TropVector, tol: float = DEFAULT_TOL) -> float | None:
+    """The rule of core.excess on c' <= pi'A: None when pi is feasible, else
+    the largest excess of c over pi'A; inst is anything with .a and .c."""
+    return excess(inst.c.data, tmul(transpose(inst.a), pi).data, tol)
 
 
 def certify(inst: LpInstance, tol: float = DEFAULT_TOL) -> DualityCertificate:
@@ -81,13 +80,13 @@ def certify(inst: LpInstance, tol: float = DEFAULT_TOL) -> DualityCertificate:
     """
     x, f_max = solve_primal(inst)
     pi, phi_min = _dual_witness(inst, f_max)
-    excess = primal_residual(inst, x)
-    if excess > tol:
-        raise CertificateViolationError(f"primal witness infeasible by {excess}")
-    slack = dual_slack(inst, pi)
-    if slack < -tol:
-        raise CertificateViolationError(f"dual witness infeasible by {-slack}")
-    if abs(f_max - phi_min) > tol:
-        raise CertificateViolationError(
-            f"duality gap {abs(f_max - phi_min)} exceeds tolerance")
+    over = primal_violation(inst, x, tol)
+    if over is not None:
+        raise CertificateViolationError(f"primal witness infeasible by {over}")
+    over = dual_violation(inst, pi, tol)
+    if over is not None:
+        raise CertificateViolationError(f"dual witness infeasible by {over}")
+    gap = mismatch(f_max, phi_min, tol)
+    if gap is not None:
+        raise CertificateViolationError(f"duality gap {gap} exceeds tolerance")
     return DualityCertificate(x, pi, f_max, phi_min)

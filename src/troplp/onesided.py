@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import kleene_star_scaled, max_cycle_mean
-from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, tmul
+from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, excess, tmul
 from .errors import DimensionMismatchError, FiniteRequiredError
 
 
@@ -68,7 +68,8 @@ def solve_equality(a: TropMatrix, b: TropVector,
     """Solve A x = b; the system is solvable iff the principal solution attains b."""
     x = greatest_subsolution(a, b)
     residual = shortfall(a, b, x)
-    return OneSidedSolveResult(x, residual <= tol, residual)
+    # the rule on max(b - Ax) <= 0, as check applies it to the stored residual
+    return OneSidedSolveResult(x, excess(residual, 0.0, tol) is None, residual)
 
 
 def shortfall(a: TropMatrix, b: TropVector, x: TropVector) -> float:
@@ -106,4 +107,4 @@ def subeigen_member(a: TropMatrix, lam: float, x: TropVector,
     if a.cols != len(x):
         raise DimensionMismatchError(
             f"A has {a.cols} columns but x has length {len(x)}")
-    return bool(np.all(tmul(a, x).data <= lam + x.data + tol))
+    return excess(tmul(a, x).data, lam + x.data, tol) is None

@@ -11,11 +11,10 @@ nonpositive.  Every feasible y of either form has y >= d and y >= A y, hence
 y >= A^k d for every k and so y >= A* d; and A* d satisfies the equation.
 So A* d is the least feasible point of both forms, and since c'y is isotone
 it is the optimum of both.  One cycle mean and one star sweep, both O(n^3),
-do the work; the cycle mean already settles feasibility, so the sweep runs
-without a second divergence test.  A lambda in (0, tol] counts as feasible,
-and the sweep then runs on A - lambda, which keeps A y + d within lambda of
-y; a sweep of A itself would be inflated by about the cycle's length times
-lambda.
+do the work: closure's divergence rule, given the cycle mean, refuses a
+lambda above tol and sweeps A - max(lambda, 0).  So a lambda in (0, tol]
+counts as feasible, and A y + d stays within lambda of y; a sweep of A itself
+would be inflated by about the cycle's length times lambda.
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import _star_sweep, max_cycle_mean
-from .core import DEFAULT_TOL, TropMatrix, TropVector, tdot, tmul
+from .closure import max_cycle_mean, star_given_mean
+from .core import DEFAULT_TOL, TropMatrix, TropVector, excess, mismatch, tdot, tmul
 from .errors import (CertificateViolationError, DimensionMismatchError,
-                     FiniteRequiredError, InfeasibleLambdaError)
+                     FiniteRequiredError)
 
 FEASIBLE = "feasible"
 UNIQUE_FIXED_POINT = "unique-fixed-point"
@@ -67,18 +66,14 @@ def tslp_feasible(inst: TwoSidedInstance, y: TropVector,
     """Check A y + d <= y entrywise within tol."""
     if len(y) != inst.a.rows:
         raise DimensionMismatchError(f"y must have length {inst.a.rows}")
-    return bool(np.all(two_sided_lhs(inst, y) <= y.data + tol))
+    return excess(two_sided_lhs(inst, y), y.data, tol) is None
 
 
 def _least_point(inst: TwoSidedInstance, tol: float) -> tuple[TropVector, float]:
-    """The least feasible point y = A* d of both forms, and lambda(A)."""
+    """The least feasible point y = A* d of both forms, and lambda(A);
+    DivergentStarError when lambda(A) > tol leaves no point feasible."""
     cm = max_cycle_mean(inst.a)
-    if cm.lambda_ > tol:
-        raise InfeasibleLambdaError(
-            f"no feasible point: maximum cycle mean {cm.lambda_} > 0",
-            lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
-    star = TropMatrix(_star_sweep(inst.a.data - max(cm.lambda_, 0.0)))
-    return tmul(star, inst.d), cm.lambda_
+    return tmul(star_given_mean(inst.a, 0.0, cm, tol), inst.d), cm.lambda_
 
 
 def solve_tslp(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedResult:
@@ -96,8 +91,7 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
     single point A* d, reported as the unique-fixed-point kind.
     """
     y, lam = _least_point(inst, tol)
-    residual = float(np.max(np.abs(two_sided_lhs(inst, y) - y.data)))
-    if residual > tol:
+    if mismatch(two_sided_lhs(inst, y), y.data, tol) is not None:
         raise CertificateViolationError("fixed-point witness violates the equation")
     kind = UNIQUE_FIXED_POINT if lam < -tol else FEASIBLE
     return TwoSidedResult(y, tdot(inst.c, y), kind)

@@ -6,12 +6,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import util
-from troplp import (EPSILON, InstanceFormatError, TropMatrix, closure, intlp,
-                    twosided)
+from troplp import (EPSILON, CertificateViolationError, InstanceFormatError,
+                    TropMatrix, closure, intlp, twosided)
 from troplp.cli import main
 from troplp.io import (_KINDS, _MAX_ENTRY, EXIT_CERTIFICATE, EXIT_INFEASIBLE,
                        EXIT_INPUT, EXIT_OK, KINDS, _number, _read_array,
@@ -423,6 +423,17 @@ class TestVerifyPayload:
         tampered["star"][0][0] = 0.5  # the diagonal of a converging star is 0
         assert verify_payload(tampered) != []
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "with a zero-mean cycle in A the fixed-point and idempotency identities "
+        "do not prove that the star is the least solution"))
+    def test_non_least_star_detected(self):
+        inst = parse_instance('{"problem":"star","A":[[0,"-inf"],["-inf",0]]}')
+        payload, _ = solve_to_payload(inst, 1e-9)
+        assert payload["star"] == [[0.0, "-inf"], ["-inf", 0.0]]  # A* = I
+        # S = [[0, 7], [-inf, 0]] is a fixed point of x -> Ax + I and S S = S
+        tampered = dict(payload, star=[[0.0, 7.0], ["-inf", 0.0]])
+        assert verify_payload(tampered) != []
+
     def test_tampered_witness_detected(self):
         inst = parse_instance(
             '{"problem":"primal","A":[[1,2],[3,4]],"b":[5,6],"c":[0,0]}')
@@ -677,18 +688,18 @@ WITHIN_TOL = [[-5, 1, -5], [-5, -5, 1], [-1.9999999976, -5, -5]]
 
 
 @st.composite
-def planted_cycles(draw):
-    """(A, d, c) with one planted cycle of mean in (0, 0.999e-9] in A.  Its
-    arcs but one are integers in [-3, 3], so a segment of it weighs at most
-    22, and every arc off it is below -25: every other cycle is negative.
-    The mean stays 1e-12 below tol = 1e-9, far above the rounding of sums of
-    this size; at a mean of exactly tol see test_mean_equal_to_tol."""
+def planted_cycles(draw, max_mean=0.999e-9):
+    """(A, d, c) with one planted cycle of mean in [1e-12, max_mean] in A.
+    Its arcs but one are integers in [-3, 3], so a segment of it weighs at
+    most 22, and every arc off it is below -25: every other cycle is negative.
+    The default mean stays 1e-12 below tol = 1e-9, far above the rounding of
+    sums of this size; at a mean of exactly tol see test_mean_equal_to_tol."""
     n = draw(st.integers(min_value=1, max_value=8))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     a = rng.uniform(-30, -25, (n, n))
     nodes = rng.permutation(n)[:draw(st.integers(min_value=1, max_value=n))]
     weights = rng.integers(-3, 4, len(nodes)).astype(float)
-    mean = draw(st.floats(min_value=1e-12, max_value=0.999e-9))
+    mean = draw(st.floats(min_value=1e-12, max_value=max_mean))
     weights[-1] = len(nodes) * mean - weights[:-1].sum()
     a[nodes, np.roll(nodes, -1)] = weights
     return a.tolist(), rng.uniform(-10, 10, n).tolist(), rng.uniform(-10, 10, n).tolist()
@@ -722,14 +733,27 @@ class TestCycleMeanWithinTol:
             assert code == EXIT_OK
             assert verify_payload(payload) == []
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "tol is absolute: a cycle mean of exactly tol leaves a residual of tol "
-        "plus the rounding of y + tol - y, and check reads it as a violation"))
-    def test_mean_equal_to_tol(self):
-        obj = {"problem": "tslp", "A": [[1e-9]], "d": [-9.180529521276107], "c": [0]}
+    @pytest.mark.parametrize("kind", ["tslp", "tslp2"])
+    def test_mean_equal_to_tol(self, kind):
+        obj = {"problem": kind, "A": [[1e-9]], "d": [-9.180529521276107], "c": [0]}
         payload, code = solve_to_payload(parse_instance(json.dumps(obj)), 1e-9)
         assert code == EXIT_OK
         assert verify_payload(payload) == []
+
+    @pytest.mark.parametrize("kind", ["tslp", "tslp2"])
+    @settings(max_examples=150, deadline=None)
+    @given(planted_cycles(max_mean=1e-9))
+    @example(([[1e-9]], [-9.180529521276107], [0.0]))
+    def test_solve_never_writes_what_check_rejects(self, kind, acd):
+        # solve and check decide each certificate by the same rule on the
+        # same floats, so an answer solve writes with exit 0 always checks
+        a, d, c = acd
+        inst = parse_instance(json.dumps({"problem": kind, "A": a, "d": d, "c": c}))
+        try:
+            payload, code = solve_to_payload(inst, 1e-9)
+        except CertificateViolationError:
+            return
+        assert code != EXIT_OK or verify_payload(payload) == []
 
 
 GOLDEN = util.TESTS / "golden"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from troplp import (InfeasibleLambdaError, LpInstance, TropMatrix, TropVector,
+from troplp import (DivergentStarError, LpInstance, TropMatrix, TropVector,
                     TwoSidedInstance, kleene_star, leq, solve_dual, solve_tslp,
                     solve_tslp2, subeigen_generate, tdot, tmul, transpose,
                     tslp_feasible)
@@ -32,7 +32,7 @@ class TestSolveTslp:
 
     def test_positive_cycle_mean_infeasible(self):
         inst = TwoSidedInstance(TropMatrix([[1]]), TropVector([0]), TropVector([0]))
-        with pytest.raises(InfeasibleLambdaError) as exc:
+        with pytest.raises(DivergentStarError) as exc:
             solve_tslp(inst)
         assert exc.value.lambda_ == pytest.approx(1.0)
         assert exc.value.witness_cycle == (0,)
@@ -86,7 +86,7 @@ class TestSolveTslp2:
         assert res.feasibility_kind == "feasible"
 
     def test_positive_cycle_mean_infeasible(self):
-        with pytest.raises(InfeasibleLambdaError):
+        with pytest.raises(DivergentStarError):
             solve_tslp2(TwoSidedInstance(TropMatrix([[0.5]]), TropVector([0]),
                                          TropVector([0])))
 
