@@ -4,7 +4,8 @@ A square matrix A induces a weighted digraph with an arc (i, j) of weight
 a_ij for every entry above epsilon.  This module computes the maximum cycle
 mean lambda(A) with Karp's dynamic program on one walk table, the Kleene
 star A* = I + A + A^2 + ... via a Floyd-Warshall sweep, and the shifted star
-of A - lambda.
+of A - lambda.  Whether the digraph is acyclic, the case lambda = epsilon,
+is also told in O(n^2) by a topological peel.
 
 Karp's table uses a super-source with a zero-weight arc to every node, so
 D_0 = 0 and D_k = max_u(D_{k-1}[u] + A[u, :]) is the heaviest walk of exactly
@@ -16,8 +17,8 @@ cycle mean is computed only when it turns positive: to name the divergent
 cycle, or, when lambda is positive but within tol, to sweep A - lambda
 instead, since a sweep of A would be inflated by about the cycle's length
 times lambda.  star_given_mean is that rule once the cycle mean is known,
-and the two-sided solvers call it with theirs.  kleene_star is the shifted
-star at shift 0.
+and the equation-form two-sided solver, which needs lambda anyway, calls it
+with its own.  kleene_star is the shifted star at shift 0.
 """
 
 from __future__ import annotations
@@ -107,6 +108,21 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     best = int(np.argmax(per_end))
     return CycleMeanResult(float(per_end[best]),
                            _critical_cycle(data, walks, int(ends[best])))
+
+
+def _acyclic(a: TropMatrix) -> bool:
+    """True when the digraph of A has no cycle: peeling the nodes without an
+    incoming arc, layer by layer, removes them all (Kahn's algorithm, O(n^2)).
+    A node on a cycle, a self-loop included, is never peeled."""
+    arcs = a.data > EPSILON
+    indegree = arcs.sum(axis=0)
+    left = np.ones(a.rows, dtype=bool)
+    layer = np.flatnonzero(indegree == 0)
+    while layer.size:
+        left[layer] = False
+        indegree -= arcs[layer].sum(axis=0)
+        layer = np.flatnonzero(left & (indegree == 0))
+    return not left.any()
 
 
 def _star_sweep(data: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ written as the string "-inf" and are accepted only where the kind permits
 them.  Solutions embed the instance they were computed from, so a solution
 file alone is enough to re-check its certificate.  A solution payload is the
 JSON document itself, epsilon spelled "-inf" in memory as on disk: one reader
-(_read_array) turns its arrays into floats and one writer (_json) back.
+(_read_array) turns its arrays into floats and one writer (_json) back; it
+reads a valid array in C-level passes and walks entries only to name a bad one.
 
 A problem kind is one entry of the `_KINDS` table: its instance fields,
 whether epsilon and a non-square A are allowed, the statuses its solutions
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .closure import _diverges, _star_sweep, kleene_star, max_cycle_mean
+from .closure import _acyclic, _diverges, _star_sweep, kleene_star, max_cycle_mean
 from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, excess,
                    identity, mismatch, tadd, tdot, tmul)
 from .errors import DivergentStarError, FiniteRequiredError, InstanceFormatError
@@ -86,14 +87,16 @@ def _number(value, allow_eps: bool, where: str) -> float:
     return x
 
 
-_type_of = np.frompyfunc(type, 1, 1)
 _INT_OVERFLOW = 2**1024 - 2**970  # the least integer float() cannot convert
 
 
 def _read_array(value, ndim: int, allow_eps: bool, where: str) -> np.ndarray:
     """A list of numbers (ndim 1) or of equal-length rows (ndim 2) as a float
-    array, its entries checked a whole array at a time.  The error is the one
-    _number gives for the first bad entry, or the malformed row before it."""
+    array.  The error is the one _number gives for the first bad entry, or
+    the malformed row before it.  A valid array is read in C-level passes: a
+    census of its entries' exact types, one float conversion, and a count of
+    non-finite values, which must be the epsilon entries; only a failed pass
+    walks the entries in row order through _number to raise that error."""
     if not isinstance(value, list) or not value:
         raise InstanceFormatError(
             f"{where}: expected a non-empty list of {'numbers' if ndim == 1 else 'rows'}")
@@ -106,19 +109,25 @@ def _read_array(value, ndim: int, allow_eps: bool, where: str) -> np.ndarray:
             raise InstanceFormatError(f"{where}: row {i} " + (
                 f"has length {len(row)}, expected {width}" if isinstance(row, list) and row
                 else "is not a non-empty list"))
-    cells = np.fromiter(chain.from_iterable(rows), dtype=object, count=len(rows) * width)
-    kinds = _type_of(cells)
-    ints = kinds == int
-    real = (kinds == float) | ints
-    real[ints] = np.abs(cells[ints]) < _INT_OVERFLOW
-    values = np.where(real, cells, EPSILON).astype(float)
-    good = np.isfinite(values)
-    if allow_eps:
-        good[~real] = cells[~real] == "-inf"
-    if not good.all():
-        i, j = divmod(int(np.argmin(good)), width)
-        _number(cells[i * width + j], allow_eps,
-                f"{where}[{j}]" if ndim == 1 else f"{where}[{i}][{j}]")
+    cells = list(chain.from_iterable(rows))
+    kinds = set(map(type, cells))
+    values, eps = None, 0
+    try:
+        if kinds <= {int, float}:
+            values = np.fromiter(cells, float, len(cells))
+        elif allow_eps and kinds <= {int, float, str}:
+            objects = np.fromiter(cells, object, len(cells))
+            is_eps = objects == "-inf"
+            eps = np.count_nonzero(is_eps)
+            if list(map(type, cells)).count(str) == eps:  # every string is "-inf"
+                objects[is_eps] = EPSILON
+                values = objects.astype(float)
+    except OverflowError:  # an integer past float range, which the walk names
+        pass
+    if values is None or np.count_nonzero(np.isfinite(values)) != len(cells) - eps:
+        values = np.array([_number(cell, allow_eps, f"{where}[{k}]" if ndim == 1
+                                   else f"{where}[{k // width}][{k % width}]")
+                           for k, cell in enumerate(cells)])
     return values if ndim == 1 else values.reshape(len(rows), width)
 
 
@@ -480,7 +489,7 @@ def _verify_mcm(inst: InstanceFile, payload: dict, tol: float, problems: list[st
         return
     if payload.get("witness_cycle") is not None:
         problems.append("acyclic result must not carry a witness cycle")
-    if max_cycle_mean(inst.a).lambda_ != EPSILON:
+    if not _acyclic(inst.a):
         problems.append("lambda = -inf claimed but the digraph has a cycle")
 
 

@@ -10,11 +10,13 @@ Feasible points exist exactly when the maximum cycle mean lambda of A is
 nonpositive.  Every feasible y of either form has y >= d and y >= A y, hence
 y >= A^k d for every k and so y >= A* d; and A* d satisfies the equation.
 So A* d is the least feasible point of both forms, and since c'y is isotone
-it is the optimum of both.  One cycle mean and one star sweep, both O(n^3),
-do the work: closure's divergence rule, given the cycle mean, refuses a
-lambda above tol and sweeps A - max(lambda, 0).  So a lambda in (0, tol]
-counts as feasible, and A y + d stays within lambda of y; a sweep of A itself
-would be inflated by about the cycle's length times lambda.
+it is the optimum of both.  One star sweep, O(n^3), does the work, with
+closure's divergence rule: it refuses a lambda above tol and sweeps
+A - max(lambda, 0).  So a lambda in (0, tol] counts as feasible, and A y + d
+stays within lambda of y; a sweep of A itself would be inflated by about the
+cycle's length times lambda.  The inequality form runs Karp's cycle mean only
+when the sweep's diagonal turns positive, as kleene_star does; the equation
+form runs it once, since lambda < -tol decides its solution kind.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import max_cycle_mean, star_given_mean
+from .closure import kleene_star, max_cycle_mean, star_given_mean
 from .core import DEFAULT_TOL, TropMatrix, TropVector, excess, mismatch, tdot, tmul
 from .errors import (CertificateViolationError, DimensionMismatchError,
                      FiniteRequiredError)
@@ -69,16 +71,10 @@ def tslp_feasible(inst: TwoSidedInstance, y: TropVector,
     return excess(two_sided_lhs(inst, y), y.data, tol) is None
 
 
-def _least_point(inst: TwoSidedInstance, tol: float) -> tuple[TropVector, float]:
-    """The least feasible point y = A* d of both forms, and lambda(A);
-    DivergentStarError when lambda(A) > tol leaves no point feasible."""
-    cm = max_cycle_mean(inst.a)
-    return tmul(star_given_mean(inst.a, 0.0, cm, tol), inst.d), cm.lambda_
-
-
 def solve_tslp(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedResult:
-    """Minimize c'y subject to A y + d <= y; the optimum is y = A* d."""
-    y, _ = _least_point(inst, tol)
+    """Minimize c'y subject to A y + d <= y; the optimum is y = A* d.
+    DivergentStarError when lambda(A) > tol leaves no point feasible."""
+    y = tmul(kleene_star(inst.a, tol), inst.d)
     if not tslp_feasible(inst, y, tol):
         raise CertificateViolationError("two-sided witness failed feasibility")
     return TwoSidedResult(y, tdot(inst.c, y), FEASIBLE)
@@ -90,8 +86,9 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
     When the maximum cycle mean is strictly negative the feasible set is the
     single point A* d, reported as the unique-fixed-point kind.
     """
-    y, lam = _least_point(inst, tol)
+    cm = max_cycle_mean(inst.a)
+    y = tmul(star_given_mean(inst.a, 0.0, cm, tol), inst.d)
     if mismatch(two_sided_lhs(inst, y), y.data, tol) is not None:
         raise CertificateViolationError("fixed-point witness violates the equation")
-    kind = UNIQUE_FIXED_POINT if lam < -tol else FEASIBLE
+    kind = UNIQUE_FIXED_POINT if cm.lambda_ < -tol else FEASIBLE
     return TwoSidedResult(y, tdot(inst.c, y), kind)

@@ -13,10 +13,11 @@ import util
 from troplp import (EPSILON, CertificateViolationError, InstanceFormatError,
                     TropMatrix, closure, intlp, twosided)
 from troplp.cli import main
-from troplp.io import (_KINDS, _MAX_ENTRY, EXIT_CERTIFICATE, EXIT_INFEASIBLE,
-                       EXIT_INPUT, EXIT_OK, KINDS, _number, _read_array,
-                       check_tol, parse_instance, parse_solution, render_text,
-                       serialize_solution, solve_to_payload, verify_payload)
+from troplp.io import (_INT_OVERFLOW, _KINDS, _MAX_ENTRY, EXIT_CERTIFICATE,
+                       EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS, _number,
+                       _read_array, check_tol, parse_instance, parse_solution,
+                       render_text, serialize_solution, solve_to_payload,
+                       verify_payload)
 
 E = EPSILON
 
@@ -119,9 +120,9 @@ _GOOD_CELL = st.one_of(st.integers(-10**6, 10**6),
                        st.floats(-1e6, 1e6, allow_nan=False), st.just("-inf"))
 _BAD_CELL = st.one_of(
     st.booleans(), st.none(),
-    st.sampled_from(["1.5", " -inf", "-Infinity", "x", "",
-                     float("nan"), float("inf"), float("-inf"),
-                     10**400, -10**400, 2**1024 - 2**970, 1 - 2**1024 + 2**970]),
+    st.sampled_from(["1.5", " -inf", "-Infinity", "inf", "x", "", np.float64(1.0),
+                     float("nan"), float("inf"), float("-inf"), 10**400, -10**400,
+                     _INT_OVERFLOW, _INT_OVERFLOW - 1, 1 - _INT_OVERFLOW]),
     st.floats(), st.lists(_GOOD_CELL, max_size=2))
 _CELL = st.one_of(_GOOD_CELL, _GOOD_CELL, _GOOD_CELL, _BAD_CELL)
 _ROW = st.one_of(st.lists(_CELL, min_size=3, max_size=3), st.lists(_CELL, max_size=4), _CELL)
@@ -133,9 +134,26 @@ class TestReadArray:
     @settings(max_examples=400, deadline=None)
     @given(value=st.one_of(st.lists(_CELL, max_size=5), st.lists(_ROW, max_size=4), _CELL),
            ndim=st.sampled_from([1, 2]), allow_eps=st.booleans())
+    # a float -inf counts as non-finite next to the "-inf" strings
+    @example(value=[["-inf", -1e400], [1, "-inf"]], ndim=2, allow_eps=True)
     def test_matches_entry_by_entry_reference(self, value, ndim, allow_eps):
         args = (value, ndim, allow_eps, "A")
         assert _outcome(_read_array, *args) == _outcome(_reference_read, *args)
+
+    def test_valid_arrays_skip_the_entry_walk(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("a valid array took the entry-by-entry walk")
+
+        monkeypatch.setattr("troplp.io._number", walked)
+        rng = np.random.default_rng(11)
+        reals = rng.uniform(-1000, 1000, (64, 64))
+        half = np.where(rng.random((64, 64)) < 0.5, E, reals)
+        for a, allow_eps in [(reals, False), (half, True), (np.full((64, 64), E), True)]:
+            read = _read_array(util.rows_obj(TropMatrix(a)), 2, allow_eps, "A")
+            assert read.tobytes() == a.tobytes()
+        ints = rng.integers(-10**6, 10**6, 64)
+        read = _read_array(ints.tolist(), 1, False, "b")
+        assert read.tobytes() == ints.astype(float).tobytes()
 
     @pytest.mark.parametrize("value,ndim,message", [
         ([[1, "x"]], 2, "A[0][1]: expected a number, got 'x'"),
@@ -453,6 +471,18 @@ class TestVerifyPayload:
         assert (problems == []) == ok
         if not ok:
             assert problems == ["lambda = -inf claimed but the digraph has a cycle"]
+
+    @pytest.mark.parametrize("back_arc", [(3, 3), (4, 2)])
+    def test_acyclic_mcm_claim_rejects_a_hidden_cycle(self, back_arc):
+        # an upper-triangular A is acyclic; one back arc closes a 1-arc
+        # or a 3-arc cycle (2 -> 3 -> 4 -> 2)
+        a = np.where(np.triu(np.ones((6, 6), dtype=bool), 1), 1.0, E)
+        payload = {"problem": "mcm", "lambda": "-inf", "witness_cycle": None,
+                   "instance": {"problem": "mcm", "A": util.rows_obj(TropMatrix(a))}}
+        assert verify_payload(payload) == []
+        a[back_arc] = -1.0
+        payload["instance"]["A"] = util.rows_obj(TropMatrix(a))
+        assert verify_payload(payload) == ["lambda = -inf claimed but the digraph has a cycle"]
 
     def test_mcm_lambda_below_the_maximum_rejected(self):
         inst = parse_instance('{"problem":"mcm","A":[[1,"-inf"],["-inf",2]]}')
