@@ -35,8 +35,9 @@ from .errors import DimensionMismatchError, DivergentStarError
 class CycleMeanResult:
     """Maximum cycle mean and, when a cycle exists, one witness attaining it.
 
-    lambda_ is epsilon exactly when the digraph is acyclic.  The witness is an
-    elementary cycle given as a node sequence without the closing repeat.
+    lambda_ is epsilon exactly when the digraph is acyclic, and otherwise the
+    witness's mean as _cycle_mean sums it.  The witness is an elementary cycle
+    given as a node sequence without the closing repeat.
     """
 
     lambda_: float
@@ -85,13 +86,25 @@ def _critical_cycle(data: np.ndarray, walks: np.ndarray, end: int) -> tuple[int,
     raise AssertionError("walk of length n must repeat a node")
 
 
+def _cycle_mean(a: TropMatrix, cycle) -> float:
+    """Mean arc weight of the closed walk `cycle`; -inf if an arc is absent."""
+    total = 0.0
+    for node, succ in zip(cycle, cycle[1:] + cycle[:1]):
+        total += a.data[node, succ]
+    return float(total / len(cycle))
+
+
 def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     """Maximum mean over all elementary cycles of the digraph of A.
 
     Karp's theorem on the walk table D_0..D_n:
     lambda = max over v with D_n[v] finite of
              min over k < n with D_k[v] finite of (D_n[v] - D_k[v]) / (n - k),
-    and epsilon when D_n is all epsilon, i.e. the digraph is acyclic.
+    and epsilon when D_n is all epsilon, i.e. the digraph is acyclic.  The
+    maximizing v names the witness, and lambda is returned as the witness's
+    summed mean rather than Karp's ratio, which rounds differently: a check
+    recomputes that mean from the stored witness, so solve and check decide
+    divergence with the same float.
     """
     _require_square(a)
     data = a.data
@@ -105,9 +118,8 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     # that the minimum skips
     ratios = (last[ends] - walks[:n, ends]) / (n - np.arange(n))[:, np.newaxis]
     per_end = ratios.min(axis=0)
-    best = int(np.argmax(per_end))
-    return CycleMeanResult(float(per_end[best]),
-                           _critical_cycle(data, walks, int(ends[best])))
+    cycle = _critical_cycle(data, walks, int(ends[np.argmax(per_end)]))
+    return CycleMeanResult(_cycle_mean(a, cycle), cycle)
 
 
 def _acyclic(a: TropMatrix) -> bool:

@@ -8,6 +8,10 @@ file alone is enough to re-check its certificate.  A solution payload is the
 JSON document itself, epsilon spelled "-inf" in memory as on disk: one reader
 (_read_array) turns its arrays into floats and one writer (_json) back; it
 reads a valid array in C-level passes and walks entries only to name a bad one.
+The embedded instance's A is the exception on the way out: when the input
+already spells A's rows as the canonical layout would (_row_texts),
+parse_instance keeps those row texts and the layout copies them instead of
+formatting every float again.  The bytes are the same either way.
 
 A problem kind is one entry of the `_KINDS` table: its instance fields,
 whether epsilon and a non-square A are allowed, the statuses its solutions
@@ -23,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -31,7 +35,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .closure import _acyclic, _diverges, _star_sweep, kleene_star, max_cycle_mean
+from .closure import (_acyclic, _cycle_mean, _diverges, _star_sweep, kleene_star,
+                      max_cycle_mean)
 from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, excess,
                    identity, mismatch, tadd, tdot, tmul)
 from .errors import DivergentStarError, FiniteRequiredError, InstanceFormatError
@@ -56,6 +61,11 @@ class InstanceFile:
     c: TropVector | None = None
     d: TropVector | None = None
     tol: float | None = None
+    # A's rows as parse_instance cut them from a canonically spelled input
+    # (see _row_texts), else None.  Not an init field, so dataclasses.replace
+    # drops the texts rather than pair them with another A.
+    a_rows: tuple[str, ...] | None = field(default=None, init=False, compare=False,
+                                           repr=False)
 
 
 def _reject_constant(token: str):
@@ -203,11 +213,79 @@ def _load_json(text: str):
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # e.g. an integer literal past the digit limit
         raise InstanceFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InstanceFormatError("invalid JSON: nested too deeply") from None
+
+
+def _row_texts(text: str, a: np.ndarray) -> tuple[str, ...] | None:
+    """The rows of the validated matrix a cut from the instance text, when
+    the text spells them exactly as the canonical layout writes them: numbers
+    as float repr, "-inf", ', ' between entries and '], [' between rows.
+
+    A number token is repr's spelling when it has one '.', no exponent, at
+    most 15 digits, no trailing zero but that of '.0', and a magnitude of 0 or
+    at least 1e-4 (repr writes smaller ones with an exponent): 15 decimal
+    digits round-trip through float64, so no shorter spelling round-trips.
+    The text is trusted only with no backslash in it, so that "A" is spelled
+    plainly, and with one "A", so that it is the key parsed.  The test runs
+    in C-level passes: counts over the region's bytes, and comparisons on the
+    index arrays of its commas and tokens.
+    """
+    key = text.find('"A"')
+    first = key + 6  # the '[' of row 0; the region runs to the ']' of the last row
+    if key < 0 or not text.startswith('"A": [[', key) or "\\" in text:
+        return None
+    # row 0 alone refuses an integer-spelled A: its numbers need one '.' each
+    if text.count(".", first, text.find("]", first)) != np.count_nonzero(a[0] > EPSILON):
+        return None
+    last = text.rfind("]]") + 1
+    # a second "A" inside the region would fail the byte counts below
+    if last <= first or text.find('"A"', last) >= 0:
+        return None
+    region = np.frombuffer(text[first:last].encode("ascii", "replace"), np.uint8)
+    m, n = a.shape
+    eps = np.isneginf(a).ravel()
+    n_eps = np.count_nonzero(eps)
+    dots = np.count_nonzero(region == ord("."))
+    # JSON allows one '.' per number, so one for each means no integer token
+    if dots != eps.size - n_eps:
+        return None
+    commas = np.flatnonzero(region == ord(","))
+    between = commas[n - 1::n]  # the comma of each '], ['
+    if not (len(commas) == m * n - 1 and (region[commas + 1] == ord(" ")).all()
+            and np.count_nonzero(region == ord(" ")) == len(commas)
+            and (region[between - 1] == ord("]")).all()
+            and (region[between + 2] == ord("[")).all()):
+        return None
+    row_end = np.zeros(len(commas), dtype=bool)
+    row_end[n - 1::n] = True
+    starts = np.concatenate(([1], commas + 2 + row_end))  # token k is region[starts[k]:ends[k]]
+    ends = np.concatenate((commas - row_end, [len(region) - 1]))
+    head = region[starts]
+    minus = head == ord("-")
+    # Every byte but the digits is then accounted for: below '0' the
+    # separators, the dots, the signs and the '"', '-' of each "-inf"; above
+    # '9' the brackets and the 'inf' of each "-inf".
+    if (not np.array_equal(head == ord('"'), eps)
+            or np.count_nonzero(region < ord("0"))
+            != 2 * len(commas) + dots + np.count_nonzero(minus) + 3 * n_eps
+            or np.count_nonzero(region > ord("9")) != 2 * m + 3 * n_eps):
+        return None
+    values = a.ravel()
+    if not ((ends - starts - minus <= 16)  # 15 digits and the '.'
+            & ((region[ends - 1] != ord("0")) | (region[ends - 2] == ord(".")))
+            & ((values == 0) | (np.abs(values) >= 1e-4))).all():
+        return None
+    return tuple(text[first + i:first + j] for i, j in
+                 zip([0, *(between + 2).tolist()], [*between.tolist(), len(region)]))
 
 
 def parse_instance(text: str, default_problem: str | None = None) -> InstanceFile:
-    """Parse and validate one instance from JSON text."""
-    return _instance_from_obj(_load_json(text), default_problem)
+    """Parse and validate one instance from JSON text.  The result carries
+    A's row texts when the text spells them canonically, for the writer."""
+    inst = _instance_from_obj(_load_json(text), default_problem)
+    object.__setattr__(inst, "a_rows", _row_texts(text, inst.a.data))
+    return inst
 
 
 def _json(value):
@@ -220,8 +298,23 @@ def _json(value):
     return values.tolist()
 
 
+class _Rows(list):
+    """A matrix as a list of JSON rows that also carries each row's canonical
+    text, which _layout writes in place of encoding the row again.  Every
+    other reader sees the plain list.  The texts describe the rows it was
+    made with: to change a payload's A, replace the list, not its entries."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, rows: list, texts: tuple[str, ...]):
+        super().__init__(rows)
+        self.texts = texts
+
+
 def instance_to_obj(inst: InstanceFile) -> dict:
-    obj: dict = {"problem": inst.problem, "A": _json(inst.a.data)}
+    a = _json(inst.a.data)
+    obj: dict = {"problem": inst.problem,
+                 "A": a if inst.a_rows is None else _Rows(a, inst.a_rows)}
     for key, vec in (("b", inst.b), ("c", inst.c), ("d", inst.d)):
         if vec is not None:
             obj[key] = _json(vec.data)
@@ -241,7 +334,8 @@ def _layout(value, pad: str) -> str:
         return ("{\n" + ",\n".join(f"{inner}{_encode(key)}: {_layout(item, inner)}"
                                    for key, item in value.items()) + f"\n{pad}}}")
     if isinstance(value, list) and value and all(isinstance(row, list) for row in value):
-        return "[\n" + ",\n".join(inner + _encode(row) for row in value) + f"\n{pad}]"
+        rows = value.texts if isinstance(value, _Rows) else map(_encode, value)
+        return "[\n" + ",\n".join(inner + row for row in rows) + f"\n{pad}]"
     return _encode(value)
 
 
@@ -287,18 +381,6 @@ def render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Certificate formulas of the star and mcm kinds; those of the other kinds
-# live next to their solvers (lp, onesided, twosided), which share them.
-# core.excess decides each inequality, core.mismatch each equality.
-
-def _cycle_mean(a: TropMatrix, cycle: list[int]) -> float:
-    """Mean arc weight of the closed walk `cycle`; -inf if an arc is absent."""
-    total = 0.0
-    for node, succ in zip(cycle, cycle[1:] + cycle[:1]):
-        total += a.data[node, succ]
-    return float(total / len(cycle))
-
-
 # Typed readers for stored solution fields; a malformed field raises
 # InstanceFormatError, which verify_payload reports as a problem.
 
@@ -342,7 +424,8 @@ def _check_integral(problems: list[str], label: str, vec: TropVector, tol: float
 
 def _check_cycle(a: TropMatrix, lam: float, payload: dict, tol: float,
                  problems: list[str]) -> float | None:
-    """Check that the stored witness cycle has mean lam; return its mean."""
+    """Check that the stored witness cycle has mean lam; return its mean,
+    summed as max_cycle_mean sums the lambda it reports."""
     mean = _cycle_mean(a, _read_cycle(payload, a.rows))
     if mean == EPSILON:
         problems.append("witness cycle uses arcs absent from A")

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from troplp.cli import main
-from troplp.io import EXIT_INFEASIBLE, EXIT_OK, KINDS
+from troplp.io import EXIT_INFEASIBLE, EXIT_OK, KINDS, parse_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 FAILURES = ("infeasible-lambda-positive", "divergent-star")
@@ -37,6 +37,21 @@ def test_solve_reproduces_golden_bytes(name, tmp_path, capsys):
     code = main(["solve", "--input", str(GOLDEN / f"{name}.instance.json"),
                  "--output", str(out)])
     assert code == (EXIT_INFEASIBLE if name in FAILURES else EXIT_OK)
+    assert out.read_bytes() == (GOLDEN / f"{name}.solution.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_canonical_spelling_reproduces_golden_bytes(name, tmp_path, capsys):
+    """The committed instances spell A with integers, so solve formats it
+    from the floats; spelled as floats, A's rows are copied from the input
+    text instead, and the bytes must not change."""
+    obj = json.loads((GOLDEN / f"{name}.instance.json").read_text())
+    obj["A"] = [[v if v == "-inf" else float(v) for v in row] for row in obj["A"]]
+    text = json.dumps(obj)
+    assert parse_instance(text).a_rows is not None
+    path, out = tmp_path / "instance.json", tmp_path / "solution.json"
+    path.write_text(text)
+    main(["solve", "--input", str(path), "--output", str(out)])
     assert out.read_bytes() == (GOLDEN / f"{name}.solution.json").read_bytes()
 
 

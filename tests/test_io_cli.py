@@ -1,6 +1,7 @@
 """File formats, certificate re-validation, and the command-line front end."""
 
 import argparse
+import dataclasses
 import json
 import re
 
@@ -355,6 +356,75 @@ class TestRoundTrip:
         assert "lambda" in text and "problem: mcm" in text
 
 
+def _plain_a(payload):
+    """payload with the embedded A as plain lists, which the writer formats."""
+    rows = [list(row) for row in payload["instance"]["A"]]
+    return dict(payload, instance=dict(payload["instance"], A=rows))
+
+
+_ROUND3 = {"problem": "mcm",
+           "A": np.random.default_rng(63).uniform(-10, 10, (4, 4)).round(3).tolist()}
+_WITH_EPS = {"problem": "mcm", "A": [["-inf", 1.5, 0.25], [2.0, "-inf", -3.5],
+                                     [0.125, -1.0, "-inf"]]}
+_INTEGERS = {"problem": "mcm", "A": np.round(_ROUND3["A"]).astype(int).tolist()}
+
+
+class TestRowCopy:
+    """parse_instance cuts A's rows from a canonically spelled input, and the
+    writer copies them; any other spelling is formatted from the floats.
+    Either way the solution bytes are the same."""
+
+    @pytest.mark.parametrize("text, copied", [
+        ('{"problem": "mcm", "A": [[1, 2], [3, 4]]}', False),
+        ('{"problem": "onesided", "A": [[1e2, 1.5]], "b": [1.0]}', False),
+        ('{"problem": "onesided", "A": [[1.50, 2.0]], "b": [1.0]}', False),
+        ('{"problem": "onesided", "A": [[-0.0, 0.0, 0.0001, 2.5]], "b": [1.0]}', True),
+        ('{"problem": "onesided", "A": [[0.00001, 1.0]], "b": [1.0]}', False),
+        (json.dumps({"problem": "onesided", "A": [[0.1 + 0.2, 1.0]], "b": [1.0]}), False),
+        (json.dumps({"problem": "onesided", "A": [[123456789012345.0, 1.0]], "b": [1.0]}),
+         False),
+        (json.dumps({"problem": "onesided", "A": [[99999999999999.0, 1.0]], "b": [1.0]}),
+         True),
+        (json.dumps(_WITH_EPS), True),
+        (json.dumps(_WITH_EPS, separators=(",", ":")), False),
+        (json.dumps(_WITH_EPS, indent=1), False),
+        ('{"problem": "onesided", "b": [1.0, 2.0], "A": [[1.5, 2.5], [0.5, -1.0]]}', True),
+        ('{"problem": "mcm", "\\u0041": [[1.5]]}', False),
+        ('{"problem": "mcm", "A": [[1.5]], "\\u0041": [[2.5]]}', False),
+        ('{"problem": "onesided", "A": [[1.5, -2.0, 0.25]], "b": [2.0]}', True),
+        ('{"problem": "onesided", "A": [[1.5], [0.25], [-3.0]], "b": [1.0, 2.0, 3.0]}', True),
+    ], ids=["int", "exponent", "trailing-zero", "zeros-and-1e-4", "below-1e-4",
+            "17-digits", "16-digits", "15-digits", "eps", "compact", "indent",
+            "A-last", "escaped-A", "escaped-A-duplicate", "single-row", "single-column"])
+    def test_copy_writes_the_formatter_bytes(self, text, copied):
+        inst = parse_instance(text)
+        assert (inst.a_rows is not None) == copied
+        payload, _ = solve_to_payload(inst, 1e-9)
+        assert serialize_solution(payload) == serialize_solution(_plain_a(payload))
+        assert payload["instance"]["A"] == json.loads(text)["A"]
+
+    @pytest.mark.parametrize("obj, copied", [(_ROUND3, True), (_WITH_EPS, True),
+                                             (_INTEGERS, False)],
+                             ids=["round3", "eps", "integers"])
+    def test_copy_runs_on_canonical_input(self, obj, copied):
+        # every byte test passes with the copy switched off; this one does not
+        rows = tuple(json.dumps(row) for row in obj["A"]) if copied else None
+        assert parse_instance(json.dumps(obj)).a_rows == rows
+
+    def test_replacing_a_field_drops_the_texts(self):
+        inst = parse_instance(json.dumps(_ROUND3))
+        assert inst.a_rows is not None
+        assert dataclasses.replace(inst, a=TropMatrix([[0.5]])).a_rows is None
+        assert inst == dataclasses.replace(inst)
+
+    def test_payload_stays_a_plain_document(self):
+        payload, _ = solve_to_payload(parse_instance(json.dumps(_WITH_EPS)), 1e-9)
+        text = serialize_solution(payload)
+        assert json.loads(text) == payload
+        assert json.loads(json.dumps(payload)) == payload
+        assert render_text(payload) == render_text(_plain_a(payload))
+
+
 class TestSolveToPayload:
     def test_primal_payload(self):
         inst = parse_instance(
@@ -662,6 +732,14 @@ class TestCliMain(object):
         inst.write_text("{")
         assert main(["solve", "--input", str(inst)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_deeply_nested_json(self, command, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"A": ' + "[" * 200_000)
+        assert main([command, "--input", str(inst)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "troplp: input error: invalid JSON: nested too deeply\n"
+
     def test_eps_in_onesided_is_input_error(self, tmp_path):
         # the parser permits "-inf" for this kind, but an all -inf column
         # leaves the greatest subsolution unbounded
@@ -784,6 +862,37 @@ class TestCycleMeanWithinTol:
         except CertificateViolationError:
             return
         assert code != EXIT_OK or verify_payload(payload) == []
+
+
+def _near_tol_cycles(count, seed):
+    """(A, d, c) with arcs in [-200, -100] and one planted cycle of mean
+    1e-9 times 1, 1 + 1e-6 or 1 - 1e-6, its arcs drawn in [-50, 50]: Karp's
+    ratio and the witness's summed mean round to either side of tol = 1e-9."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(3, 9))
+        a = rng.uniform(-200, -100, (n, n))
+        nodes = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        weights = rng.uniform(-50, 50, len(nodes))
+        weights[-1] = len(nodes) * 1e-9 * (1, 1 + 1e-6, 1 - 1e-6)[k % 3] - weights[:-1].sum()
+        a[nodes, np.roll(nodes, -1)] = weights
+        yield a.tolist(), rng.uniform(-10, 10, n).tolist(), rng.uniform(-10, 10, n).tolist()
+
+
+def test_divergent_payloads_near_tol_check():
+    # solve decides divergence with the lambda it stores, the witness's summed
+    # mean, which is the float check recomputes; with Karp's ratio instead,
+    # 4 payloads of each kind here were rejected by their own check
+    rejected = []
+    for a, d, c in _near_tol_cycles(300, 0):
+        for obj in TestCycleMeanWithinTol._objs(a, d, c):
+            try:
+                payload, code = solve_to_payload(parse_instance(json.dumps(obj)), 1e-9)
+            except CertificateViolationError:
+                continue  # the absolute tol of near-tol sums, not divergence
+            if code == EXIT_INFEASIBLE and verify_payload(payload):
+                rejected.append(obj)
+    assert rejected == []
 
 
 GOLDEN = util.TESTS / "golden"
