@@ -2,10 +2,10 @@
 
 A square matrix A induces a weighted digraph with an arc (i, j) of weight
 a_ij for every entry above epsilon.  This module computes the maximum cycle
-mean lambda(A) with Karp's dynamic program on one walk table, the Kleene
-star A* = I + A + A^2 + ... via a Floyd-Warshall sweep, and the shifted star
-of A - lambda.  Whether the digraph is acyclic, the case lambda = epsilon,
-is also told in O(n^2) by a topological peel.
+mean lambda(A) with Karp's dynamic program on one walk table and the Kleene
+star A* = I + A + A^2 + ... via a Floyd-Warshall sweep.  Whether the digraph
+is acyclic, the case lambda = epsilon, is also told in O(n^2) by a
+topological peel.
 
 Karp's table uses a super-source with a zero-weight arc to every node, so
 D_0 = 0 and D_k = max_u(D_{k-1}[u] + A[u, :]) is the heaviest walk of exactly
@@ -18,7 +18,7 @@ cycle, or, when lambda is positive but within tol, to sweep A - lambda
 instead, since a sweep of A would be inflated by about the cycle's length
 times lambda.  star_given_mean is that rule once the cycle mean is known,
 and the equation-form two-sided solver, which needs lambda anyway, calls it
-with its own.  kleene_star is the shifted star at shift 0.
+with its own.
 """
 
 from __future__ import annotations
@@ -162,31 +162,22 @@ def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
 
     The series is finite only when the maximum cycle mean is nonpositive, in
     which case it equals the partial sum up to exponent n-1 and is computed
-    by a Floyd-Warshall sweep in O(n^3); it is the shifted star at lam = 0.
-    """
-    return kleene_star_scaled(a, 0.0, tol)
-
-
-def kleene_star_scaled(a: TropMatrix, lam: float, tol: float = DEFAULT_TOL) -> TropMatrix:
-    """Kleene star of the matrix with every entry shifted down by lam.
-
-    Converges exactly when lam is at least the maximum cycle mean lambda of
-    A.  Karp runs only when the sweep's diagonal turns positive, and
-    star_given_mean then decides.
+    by a Floyd-Warshall sweep in O(n^3).  Karp runs only when the sweep's
+    diagonal turns positive, and star_given_mean then decides.
     """
     _require_square(a)
-    swept = _star_sweep(a.data - lam)
+    swept = _star_sweep(a.data)
     if _diverges(swept):
-        return star_given_mean(a, lam, max_cycle_mean(a), tol)
+        return star_given_mean(a, max_cycle_mean(a), tol)
     return TropMatrix(swept)
 
 
-def star_given_mean(a: TropMatrix, shift: float, cm: CycleMeanResult,
+def star_given_mean(a: TropMatrix, cm: CycleMeanResult,
                     tol: float = DEFAULT_TOL) -> TropMatrix:
     """The divergence rule, given A's maximum cycle mean cm: refuse when
-    shift < lambda - tol, else return the star of A - max(lambda, shift)."""
-    if shift < cm.lambda_ - tol:
+    lambda > tol, else return the star of A - max(lambda, 0)."""
+    if cm.lambda_ > tol:
         raise DivergentStarError(
-            f"star diverges: shift {shift} below maximum cycle mean {cm.lambda_}",
+            f"star diverges: maximum cycle mean {cm.lambda_} exceeds tol {tol}",
             lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
-    return TropMatrix(_star_sweep(a.data - max(cm.lambda_, shift)))
+    return TropMatrix(_star_sweep(a.data - max(cm.lambda_, 0.0)))

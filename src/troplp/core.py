@@ -4,16 +4,15 @@ The scalar carrier is R together with the bottom element epsilon = -inf.
 Tropical addition is max (epsilon neutral), tropical multiplication is +
 (epsilon absorbing).  IEEE -inf implements both laws natively, so entries are
 stored in read-only float64 arrays; NaN and +inf are rejected at construction.
-
-The dual min-plus pair (min, +) is defined over finite entries only; the
-min-plus operations below reject any -inf input.
+Only (max, +) operations are provided: residuation, the one place the min-plus
+conjugate enters, is written out in onesided.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FiniteRequiredError
+from .errors import DimensionMismatchError
 
 EPSILON = float("-inf")
 DEFAULT_TOL = 1e-9
@@ -89,18 +88,12 @@ class TropMatrix(_TropArray):
     def shape(self) -> tuple[int, int]:
         return self._data.shape
 
-    def to_lists(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self._data]
-
 
 class TropVector(_TropArray):
     """Column vector over the max-plus semiring.  Immutable."""
 
     __slots__ = ()
     _ndim = 1
-
-    def to_list(self) -> list[float]:
-        return [float(x) for x in self._data]
 
     def __len__(self) -> int:
         return self._data.shape[0]
@@ -115,102 +108,52 @@ def _require_same_shape(a, b):
             f"shape mismatch: {a.data.shape} vs {b.data.shape}")
 
 
-def _require_finite(*values):
-    for v in values:
-        if np.isneginf(v.data).any():
-            raise FiniteRequiredError("operation requires finite entries, got -inf")
-
-
 def tadd(a, b):
     """Entrywise tropical sum (max) of two matrices or two vectors."""
     _require_same_shape(a, b)
     return type(a)(np.maximum(a.data, b.data))
 
 
-def _accumulate(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix product over (op, +), one rank-one update per inner index.
+def tmul(a: TropMatrix, b):
+    """Max-plus product: matrix x matrix -> matrix, matrix x vector -> vector.
 
-    Keeps the working set at one m x n buffer instead of the m x k x n
-    broadcast temporary.
+    The matrix product makes one rank-one update per inner index, which keeps
+    the working set at one m x n buffer instead of the m x k x n broadcast
+    temporary.
     """
-    out = x[:, 0:1] + y[0:1, :]
-    term = np.empty_like(out)
-    for k in range(1, x.shape[1]):
-        np.add(x[:, k:k + 1], y[k:k + 1, :], out=term)
-        op(out, term, out=out)
-    return out
-
-
-def _product(op, a: TropMatrix, b):
-    """Product over (op, +): matrix x matrix -> matrix, matrix x vector -> vector."""
     if isinstance(b, TropVector):
         if a.cols != len(b):
             raise DimensionMismatchError(
                 f"inner dimensions disagree: {a.shape} x ({len(b)},)")
-        return TropVector(op.reduce(a.data + b.data[np.newaxis, :], axis=1))
+        return TropVector((a.data + b.data[np.newaxis, :]).max(axis=1))
     if a.cols != b.rows:
         raise DimensionMismatchError(
             f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return TropMatrix(_accumulate(op, a.data, b.data))
-
-
-def tmul(a: TropMatrix, b):
-    """Max-plus product: matrix x matrix -> matrix, matrix x vector -> vector."""
-    return _product(np.maximum, a, b)
-
-
-def tmul_min(a: TropMatrix, b):
-    """Min-plus product; every entry of both operands must be finite."""
-    _require_finite(a, b)
-    return _product(np.minimum, a, b)
-
-
-def _dot(op, u: TropVector, v: TropVector) -> float:
-    """Inner product over (op, +): op-reduce of u_i + v_i."""
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"length mismatch: {len(u)} vs {len(v)}")
-    return float(op.reduce(u.data + v.data))
+    x, y = a.data, b.data
+    out = x[:, 0:1] + y[0:1, :]
+    term = np.empty_like(out)
+    for k in range(1, a.cols):
+        np.add(x[:, k:k + 1], y[k:k + 1, :], out=term)
+        np.maximum(out, term, out=out)
+    return TropMatrix(out)
 
 
 def tdot(u: TropVector, v: TropVector) -> float:
     """Max-plus inner product max_i(u_i + v_i)."""
-    return _dot(np.maximum, u, v)
-
-
-def tdot_min(u: TropVector, v: TropVector) -> float:
-    """Min-plus inner product min_i(u_i + v_i); finite entries required."""
-    _require_finite(u, v)
-    return _dot(np.minimum, u, v)
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"length mismatch: {len(u)} vs {len(v)}")
+    return float((u.data + v.data).max())
 
 
 def transpose(a: TropMatrix) -> TropMatrix:
     return TropMatrix(a.data.T)
 
 
-def conjugate(a):
-    """Conjugate: negated transpose for matrices, negation for vectors.
-
-    The conjugate links the max-plus and min-plus products and is defined for
-    finite operands only.
-    """
-    _require_finite(a)
-    if isinstance(a, TropVector):
-        return TropVector(-a.data)
-    return TropMatrix(-a.data.T)
-
-
-def diag(x: TropVector) -> TropMatrix:
-    """Diagonal matrix with x on the diagonal and epsilon elsewhere."""
-    _require_finite(x)
-    n = len(x)
-    out = np.full((n, n), EPSILON)
-    np.fill_diagonal(out, x.data)
-    return TropMatrix(out)
-
-
 def identity(n: int) -> TropMatrix:
     """Unit matrix: zeros on the diagonal, epsilon elsewhere."""
-    return diag(TropVector(np.zeros(n)))
+    out = np.full((n, n), EPSILON)
+    np.fill_diagonal(out, 0.0)
+    return TropMatrix(out)
 
 
 def excess(lhs, rhs, tol: float = DEFAULT_TOL) -> float | None:

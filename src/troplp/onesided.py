@@ -1,11 +1,11 @@
 """Residuation-based solvers for one-sided systems Ax <= b and Ax = b.
 
-The max-plus product and the min-plus conjugate product form a Galois
-connection: Ax <= y holds exactly when x is below the principal solution
-built from the conjugate of A.  That principal solution is the greatest
+Residuation: Ax <= b holds exactly when x is below the principal solution
+x_j = min_i(b_i - a_ij), the min-plus product of the conjugate -A^T with b,
+written out here as that one formula.  The principal solution is the greatest
 subsolution, and the equality system is solvable exactly when substituting
-it back reproduces b.  Subeigenvector machinery (finite x with Ax <= lam + x)
-rides on the shifted Kleene star.
+it back reproduces b.  subeigen_member tests a finite x against the
+subeigenvector inequality Ax <= lam + x.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import kleene_star_scaled, max_cycle_mean
+from .closure import _require_square
 from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, excess, tmul
 from .errors import DimensionMismatchError, FiniteRequiredError
 
@@ -77,33 +77,12 @@ def shortfall(a: TropMatrix, b: TropVector, x: TropVector) -> float:
     return float(np.max(b.data - tmul(a, x).data))
 
 
-def subeigen_nonempty(a: TropMatrix, lam: float, tol: float = DEFAULT_TOL) -> bool:
-    """True iff some finite x satisfies A x <= lam + x, i.e. lam >= lambda(A)."""
-    if not a.is_finite():
-        raise FiniteRequiredError("subeigenvector test requires finite A")
-    return lam >= max_cycle_mean(a).lambda_ - tol
-
-
-def subeigen_generate(a: TropMatrix, lam: float, u: TropVector,
-                      tol: float = DEFAULT_TOL) -> TropVector:
-    """Map u into the subeigenvector set via the shifted star of A.
-
-    Every image is a solution of A x <= lam + x, and every solution arises
-    this way; diverges (error) when lam is below the maximum cycle mean.
-    """
-    if not a.is_finite() or not u.is_finite():
-        raise FiniteRequiredError("subeigenvector generation requires finite inputs")
-    if a.cols != len(u):
-        raise DimensionMismatchError(
-            f"A has {a.cols} columns but u has length {len(u)}")
-    return tmul(kleene_star_scaled(a, lam, tol), u)
-
-
 def subeigen_member(a: TropMatrix, lam: float, x: TropVector,
                     tol: float = DEFAULT_TOL) -> bool:
-    """Check A x <= lam + x entrywise within tol."""
+    """Check A x <= lam + x entrywise within tol; A must be square."""
     if not x.is_finite():
         raise FiniteRequiredError("membership test requires finite x")
+    _require_square(a)
     if a.cols != len(x):
         raise DimensionMismatchError(
             f"A has {a.cols} columns but x has length {len(x)}")

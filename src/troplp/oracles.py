@@ -125,7 +125,7 @@ def brute_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
         raise DivergentStarError(
             f"star series diverges: maximum cycle mean {lam} > 0", lambda_=lam)
     n = a.rows
-    entries = a.to_lists()
+    entries = a.data.tolist()
     total = [[0.0 if i == j else EPSILON for j in range(n)] for i in range(n)]
     power = entries
     for _ in range(n - 1):
@@ -140,7 +140,7 @@ def brute_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
 def brute_primal_integer(inst: LpInstance, box: Box,
                          tol: float = DEFAULT_TOL) -> tuple[TropVector, float]:
     """Exhaustively maximize c'x over integer x in the box with Ax <= b."""
-    a, b, c = inst.a.to_lists(), inst.b.to_list(), inst.c.to_list()
+    a, b, c = inst.a.data.tolist(), inst.b.data.tolist(), inst.c.data.tolist()
     m, n = inst.a.shape
     if len(box.lowers) != n:
         raise DimensionMismatchError(f"box must have {n} coordinates")
@@ -167,7 +167,7 @@ def brute_primal_integer(inst: LpInstance, box: Box,
 def brute_dual_integer(inst: LpInstance, box: Box,
                        tol: float = DEFAULT_TOL) -> tuple[TropVector, float]:
     """Exhaustively minimize pi'b over integer pi in the box with pi'A >= c'."""
-    a, b, c = inst.a.to_lists(), inst.b.to_list(), inst.c.to_list()
+    a, b, c = inst.a.data.tolist(), inst.b.data.tolist(), inst.c.data.tolist()
     m, n = inst.a.shape
     if len(box.lowers) != m:
         raise DimensionMismatchError(f"box must have {m} coordinates")
@@ -193,7 +193,7 @@ def brute_dual_integer(inst: LpInstance, box: Box,
 
 def primal_box(inst: LpInstance, below: int = 2, cap: int = DEFAULT_CAP) -> Box:
     """Box around the floored real primal witness, extended `below` downward."""
-    a, b = inst.a.to_lists(), inst.b.to_list()
+    a, b = inst.a.data.tolist(), inst.b.data.tolist()
     m, n = inst.a.shape
     tops = []
     for j in range(n):
@@ -209,7 +209,7 @@ def dual_box(inst: LpInstance, margin: int = 1, cap: int = DEFAULT_CAP) -> Box:
     of the rounded-up real dual witness, then widened by `margin` on each
     side to absorb phase-rounding edge cases.
     """
-    a, b, c = inst.a.to_lists(), inst.b.to_list(), inst.c.to_list()
+    a, b, c = inst.a.data.tolist(), inst.b.data.tolist(), inst.c.data.tolist()
     m, n = inst.a.shape
     lower_value = max(
         c[j] + min(b[i] - a[i][j] for i in range(m)) for j in range(n))

@@ -87,7 +87,7 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
     single point A* d, reported as the unique-fixed-point kind.
     """
     cm = max_cycle_mean(inst.a)
-    y = tmul(star_given_mean(inst.a, 0.0, cm, tol), inst.d)
+    y = tmul(star_given_mean(inst.a, cm, tol), inst.d)
     if mismatch(two_sided_lhs(inst, y), y.data, tol) is not None:
         raise CertificateViolationError("fixed-point witness violates the equation")
     kind = UNIQUE_FIXED_POINT if cm.lambda_ < -tol else FEASIBLE

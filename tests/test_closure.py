@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 import util
 from troplp import (EPSILON, DimensionMismatchError, DivergentStarError,
                     TropMatrix, TropVector, TwoSidedInstance, approx_equal,
-                    diag, identity, kleene_star, kleene_star_scaled,
-                    max_cycle_mean, solve_tslp, solve_tslp2, tadd, tmul)
+                    identity, kleene_star, max_cycle_mean, solve_tslp,
+                    solve_tslp2, tadd, tmul)
 from troplp import closure
 from troplp.closure import _star_sweep
 from troplp.oracles import brute_cycle_mean, brute_star
@@ -178,7 +178,8 @@ class TestMaxCycleMean:
             n = int(rng.integers(2, 6))
             a = util.sparse_square(rng, n)
             x = util.finite_vector(rng, n)
-            scaled = tmul(tmul(diag(TropVector(-x.data)), a), diag(x))
+            # diag(-x) A diag(x): entry (i, j) is a_ij - x_i + x_j
+            scaled = TropMatrix(a.data - x.data[:, np.newaxis] + x.data)
             lam = max_cycle_mean(a).lambda_
             lam_scaled = max_cycle_mean(scaled).lambda_
             if lam == E:
@@ -255,32 +256,6 @@ class TestKleeneStar:
             assert approx_equal(tadd(tmul(a, star), identity(n)), star)
 
 
-class TestKleeneStarScaled:
-    def test_loop_scaled_to_zero(self):
-        assert kleene_star_scaled(TropMatrix([[1]]), 1.0) == TropMatrix([[0]])
-
-    def test_worked_example(self):
-        # star of [[-1, 2], [-2, -1]] frozen from the power-sum oracle
-        star = kleene_star_scaled(TropMatrix([[0, 3], [-1, 0]]), 1.0)
-        assert approx_equal(star, TropMatrix([[0, 2], [-2, 0]]))
-        assert approx_equal(star, brute_star(TropMatrix([[-1, 2], [-2, -1]])))
-
-    def test_shift_below_lambda_diverges(self):
-        with pytest.raises(DivergentStarError) as exc:
-            kleene_star_scaled(TropMatrix([[0, 3], [-1, 0]]), 0.5)
-        assert exc.value.lambda_ == pytest.approx(1.0)
-        assert exc.value.witness_cycle in ((0, 1), (1, 0))
-
-    def test_shift_within_tol_below_lambda_returns_star(self):
-        # lambda = 1 lies within tol above the shift: the star is that of
-        # A - lambda, a fixed point of A - shift within tol
-        a = TropMatrix([[0, 3], [-1, 0]])
-        star = kleene_star_scaled(a, 1.0 - 5e-10, 1e-9)
-        assert star == TropMatrix(_star_sweep(a.data - 1.0))
-        shifted = TropMatrix(a.data - (1.0 - 5e-10))
-        assert approx_equal(tadd(tmul(shifted, star), identity(2)), star, tol=1e-9)
-
-
 class TestKarpCallCount:
     def test_convergent_star_skips_karp(self, karp_calls):
         rng = np.random.default_rng(15)
@@ -288,7 +263,6 @@ class TestKarpCallCount:
             n = int(rng.integers(1, 30))
             a = util.nonpositive_cycle_matrix(rng, n, margin=0.5)
             kleene_star(a)
-            kleene_star_scaled(a, 0.0)
         assert karp_calls == []
 
     def test_divergent_star_runs_karp_once(self, karp_calls):

@@ -28,8 +28,8 @@ class TestParseInstance:
         inst = parse_instance(
             '{"problem":"primal","A":[[1,2],[3,4]],"b":[5,6],"c":[0,0]}')
         assert inst.problem == "primal"
-        assert inst.a.to_lists() == [[1.0, 2.0], [3.0, 4.0]]
-        assert inst.b.to_list() == [5.0, 6.0]
+        assert inst.a.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert inst.b.data.tolist() == [5.0, 6.0]
 
     def test_mcm_accepts_eps(self):
         inst = parse_instance(

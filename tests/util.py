@@ -91,7 +91,7 @@ def tslp_instance(rng, n, margin=0.0) -> TwoSidedInstance:
 
 def rows_obj(a: TropMatrix) -> list[list]:
     """Matrix rows with epsilon rendered as the "-inf" string, JSON-safe."""
-    return [["-inf" if v == EPSILON else v for v in row] for row in a.to_lists()]
+    return [["-inf" if v == EPSILON else v for v in row] for row in a.data.tolist()]
 
 
 def golden_instance_obj(rng, kind) -> dict:
@@ -100,11 +100,11 @@ def golden_instance_obj(rng, kind) -> dict:
     if kind in ("primal", "dual", "primal-integer", "dual-integer", "gap"):
         inst = quarter_lp_instance(rng, m, n)
         return {"problem": kind, "A": rows_obj(inst.a),
-                "b": inst.b.to_list(), "c": inst.c.to_list()}
+                "b": inst.b.data.tolist(), "c": inst.c.data.tolist()}
     if kind in ("tslp", "tslp2"):
         inst = tslp_instance(rng, n, margin=float(rng.uniform(0, 1)))
         return {"problem": kind, "A": rows_obj(inst.a),
-                "d": inst.d.to_list(), "c": inst.c.to_list()}
+                "d": inst.d.data.tolist(), "c": inst.c.data.tolist()}
     if kind == "star":
         a = nonpositive_cycle_matrix(rng, n, sparse=bool(rng.integers(2)))
         return {"problem": kind, "A": rows_obj(a)}
@@ -112,5 +112,5 @@ def golden_instance_obj(rng, kind) -> dict:
         return {"problem": kind, "A": rows_obj(sparse_square(rng, n))}
     if kind == "onesided":
         return {"problem": kind, "A": rows_obj(finite_matrix(rng, m, n)),
-                "b": finite_vector(rng, m).to_list()}
+                "b": finite_vector(rng, m).data.tolist()}
     raise ValueError(kind)
