@@ -5,7 +5,10 @@ a_ij for every entry above epsilon.  This module computes the maximum cycle
 mean lambda(A) with Karp's dynamic program on one walk table and the Kleene
 star A* = I + A + A^2 + ... via a Floyd-Warshall sweep.  Whether the digraph
 is acyclic, the case lambda = epsilon, is also told in O(n^2) by a
-topological peel.
+topological peel.  With lambda finite, the same table gives in one more
+O(n^2) pass a potential x_v = max_k (D_k[v] - k lambda): a subeigenvector of
+A^T, x_u + a_uv <= lambda + x_v on every arc, which bounds every cycle mean
+by lambda and is checked in O(n^2).
 
 Karp's table uses a super-source with a zero-weight arc to every node, so
 D_0 = 0 and D_k = max_u(D_{k-1}[u] + A[u, :]) is the heaviest walk of exactly
@@ -27,21 +30,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, EPSILON, TropMatrix
+from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector
 from .errors import DimensionMismatchError, DivergentStarError
 
 
 @dataclass(frozen=True)
 class CycleMeanResult:
-    """Maximum cycle mean and, when a cycle exists, one witness attaining it.
+    """Maximum cycle mean and, when a cycle exists, one witness attaining it
+    and a potential that bounds every cycle mean by it.
 
     lambda_ is epsilon exactly when the digraph is acyclic, and otherwise the
     witness's mean as _cycle_mean sums it.  The witness is an elementary cycle
-    given as a node sequence without the closing repeat.
+    given as a node sequence without the closing repeat.  The potential x,
+    None when acyclic, satisfies x_u + a_uv <= lambda_ + x_v on every arc up
+    to rounding: summed around any cycle, these bound its mean by lambda_.
     """
 
     lambda_: float
     witness_cycle: tuple[int, ...] | None
+    potential: TropVector | None = None
 
 
 def _require_square(a: TropMatrix):
@@ -105,6 +112,11 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     summed mean rather than Karp's ratio, which rounds differently: a check
     recomputes that mean from the stored witness, so solve and check decide
     divergence with the same float.
+
+    The potential x_v = max over k <= n of (D_k[v] - k lambda) is finite, as
+    D_0 = 0.  An arc u -> v extends each k-walk ending at u to a (k+1)-walk
+    ending at v, and a walk of n + 1 arcs holds a cycle, of mean at most
+    lambda, whose removal leaves a shorter walk; so x_u + a_uv <= lambda + x_v.
     """
     _require_square(a)
     data = a.data
@@ -119,7 +131,9 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     ratios = (last[ends] - walks[:n, ends]) / (n - np.arange(n))[:, np.newaxis]
     per_end = ratios.min(axis=0)
     cycle = _critical_cycle(data, walks, int(ends[np.argmax(per_end)]))
-    return CycleMeanResult(_cycle_mean(a, cycle), cycle)
+    lam = _cycle_mean(a, cycle)
+    potential = (walks - lam * np.arange(n + 1)[:, np.newaxis]).max(axis=0)
+    return CycleMeanResult(lam, cycle, TropVector(potential))
 
 
 def _acyclic(a: TropMatrix) -> bool:

@@ -25,6 +25,14 @@ paper's direct rule: phi_int = ceil(max_j min_i(b_i + c_j - a_ij)), the
 ceiling of the real optimum, with pi_i = phi_int - b_i.  The paper's candidate
 descent for general real b reaches the same value; it is kept as a test
 reference in oracles.descent_dual_integer.
+
+Past 2^52 in magnitude the float64 spacing is at least 1, so every float
+there is an integer.  fr returns 0.  With phase 0, ceil_frac and floor_frac
+return x itself: x - tol and x + tol round back to x for any tol below half
+the spacing, so tol is absorbed.  A nonzero phase (from a small b_i) cannot
+be represented there: x - phase rounds to a float, the result rounds again,
+and it can miss x by one spacing in either direction; for instance
+ceil_frac(2^52 + 1, 0.5) is 2^52.
 """
 
 from __future__ import annotations

@@ -38,12 +38,12 @@ from ._version import __version__
 from .closure import (_acyclic, _cycle_mean, _diverges, _star_sweep, kleene_star,
                       max_cycle_mean)
 from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, excess,
-                   identity, mismatch, tadd, tdot, tmul)
+                   identity, mismatch, tadd, tdot, tmul, transpose)
 from .errors import DivergentStarError, FiniteRequiredError, InstanceFormatError
 from .intlp import duality_gap, solve_dual_integer, solve_primal_integer
 from .lp import (LpInstance, dual_violation, primal_violation, solve_dual,
                  solve_primal)
-from .onesided import _check_system, shortfall, solve_equality
+from .onesided import _check_system, shortfall, solve_equality, subeigen_member
 from .twosided import (FEASIBLE, UNIQUE_FIXED_POINT, TwoSidedInstance,
                        solve_tslp, solve_tslp2, two_sided_lhs)
 
@@ -154,10 +154,13 @@ def _spec(kind) -> _Kind:
 # n below 8e7.
 _MAX_ENTRY = 1e300
 # The largest magnitude of a finite number stored in a solution.  An honest
-# one is a sum of at most n instance entries, so it stays below this bound
-# for any n that fits in memory.  A certificate sum in a check adds at most
-# two stored numbers and one entry, which stays finite; the sweep of the mcm
-# check, which can overflow on a tampered lambda, reads that as divergence.
+# one is a sum of at most 2n instance entries (the mcm potential, a walk
+# weight minus k lambda, is the longest), so it stays below this bound for any
+# n that fits in memory.  A certificate sum in a check adds at most two stored
+# numbers and one entry, which stays finite: with |x| <= 1e307 and
+# |a| <= 1e300, the potential's sums x_u + a_uv and lambda + x_v stay below
+# 2.1e307.  The sweep of the mcm check, which can overflow on a tampered
+# lambda, reads that as divergence.
 _MAX_STORED = 1e307
 
 
@@ -558,14 +561,25 @@ def _verify_star(inst: InstanceFile, payload: dict, tol: float, problems: list[s
 
 def _solve_mcm(inst: InstanceFile, tol: float) -> dict:
     cm = max_cycle_mean(inst.a)
-    cycle = None if cm.witness_cycle is None else list(cm.witness_cycle)
-    return {"lambda": _json(cm.lambda_), "witness_cycle": cycle}
+    if cm.witness_cycle is None:
+        return {"lambda": _json(cm.lambda_), "witness_cycle": None}
+    return {"lambda": _json(cm.lambda_), "witness_cycle": list(cm.witness_cycle),
+            "potential": _json(cm.potential.data)}
 
 
 def _verify_mcm(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
+    """The witness cycle bounds lambda from below; the stored potential, a
+    subeigenvector of A^T, bounds it from above in O(n^2).  Where the
+    potential is absent (older files) or fails by rounding, which the
+    absolute tol lets happen once entries reach about 1e5 and |x| about n
+    times that, the O(n^3) sweep decides."""
     lam = _read_number(payload, "lambda", allow_eps=True)
     if lam != EPSILON:
         _check_cycle(inst.a, lam, payload, tol, problems)
+        if "potential" in payload:
+            x = _read_vector(payload, "potential", inst.a.rows)
+            if subeigen_member(transpose(inst.a), lam, x, tol):
+                return
         # A cycle of mean above lam + tol closes a positive walk in A - (lam + tol).
         if _diverges(_star_sweep(inst.a.data - (lam + tol))):
             problems.append("lambda below the maximum cycle mean")

@@ -5,7 +5,8 @@ x_j = min_i(b_i - a_ij), the min-plus product of the conjugate -A^T with b,
 written out here as that one formula.  The principal solution is the greatest
 subsolution, and the equality system is solvable exactly when substituting
 it back reproduces b.  subeigen_member tests a finite x against the
-subeigenvector inequality Ax <= lam + x.
+subeigenvector inequality Ax <= lam + x; the mcm check applies it to A^T and
+the stored potential, which bounds every cycle mean of A by lam.
 """
 
 from __future__ import annotations

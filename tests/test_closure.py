@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import util
-from troplp import (EPSILON, DimensionMismatchError, DivergentStarError,
-                    TropMatrix, TropVector, TwoSidedInstance, approx_equal,
-                    identity, kleene_star, max_cycle_mean, solve_tslp,
-                    solve_tslp2, tadd, tmul)
+from troplp import (EPSILON, CycleMeanResult, DimensionMismatchError,
+                    DivergentStarError, TropMatrix, TropVector,
+                    TwoSidedInstance, approx_equal, identity, kleene_star,
+                    max_cycle_mean, solve_tslp, solve_tslp2, subeigen_member,
+                    tadd, tmul, transpose)
 from troplp import closure
 from troplp.closure import _star_sweep
 from troplp.oracles import brute_cycle_mean, brute_star
@@ -28,9 +29,13 @@ def cycle_mean_of(a: TropMatrix, cycle) -> float:
     return total / len(cycle)
 
 
-def assert_critical(a: TropMatrix, cycle, lam: float, tol: float = 1e-9):
+def assert_critical(a: TropMatrix, res, tol: float = 1e-9):
+    """The witness is an elementary cycle of mean lambda, and the potential
+    is a subeigenvector of A^T at lambda, which bounds every cycle mean."""
+    cycle = res.witness_cycle
     assert len(set(cycle)) == len(cycle), "witness cycle is not elementary"
-    assert cycle_mean_of(a, cycle) == pytest.approx(lam, abs=tol)
+    assert cycle_mean_of(a, cycle) == pytest.approx(res.lambda_, abs=tol)
+    assert subeigen_member(transpose(a), res.lambda_, res.potential, tol)
 
 
 @st.composite
@@ -91,7 +96,7 @@ class TestScc:
         res = max_cycle_mean(a)
         assert res.lambda_ == pytest.approx(1.0, abs=1e-9)
         assert sorted(res.witness_cycle) == [0, 1]
-        assert_critical(a, res.witness_cycle, res.lambda_)
+        assert_critical(a, res)
 
     def test_mutual_arcs(self):
         # loops of mean 0 lose to the two-cycle of mean (3 - 1) / 2 = 1
@@ -99,7 +104,7 @@ class TestScc:
         res = max_cycle_mean(a)
         assert res.lambda_ == pytest.approx(1.0, abs=1e-9)
         assert sorted(res.witness_cycle) == [0, 1]
-        assert_critical(a, res.witness_cycle, res.lambda_)
+        assert_critical(a, res)
 
     def test_mixed_components(self):
         # 0 <-> 1 cycle (mean 2.5) feeding an isolated sink 2
@@ -107,7 +112,7 @@ class TestScc:
         res = max_cycle_mean(a)
         assert res.lambda_ == pytest.approx(2.5, abs=1e-9)
         assert sorted(res.witness_cycle) == [0, 1]
-        assert_critical(a, res.witness_cycle, res.lambda_)
+        assert_critical(a, res)
 
 
 class TestMaxCycleMean:
@@ -117,11 +122,13 @@ class TestMaxCycleMean:
         assert res.lambda_ == pytest.approx(1.0, abs=1e-9)
         assert cycle_mean_of(TropMatrix([[0, 3], [-1, 0]]), res.witness_cycle) \
             == pytest.approx(res.lambda_, abs=1e-9)
+        # walk table rows D_0 = [0, 0], D_1 = [0, 3], D_2 = [2, 3]; x_v is the
+        # largest D_k[v] - k
+        assert res.potential == TropVector([0, 2])
 
     def test_acyclic_gives_eps(self):
         res = max_cycle_mean(TropMatrix([[E, 1], [E, E]]))
-        assert res.lambda_ == E
-        assert res.witness_cycle is None
+        assert res == CycleMeanResult(E, None, None)
 
     def test_negative_loop_dominates(self):
         # cycle means: -1, -2, (0-3)/2 = -1.5
@@ -159,7 +166,7 @@ class TestMaxCycleMean:
             assert karp.witness_cycle is None
         else:
             assert karp.lambda_ == pytest.approx(brute, abs=1e-9)
-            assert_critical(a, karp.witness_cycle, karp.lambda_)
+            assert_critical(a, karp)
 
     @pytest.mark.parametrize("n", [30, 77, 200])
     @pytest.mark.parametrize("shape", ["dense", "sparse", "ties", "dag"])
@@ -169,7 +176,7 @@ class TestMaxCycleMean:
         a = large_graph(np.random.default_rng(n), n, shape)
         res = max_cycle_mean(a)
         assert res.lambda_ > E
-        assert_critical(a, res.witness_cycle, res.lambda_)
+        assert_critical(a, res)
         assert np.diagonal(_star_sweep(a.data - res.lambda_)).max() <= 1e-9
 
     def test_invariant_under_diagonal_similarity(self):

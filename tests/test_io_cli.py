@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import itertools
 import json
 import re
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import util
 from troplp import (EPSILON, CertificateViolationError, InstanceFormatError,
-                    TropMatrix, closure, intlp, twosided)
+                    TropMatrix, closure, core, intlp, twosided)
 from troplp.cli import main
 from troplp.io import (_INT_OVERFLOW, _KINDS, _MAX_ENTRY, EXIT_CERTIFICATE,
                        EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS, _number,
@@ -233,6 +234,7 @@ class TestStoredMagnitude:
         ("onesided", "principal", [0, -1.7e308]),
         ("onesided", "residual", 1.7e308),
         ("star", "star", [[0, 0], [1.7e308, 0]]),
+        ("mcm", "potential", [0, 0, 1.7e308]),
     ])
     def test_reported_as_problem(self, name, field, value, tmp_path, capsys):
         doc = _fresh_solution(name, tmp_path)
@@ -606,6 +608,130 @@ class TestVerifyPayload:
             verify_payload({"problem": "mcm"})
 
 
+# tests/golden/mcm.solution.json as solve wrote it before solutions carried
+# a potential
+_MCM_WITHOUT_POTENTIAL = """{
+  "tool": "troplp",
+  "version": "0.1.0",
+  "problem": "mcm",
+  "tol": 1e-09,
+  "status": "ok",
+  "lambda": 1.0,
+  "witness_cycle": [0, 1, 2],
+  "instance": {
+    "problem": "mcm",
+    "A": [
+      ["-inf", 1.0, "-inf"],
+      ["-inf", 0.5, 2.0],
+      [0.0, "-inf", "-inf"]
+    ]
+  }
+}
+"""
+
+
+class TestCheckPasses:
+    """check's O(n^3) passes on fresh payloads, counted per kind as (star
+    sweeps, Karp walk tables, matrix products)."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = [util.count_calls(monkeypatch, fn)
+                 for fn in (closure._star_sweep, closure._walk_table, core.tmul)]
+
+        def check(payload):
+            for made in calls:
+                made.clear()
+            problems = verify_payload(payload)
+            sweeps, tables, products = calls
+            return problems, (len(sweeps), len(tables),
+                              sum(isinstance(args[1], TropMatrix) for args in products))
+        return check
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fresh_payload(self, kind, passes):
+        payload, code = solve_to_payload(
+            parse_instance((GOLDEN / f"{kind}.instance.json").read_text()), 1e-9)
+        assert code == EXIT_OK
+        # the star check's fixed point and idempotency take one product each
+        assert passes(payload) == ([], (0, 0, 2 if kind == "star" else 0))
+
+    def test_acyclic_mcm(self, passes):
+        payload, _ = solve_to_payload(
+            parse_instance('{"problem":"mcm","A":[["-inf",1],["-inf","-inf"]]}'), 1e-9)
+        assert payload["lambda"] == "-inf"
+        assert passes(payload) == ([], (0, 0, 0))
+
+    def test_lowered_lambda_runs_one_sweep(self, passes):
+        inst = parse_instance('{"problem":"mcm","A":[[1,"-inf"],["-inf",2]]}')
+        payload, _ = solve_to_payload(inst, 1e-9)
+        tampered = dict(payload, **{"lambda": 1.0, "witness_cycle": [0]})
+        assert passes(tampered) == (["lambda below the maximum cycle mean"], (1, 0, 0))
+
+    def test_older_mcm_file_checks_through_the_sweep(self, passes, tmp_path, capsys):
+        assert passes(json.loads(_MCM_WITHOUT_POTENTIAL)) == ([], (1, 0, 0))
+        path = tmp_path / "older.json"
+        path.write_text(_MCM_WITHOUT_POTENTIAL)
+        assert main(["check", "--input", str(path)]) == EXIT_OK
+
+
+def _mcm_matrix(rng, pattern, n, scale, decimals):
+    """A square matrix with entries of magnitude up to scale, integers or
+    with 3 decimals: "dense", "sparse" (10 % of arcs), "dag" (acyclic), or
+    "zero", where every arc weighs at most p_u - p_v for a random p and the
+    arcs of one planted cycle weigh exactly that, so its mean is the
+    maximum, 0."""
+    def draw(size, bound):
+        if decimals:
+            return np.round(rng.uniform(-bound, bound, size), 3)
+        return rng.integers(-int(bound), int(bound) + 1, size).astype(float)
+
+    spell = (lambda v: np.round(v, 3)) if decimals else (lambda v: v)
+    if pattern == "zero":
+        p = draw(n, scale / 4)
+        unit = 0.001 if decimals else 1.0
+        a = spell(p[:, np.newaxis] - p - np.abs(draw((n, n), scale / 2)) - unit)
+        cycle = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        succ = np.roll(cycle, -1)
+        a[cycle, succ] = spell(p[cycle] - p[succ])
+        return a
+    a = draw((n, n), scale)
+    if pattern == "sparse":
+        a[rng.random((n, n)) >= 0.1] = E
+    elif pattern == "dag":
+        order = rng.permutation(n)
+        upper = np.triu(rng.random((n, n)) < 0.5, 1)
+        a = np.where(upper, a, E)[np.ix_(order, order)]
+    return a
+
+
+def test_honest_mcm_potential_and_lambda_tamper(monkeypatch):
+    """Every fresh mcm payload checks, through its potential alone (no sweep)
+    while |entries| <= 1e4; beyond that the absolute tol can lose to the
+    rounding of |x| ~ n * scale, and the sweep decides.  A lambda lowered by
+    0.25 is rejected with the potential kept, zeroed or removed."""
+    rng = np.random.default_rng(67)
+    sweeps = util.count_calls(monkeypatch, closure._star_sweep)
+    for pattern, decimals, power in itertools.product(
+            ("dense", "sparse", "dag", "zero"), (False, True), range(7)):
+        for _ in range(5):
+            n = int(rng.integers(2, 101))
+            a = _mcm_matrix(rng, pattern, n, 10.0 ** power, decimals)
+            payload, code = solve_to_payload(parse_instance(json.dumps(
+                {"problem": "mcm", "A": util.rows_obj(TropMatrix(a))})), 1e-9)
+            assert code == EXIT_OK
+            sweeps.clear()
+            assert verify_payload(payload) == []
+            assert power > 4 or sweeps == []
+            assert pattern != "dag" or payload["lambda"] == "-inf"
+            if payload["lambda"] == "-inf":
+                continue
+            lowered = dict(payload, **{"lambda": payload["lambda"] - 0.25})
+            for tampered in (lowered, dict(lowered, potential=[0.0] * n),
+                             {k: v for k, v in lowered.items() if k != "potential"}):
+                assert "lambda below the maximum cycle mean" in verify_payload(tampered)
+
+
 class TestCliMain(object):
     def _write(self, path, obj):
         path.write_text(json.dumps(obj), encoding="utf-8")
@@ -971,6 +1097,8 @@ class TestCheckMalformedFields:
         ("primal", "status", "divergent-star"),
         ("star", "status", "infeasible-lambda-positive"),
         ("tslp", "status", "ok"),
+        ("mcm", "potential", [0.0, 1.0]),
+        ("mcm", "potential", [0.0, "-inf", 1.0]),
     ])
     def test_reported_as_problem(self, name, field, value, tmp_path, capsys):
         doc = _fresh_solution(name, tmp_path)
