@@ -570,15 +570,23 @@ def _solve_mcm(inst: InstanceFile, tol: float) -> dict:
 def _verify_mcm(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
     """The witness cycle bounds lambda from below; the stored potential, a
     subeigenvector of A^T, bounds it from above in O(n^2).  Where the
-    potential is absent (older files) or fails by rounding, which the
-    absolute tol lets happen once entries reach about 1e5 and |x| about n
-    times that, the O(n^3) sweep decides."""
+    potential is absent (older files), too large for its test to resolve
+    tol, or fails, the O(n^3) sweep decides."""
     lam = _read_number(payload, "lambda", allow_eps=True)
     if lam != EPSILON:
         _check_cycle(inst.a, lam, payload, tol, problems)
         if "potential" in payload:
             x = _read_vector(payload, "potential", inst.a.rows)
-            if subeigen_member(transpose(inst.a), lam, x, tol):
+            # Each arc's test x_u + a_uv <= lam + x_v + tol rounds three sums,
+            # each by at most half a spacing of this bound.  A potential plus
+            # any constant is still a potential, so without the bound a
+            # shifted one would let rounding absorb any gap.  At the default
+            # tol the bound is 2^22; an honest |x| is at most 2n max |a_uv|.
+            scale = (np.abs(x.data).max() + abs(lam)
+                     + np.max(np.abs(inst.a.data), where=inst.a.data != EPSILON,
+                              initial=0.0))
+            if (2 * np.spacing(scale) <= tol
+                    and subeigen_member(transpose(inst.a), lam, x, tol)):
                 return
         # A cycle of mean above lam + tol closes a positive walk in A - (lam + tol).
         if _diverges(_star_sweep(inst.a.data - (lam + tol))):

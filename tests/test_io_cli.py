@@ -668,6 +668,15 @@ class TestCheckPasses:
         tampered = dict(payload, **{"lambda": 1.0, "witness_cycle": [0]})
         assert passes(tampered) == (["lambda below the maximum cycle mean"], (1, 0, 0))
 
+    @pytest.mark.parametrize("shift", [1e20, 1e300])
+    def test_shifted_potential_runs_the_sweep(self, passes, shift):
+        # a constant shift keeps a potential valid, and at this size the
+        # rounding of x_u + a_uv would hide the loop of mean 1000 above lambda
+        payload = {"problem": "mcm", "tol": 1e-9, "status": "ok", "lambda": 0.0,
+                   "witness_cycle": [0], "potential": [shift, shift],
+                   "instance": {"problem": "mcm", "A": [[0, "-inf"], ["-inf", 1000]]}}
+        assert passes(payload) == (["lambda below the maximum cycle mean"], (1, 0, 0))
+
     def test_older_mcm_file_checks_through_the_sweep(self, passes, tmp_path, capsys):
         assert passes(json.loads(_MCM_WITHOUT_POTENTIAL)) == ([], (1, 0, 0))
         path = tmp_path / "older.json"
@@ -707,9 +716,10 @@ def _mcm_matrix(rng, pattern, n, scale, decimals):
 
 def test_honest_mcm_potential_and_lambda_tamper(monkeypatch):
     """Every fresh mcm payload checks, through its potential alone (no sweep)
-    while |entries| <= 1e4; beyond that the absolute tol can lose to the
-    rounding of |x| ~ n * scale, and the sweep decides.  A lambda lowered by
-    0.25 is rejected with the potential kept, zeroed or removed."""
+    while |entries| <= 1e4; beyond that |x| ~ n * scale is too large for the
+    potential's test to resolve the absolute tol, and the sweep decides.  A lambda lowered by
+    0.25 is rejected with the potential kept, zeroed, shifted by 1e20 or
+    removed."""
     rng = np.random.default_rng(67)
     sweeps = util.count_calls(monkeypatch, closure._star_sweep)
     for pattern, decimals, power in itertools.product(
@@ -727,7 +737,9 @@ def test_honest_mcm_potential_and_lambda_tamper(monkeypatch):
             if payload["lambda"] == "-inf":
                 continue
             lowered = dict(payload, **{"lambda": payload["lambda"] - 0.25})
+            shifted = [v + 1e20 for v in payload["potential"]]
             for tampered in (lowered, dict(lowered, potential=[0.0] * n),
+                             dict(lowered, potential=shifted),
                              {k: v for k, v in lowered.items() if k != "potential"}):
                 assert "lambda below the maximum cycle mean" in verify_payload(tampered)
 
