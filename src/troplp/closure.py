@@ -4,11 +4,11 @@ A square matrix A induces a weighted digraph with an arc (i, j) of weight
 a_ij for every entry above epsilon.  This module computes the maximum cycle
 mean lambda(A) with Karp's dynamic program on one walk table and the Kleene
 star A* = I + A + A^2 + ... via a Floyd-Warshall sweep.  Whether the digraph
-is acyclic, the case lambda = epsilon, is also told in O(n^2) by a
-topological peel.  With lambda finite, the same table gives in one more
-O(n^2) pass a potential x_v = max_k (D_k[v] - k lambda): a subeigenvector of
-A^T, x_u + a_uv <= lambda + x_v on every arc, which bounds every cycle mean
-by lambda and is checked in O(n^2).
+is acyclic, the case lambda = epsilon, is told in O(n^2) by a topological
+peel, before any walk table is built.  With lambda finite, the same table
+gives in one more O(n^2) pass a potential x_v = max_k (D_k[v] - k lambda): a
+subeigenvector of A^T, x_u + a_uv <= lambda + x_v on every arc, which bounds
+every cycle mean by lambda and is checked in O(n^2).
 
 Karp's table uses a super-source with a zero-weight arc to every node, so
 D_0 = 0 and D_k = max_u(D_{k-1}[u] + A[u, :]) is the heaviest walk of exactly
@@ -19,9 +19,13 @@ lambda(A) <= 0, and a positive cycle through node i leaves a positive entry
 cycle mean is computed only when it turns positive: to name the divergent
 cycle, or, when lambda is positive but within tol, to sweep A - lambda
 instead, since a sweep of A would be inflated by about the cycle's length
-times lambda.  star_given_mean is that rule once the cycle mean is known,
-and the equation-form two-sided solver, which needs lambda anyway, calls it
-with its own.
+times lambda.
+
+A star answers more in O(n^2): the diagonal of A S, max(A + S^T), bounds
+every cycle weight of A when S is a fixed point of x -> A x + I
+(_strictly_negative).  Both the equation-form two-sided solver, for its
+solution kind, and the star check, to skip the idempotency product, read the
+sign of lambda from it and run no O(n^3) pass to do so.
 """
 
 from __future__ import annotations
@@ -107,11 +111,12 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     Karp's theorem on the walk table D_0..D_n:
     lambda = max over v with D_n[v] finite of
              min over k < n with D_k[v] finite of (D_n[v] - D_k[v]) / (n - k),
-    and epsilon when D_n is all epsilon, i.e. the digraph is acyclic.  The
-    maximizing v names the witness, and lambda is returned as the witness's
-    summed mean rather than Karp's ratio, which rounds differently: a check
-    recomputes that mean from the stored witness, so solve and check decide
-    divergence with the same float.
+    and epsilon when the digraph is acyclic, which the O(n^2) peel of
+    _acyclic tells before the table is built.  The maximizing v names the
+    witness, and lambda is returned as the witness's summed mean rather than
+    Karp's ratio, which rounds differently: a check recomputes that mean from
+    the stored witness, so solve and check decide divergence with the same
+    float.
 
     The potential x_v = max over k <= n of (D_k[v] - k lambda) is finite, as
     D_0 = 0.  An arc u -> v extends each k-walk ending at u to a (k+1)-walk
@@ -119,13 +124,14 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     lambda, whose removal leaves a shorter walk; so x_u + a_uv <= lambda + x_v.
     """
     _require_square(a)
+    if _acyclic(a):
+        return CycleMeanResult(EPSILON, None)
     data = a.data
     n = a.rows
     walks = _walk_table(data)
     last = walks[n]
+    # a cycle leaves some n-arc walk finite
     ends = np.flatnonzero(last > EPSILON)
-    if ends.size == 0:
-        return CycleMeanResult(EPSILON, None)
     # D_0 = 0, so every column has a finite k; epsilon rows give +inf ratios
     # that the minimum skips
     ratios = (last[ends] - walks[:n, ends]) / (n - np.arange(n))[:, np.newaxis]
@@ -177,21 +183,65 @@ def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
     The series is finite only when the maximum cycle mean is nonpositive, in
     which case it equals the partial sum up to exponent n-1 and is computed
     by a Floyd-Warshall sweep in O(n^3).  Karp runs only when the sweep's
-    diagonal turns positive, and star_given_mean then decides.
+    diagonal turns positive, for the divergence rule: refuse when
+    lambda > tol, else return the star of A - max(lambda, 0).
     """
     _require_square(a)
     swept = _star_sweep(a.data)
-    if _diverges(swept):
-        return star_given_mean(a, max_cycle_mean(a), tol)
-    return TropMatrix(swept)
-
-
-def star_given_mean(a: TropMatrix, cm: CycleMeanResult,
-                    tol: float = DEFAULT_TOL) -> TropMatrix:
-    """The divergence rule, given A's maximum cycle mean cm: refuse when
-    lambda > tol, else return the star of A - max(lambda, 0)."""
+    if not _diverges(swept):
+        return TropMatrix(swept)
+    cm = max_cycle_mean(a)
     if cm.lambda_ > tol:
         raise DivergentStarError(
             f"star diverges: maximum cycle mean {cm.lambda_} exceeds tol {tol}",
             lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
     return TropMatrix(_star_sweep(a.data - max(cm.lambda_, 0.0)))
+
+
+def _resolves(tol: float, *parts) -> bool:
+    """The rounding gate: True when twice the float64 spacing at the sum of
+    the parts' largest finite magnitudes is at most tol (at the default tol,
+    for a sum below 2^22).  A certificate test lhs <= rhs + tol whose two
+    sides each add at most one entry of each part then rounds by at most tol
+    in all: each of its three sums by half a spacing of that bound, or the
+    one with tol by a whole spacing where it crosses a power of two.  Without
+    the gate, stored numbers made large enough would let rounding absorb any
+    gap."""
+    scale = 0.0
+    for part in parts:
+        part = np.asarray(part)
+        scale += np.max(np.abs(part), where=part != EPSILON, initial=0.0)
+    return bool(2 * np.spacing(scale) <= tol)
+
+
+def _heaviest_cycle(a: TropMatrix, s: np.ndarray) -> float:
+    """max(A + S^T), the largest diagonal entry of A S.  For S = A* it is the
+    weight of the heaviest cycle of A, as every closed walk through i is an
+    arc i -> v followed by a walk from v back to i."""
+    return float(np.max(a.data + s.T))
+
+
+def _strictly_negative(a: TropMatrix, s: np.ndarray, tol: float) -> bool:
+    """True when S, a fixed point of x -> A x + I within tol, proves that
+    lambda(A) < -tol and that S is A* within 2n tol; the test is O(n^2).
+
+    Say max(A S, I) and S agree within t entrywise, so a_uv + S_vw <= S_uw + t
+    and 0 <= S_ii + t.  Along a cycle i = i_0 -> i_1 -> ... -> i_k = i of
+    k <= n arcs and weight W this gives
+        (A S)_ii >= a_{i i_1} + S_{i_1 i} >= ... >= W + S_ii - (k - 1) t
+                 >= W - k t,
+    so W <= max(A + S^T) + k t.  If max(A + S^T) < -2n t, every elementary
+    cycle has W + k t < 0 and W < -k t, a mean below -t.  Unrolling
+    S <= max(A S, I) + t along a walk from i to j then closes each cycle at a
+    loss, so S_ij <= A*_ij + n t; unrolling S >= max(A S, I) - t along the
+    heaviest path from i to j gives S_ij >= A*_ij - n t.  S is the unique
+    fixed point, up to n t.
+
+    Under the rounding gate (_resolves on A and S) the rounded tests of the
+    fixed point prove the exact ones with t = 2 tol, and the rounded maximum
+    of A + S^T is off by less than tol; hence the bound -(4n + 1) tol.  The
+    sweep's own star is such a fixed point up to its rounding, so the
+    solvers apply the rule to it as it stands.
+    """
+    return (_resolves(tol, a.data, s)
+            and _heaviest_cycle(a, s) < -(4 * a.rows + 1) * tol)

@@ -11,7 +11,9 @@ reads a valid array in C-level passes and walks entries only to name a bad one.
 The embedded instance's A is the exception on the way out: when the input
 already spells A's rows as the canonical layout would (_row_texts),
 parse_instance keeps those row texts and the layout copies them instead of
-formatting every float again.  The bytes are the same either way.
+formatting every float again.  A star's rows are written from its distinct
+values, each formatted once (_distinct_value_rows).  The bytes are the same
+either way.
 
 A problem kind is one entry of the `_KINDS` table: its instance fields,
 whether epsilon and a non-square A are allowed, the statuses its solutions
@@ -35,8 +37,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .closure import (_acyclic, _cycle_mean, _diverges, _star_sweep, kleene_star,
-                      max_cycle_mean)
+from .closure import (_acyclic, _cycle_mean, _diverges, _resolves, _star_sweep,
+                      _strictly_negative, kleene_star, max_cycle_mean)
 from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, excess,
                    identity, mismatch, tadd, tdot, tmul, transpose)
 from .errors import DivergentStarError, FiniteRequiredError, InstanceFormatError
@@ -314,6 +316,19 @@ class _Rows(list):
         self.texts = texts
 
 
+def _distinct_value_rows(values: np.ndarray) -> _Rows:
+    """A matrix as _Rows whose texts format each distinct value once, the
+    same bytes as encoding each row: a star holds many repeats of a few sums,
+    and repr takes most of the encoder's time on the 17 digits of each.
+    Values are told apart by their bits, so that -0.0 keeps its sign."""
+    distinct, index = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = distinct.view(float)
+    words = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    words[np.isneginf(distinct)] = '"-inf"'
+    table = words[index].reshape(values.shape).tolist()
+    return _Rows(_json(values), tuple(f"[{', '.join(row)}]" for row in table))
+
+
 def instance_to_obj(inst: InstanceFile) -> dict:
     a = _json(inst.a.data)
     obj: dict = {"problem": inst.problem,
@@ -541,11 +556,15 @@ def _verify_tslp2(inst: InstanceFile, payload: dict, tol: float, problems: list[
 
 
 def _solve_star(inst: InstanceFile, tol: float) -> dict:
-    star = kleene_star(inst.a, tol)
-    return {"star": _json(star.data)}
+    return {"star": _distinct_value_rows(kleene_star(inst.a, tol).data)}
 
 
 def _verify_star(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
+    """The star is a fixed point of x -> Ax + I.  Where closure's O(n^2) rule
+    then proves every cycle of A strictly negative, that fixed point is
+    unique, A* within 2n tol, and nothing more is checked; otherwise (a cycle
+    near or above -tol in mean, or entries past the rounding gate) the
+    idempotency product runs as well."""
     star = TropMatrix(_read_array(payload.get("star"), 2, True, "star"))
     if star.shape != inst.a.shape:
         raise InstanceFormatError(f"star has shape {star.shape}, expected {inst.a.shape}")
@@ -554,9 +573,10 @@ def _verify_star(inst: InstanceFile, payload: dict, tol: float, problems: list[s
     worst = mismatch(fixed_point.data, star.data, tol)
     if worst is not None:
         problems.append(f"star is not a fixed point of x -> Ax + I ({worst})")
-    worst = mismatch(tmul(star, star).data, star.data, tol)
-    if worst is not None:
-        problems.append(f"star is not idempotent ({worst})")
+    elif not _strictly_negative(inst.a, star.data, tol):
+        worst = mismatch(tmul(star, star).data, star.data, tol)
+        if worst is not None:
+            problems.append(f"star is not idempotent ({worst})")
 
 
 def _solve_mcm(inst: InstanceFile, tol: float) -> dict:
@@ -577,15 +597,11 @@ def _verify_mcm(inst: InstanceFile, payload: dict, tol: float, problems: list[st
         _check_cycle(inst.a, lam, payload, tol, problems)
         if "potential" in payload:
             x = _read_vector(payload, "potential", inst.a.rows)
-            # Each arc's test x_u + a_uv <= lam + x_v + tol rounds three sums,
-            # each by at most half a spacing of this bound.  A potential plus
-            # any constant is still a potential, so without the bound a
-            # shifted one would let rounding absorb any gap.  At the default
-            # tol the bound is 2^22; an honest |x| is at most 2n max |a_uv|.
-            scale = (np.abs(x.data).max() + abs(lam)
-                     + np.max(np.abs(inst.a.data), where=inst.a.data != EPSILON,
-                              initial=0.0))
-            if (2 * np.spacing(scale) <= tol
+            # A potential plus any constant is still a potential, so the gate
+            # keeps a shifted one from hiding a gap in the rounding of
+            # x_u + a_uv <= lam + x_v + tol; an honest |x| is at most
+            # 2n max |a_uv|.
+            if (_resolves(tol, x.data, lam, inst.a.data)
                     and subeigen_member(transpose(inst.a), lam, x, tol)):
                 return
         # A cycle of mean above lam + tol closes a positive walk in A - (lam + tol).

@@ -14,9 +14,10 @@ it is the optimum of both.  One star sweep, O(n^3), does the work, with
 closure's divergence rule: it refuses a lambda above tol and sweeps
 A - max(lambda, 0).  So a lambda in (0, tol] counts as feasible, and A y + d
 stays within lambda of y; a sweep of A itself would be inflated by about the
-cycle's length times lambda.  The inequality form runs Karp's cycle mean only
-when the sweep's diagonal turns positive, as kleene_star does; the equation
-form runs it once, since lambda < -tol decides its solution kind.
+cycle's length times lambda.  Both forms run Karp's cycle mean when the
+sweep's diagonal turns positive, as kleene_star does.  The equation form's
+solution kind, lambda < -tol, is read from the star in O(n^2) where it can
+be, and Karp runs for it only where it cannot.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import kleene_star, max_cycle_mean, star_given_mean
+from .closure import (_heaviest_cycle, _strictly_negative, kleene_star,
+                      max_cycle_mean)
 from .core import DEFAULT_TOL, TropMatrix, TropVector, excess, mismatch, tdot, tmul
 from .errors import (CertificateViolationError, DimensionMismatchError,
                      FiniteRequiredError)
@@ -83,12 +85,22 @@ def solve_tslp(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedResu
 def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedResult:
     """Minimize c'y subject to A y + d = y; the optimum is y = A* d.
 
-    When the maximum cycle mean is strictly negative the feasible set is the
-    single point A* d, reported as the unique-fixed-point kind.
+    When the maximum cycle mean is below -tol the feasible set is the single
+    point A* d, reported as the unique-fixed-point kind.  The star S tells
+    the kind in O(n^2) on either side of a band: closure's rule proves
+    lambda < -tol, and the heaviest diagonal entry of A S, at least -tol, is
+    the weight of a closed walk of A (S holds weights of walks of A, or of
+    the lighter A - lambda), so one of its cycles has a mean of at least
+    -tol.  Karp decides inside the band.
     """
-    cm = max_cycle_mean(inst.a)
-    y = tmul(star_given_mean(inst.a, cm, tol), inst.d)
+    star = kleene_star(inst.a, tol)
+    y = tmul(star, inst.d)
     if mismatch(two_sided_lhs(inst, y), y.data, tol) is not None:
         raise CertificateViolationError("fixed-point witness violates the equation")
-    kind = UNIQUE_FIXED_POINT if cm.lambda_ < -tol else FEASIBLE
-    return TwoSidedResult(y, tdot(inst.c, y), kind)
+    if _strictly_negative(inst.a, star.data, tol):
+        unique = True
+    elif _heaviest_cycle(inst.a, star.data) >= -tol:
+        unique = False
+    else:
+        unique = max_cycle_mean(inst.a).lambda_ < -tol
+    return TwoSidedResult(y, tdot(inst.c, y), UNIQUE_FIXED_POINT if unique else FEASIBLE)

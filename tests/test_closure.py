@@ -14,6 +14,7 @@ from troplp import (EPSILON, CycleMeanResult, DimensionMismatchError,
                     tadd, tmul, transpose)
 from troplp import closure
 from troplp.closure import _star_sweep
+from troplp.io import parse_instance, solve_to_payload
 from troplp.oracles import brute_cycle_mean, brute_star
 
 E = EPSILON
@@ -113,6 +114,54 @@ class TestScc:
         assert res.lambda_ == pytest.approx(2.5, abs=1e-9)
         assert sorted(res.witness_cycle) == [0, 1]
         assert_critical(a, res)
+
+
+def _peel_shapes(rng, n):
+    """An acyclic digraph (a random order's upper triangle, half its arcs),
+    the same with one random arc added (a back arc or a loop closes a
+    cycle), and a sparse random digraph."""
+    order = rng.permutation(n)
+    dag = np.where(np.triu(rng.random((n, n)) < 0.5, 1), rng.uniform(-10, 10, (n, n)), E)
+    dag = dag[np.ix_(order, order)]
+    yield dag
+    u, v = rng.integers(0, n, 2)
+    cyclic = dag.copy()
+    cyclic[u, v] = float(rng.uniform(-10, 10))
+    yield cyclic
+    yield util.sparse_square(rng, n, density=float(rng.uniform(0.02, 0.3))).data
+
+
+class TestAcyclicPeel:
+    """max_cycle_mean answers an acyclic digraph by the O(n^2) peel and builds
+    no walk table; the table it skips agrees."""
+
+    def test_peel_agrees_with_the_walk_table(self):
+        rng = np.random.default_rng(72)
+        verdicts = set()
+        for _ in range(150):
+            n = int(rng.integers(1, 16))
+            for data in _peel_shapes(rng, n):
+                a = TropMatrix(data)
+                # Karp's own verdict: no n-arc walk, so no cycle
+                acyclic = not (closure._walk_table(data)[n] > E).any()
+                assert closure._acyclic(a) == acyclic
+                res = max_cycle_mean(a)
+                if acyclic:
+                    assert res == CycleMeanResult(E, None, None)
+                else:
+                    assert_critical(a, res)
+                verdicts.add(acyclic)
+        assert verdicts == {True, False}
+
+    def test_acyclic_solve_builds_no_walk_table(self, monkeypatch):
+        tables = util.count_calls(monkeypatch, closure._walk_table)
+        payload, _ = solve_to_payload(
+            parse_instance('{"problem":"mcm","A":[["-inf",1],["-inf","-inf"]]}'), 1e-9)
+        assert payload["lambda"] == "-inf"
+        assert tables == []
+        solve_to_payload(parse_instance('{"problem":"mcm","A":[["-inf",1],[0,"-inf"]]}'),
+                         1e-9)
+        assert len(tables) == 1
 
 
 class TestMaxCycleMean:
@@ -279,12 +328,11 @@ class TestKarpCallCount:
 
     @pytest.mark.parametrize("solve", [solve_tslp, solve_tslp2])
     def test_two_sided_runs_karp_once(self, solve, karp_calls):
-        # tslp runs Karp only when its sweep diverges; tslp2 runs it once
-        # for its solution kind
-        runs = 0 if solve is solve_tslp else 1
+        # both forms run Karp only when the sweep diverges: a zero-mean cycle
+        # weighs 0 >= -tol, so tslp2 reads its kind from the star
         inst = util.tslp_instance(np.random.default_rng(16), 12)
-        solve(inst)
-        assert len(karp_calls) == runs
+        assert solve(inst).feasibility_kind == "feasible"
+        assert karp_calls == []
         # 0.1 + 0.2 - 0.3 rounds to 5.6e-17: the sweep's diagonal turns
         # positive although lambda is within tol
         tight = TwoSidedInstance(TropMatrix([[-5, 0.1, -5], [-5, -5, 0.2],
@@ -292,4 +340,4 @@ class TestKarpCallCount:
                                  TropVector([0, 0, 0]), TropVector([0, 0, 0]))
         assert np.diagonal(_star_sweep(tight.a.data)).max() > 0
         solve(tight)
-        assert len(karp_calls) == runs + 1
+        assert len(karp_calls) == 1

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import util
 from troplp import (EPSILON, CertificateViolationError, InstanceFormatError,
                     TropMatrix, closure, core, intlp, twosided)
 from troplp.cli import main
 from troplp.io import (_INT_OVERFLOW, _KINDS, _MAX_ENTRY, EXIT_CERTIFICATE,
-                       EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS, _number,
+                       EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS,
+                       _distinct_value_rows, _encode, _json, _number,
                        _read_array, check_tol, parse_instance, parse_solution,
                        render_text, serialize_solution, solve_to_payload,
                        verify_payload)
@@ -307,6 +309,18 @@ class TestWriter:
             target.insert(data.draw(st.integers(0, len(target))), bad)
         with pytest.raises(ValueError, match="not JSON compliant"):
             serialize_solution(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.sampled_from(
+                          [0.0, -0.0, E, 1e-05, 1e16, 1e300, -1.5,
+                           0.1 + 0.2, -0.12300000000000001, 2.5e-300])
+                      | st.floats(allow_nan=False, allow_infinity=False)
+                      | st.just(E)))
+    def test_distinct_value_rows_match_the_encoder(self, values):
+        rows = _distinct_value_rows(values)
+        assert rows == _json(values)
+        assert rows.texts == tuple(map(_encode, _json(values)))
 
     def test_layout(self):
         doc = {"problem": "mcm", "lambda": 1.0, "witness_cycle": [0, 1],
@@ -653,8 +667,31 @@ class TestCheckPasses:
         payload, code = solve_to_payload(
             parse_instance((GOLDEN / f"{kind}.instance.json").read_text()), 1e-9)
         assert code == EXIT_OK
-        # the star check's fixed point and idempotency take one product each
-        assert passes(payload) == ([], (0, 0, 2 if kind == "star" else 0))
+        # the star check's fixed point takes one product; every cycle of the
+        # golden A is strictly negative, so idempotency is not checked
+        assert passes(payload) == ([], (0, 0, 1 if kind == "star" else 0))
+
+    def test_star_with_a_zero_weight_loop_checks_idempotency(self, passes):
+        # with a cycle of mean 0 >= -tol a fixed point need not be A*, and
+        # the idempotency product runs as well
+        payload, _ = solve_to_payload(
+            parse_instance('{"problem":"star","A":[[0,-1],[-2,-0.5]]}'), 1e-9)
+        assert passes(payload) == ([], (0, 0, 2))
+
+    @pytest.mark.parametrize("raise_", ["entry", "column"])
+    def test_raised_star_rejected_after_one_product(self, passes, raise_):
+        # a column raised by c is still a fixed point off the diagonal; its
+        # diagonal entry c, where max((A S)_jj, 0) = 0, gives it away
+        payload, _ = solve_to_payload(
+            parse_instance((GOLDEN / "star.instance.json").read_text()), 1e-9)
+        star = np.array(payload["star"], dtype=float)
+        if raise_ == "entry":
+            star[0, 1] += 2e-9
+        else:
+            star[:, 1] += 2e-9
+        problems, counts = passes(dict(payload, star=star.tolist()))
+        assert problems and "fixed point" in problems[0]
+        assert counts == (0, 0, 1)
 
     def test_acyclic_mcm(self, passes):
         payload, _ = solve_to_payload(

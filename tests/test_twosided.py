@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import util
 from troplp import (DivergentStarError, LpInstance, TropMatrix, TropVector,
-                    TwoSidedInstance, kleene_star, leq, solve_dual, solve_tslp,
-                    solve_tslp2, tdot, tmul, transpose, tslp_feasible)
+                    TwoSidedInstance, closure, kleene_star, leq, max_cycle_mean,
+                    solve_dual, solve_tslp, solve_tslp2, tdot, tmul, transpose,
+                    tslp_feasible)
 
 TS1 = TwoSidedInstance(TropMatrix([[-1, -2], [-3, -1]]), TropVector([0, 0]),
                        TropVector([0, 0]))
@@ -109,6 +110,49 @@ class TestSolveTslp2:
             # the other association order agrees within tolerance
             row = tmul(transpose(star), inst.c)
             assert tdot(row, inst.d) == pytest.approx(res.g_min, abs=1e-9)
+
+
+def _planted_near_a_bound(rng, tol=1e-9) -> TwoSidedInstance:
+    """A with one planted cycle whose weight sits near a bound of tslp2's
+    O(n^2) kind rules: -(4n + 1) tol (closure's rule), -2n tol, a weight of
+    -tol, or a mean of -tol; scaled by 1 or 1 +- 1e-3.  The cycle's arcs but
+    one are integers in [-3, 3] and every other arc is below -25, so every
+    other cycle is far more negative."""
+    n = int(rng.integers(1, 9))
+    nodes = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+    k = len(nodes)
+    weight = -tol * float(rng.choice([4 * n + 1, 2 * n, 1, k]))
+    weight *= float(rng.choice([1 - 1e-3, 1.0, 1 + 1e-3]))
+    a = rng.uniform(-30, -25, (n, n))
+    arcs = rng.integers(-3, 4, k).astype(float)
+    arcs[-1] = weight - arcs[:-1].sum()
+    a[nodes, np.roll(nodes, -1)] = arcs
+    return TwoSidedInstance(TropMatrix(a), util.finite_vector(rng, n),
+                            util.finite_vector(rng, n))
+
+
+def test_tslp2_kind_matches_karp(monkeypatch):
+    """The kind tslp2 reads from the star in O(n^2), or from Karp inside the
+    band, is Karp's lambda < -tol, over 600 random instances at margins from
+    0 to 1 and 600 planted cycles near each bound of the star's rules."""
+    rng = np.random.default_rng(71)
+    karp_in_solve = util.count_calls(monkeypatch, closure.max_cycle_mean)
+    instances = [util.tslp_instance(rng, int(rng.integers(1, 21)),
+                                    margin=float(rng.choice([0.0, 1e-12, 1e-9, 0.5])
+                                                 * rng.uniform(0, 2)))
+                 for _ in range(600)]
+    instances += [_planted_near_a_bound(rng) for _ in range(600)]
+    kinds, karp_runs = [], 0
+    for inst in instances:
+        before = len(karp_in_solve)
+        kind = solve_tslp2(inst).feasibility_kind
+        karp_runs += len(karp_in_solve) > before
+        unique = max_cycle_mean(inst.a).lambda_ < -1e-9
+        assert kind == ("unique-fixed-point" if unique else "feasible")
+        kinds.append(kind)
+    assert 0 < kinds.count("feasible") < len(kinds)
+    # the instances crowd the bounds, yet the star decided a good share
+    assert 0 < karp_runs < len(kinds) / 2
 
 
 @settings(max_examples=200, deadline=None)
