@@ -20,12 +20,6 @@ cycle mean is computed only when it turns positive: to name the divergent
 cycle, or, when lambda is positive but within tol, to sweep A - lambda
 instead, since a sweep of A would be inflated by about the cycle's length
 times lambda.
-
-A star answers more in O(n^2): the diagonal of A S, max(A + S^T), bounds
-every cycle weight of A when S is a fixed point of x -> A x + I
-(_strictly_negative).  Both the equation-form two-sided solver, for its
-solution kind, and the star check, to skip the idempotency product, read the
-sign of lambda from it and run no O(n^3) pass to do so.
 """
 
 from __future__ import annotations
@@ -34,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import _acyclic, _cycle_mean
 from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector
 from .errors import DimensionMismatchError, DivergentStarError
 
@@ -97,14 +92,6 @@ def _critical_cycle(data: np.ndarray, walks: np.ndarray, end: int) -> tuple[int,
     raise AssertionError("walk of length n must repeat a node")
 
 
-def _cycle_mean(a: TropMatrix, cycle) -> float:
-    """Mean arc weight of the closed walk `cycle`; -inf if an arc is absent."""
-    total = 0.0
-    for node, succ in zip(cycle, cycle[1:] + cycle[:1]):
-        total += a.data[node, succ]
-    return float(total / len(cycle))
-
-
 def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     """Maximum mean over all elementary cycles of the digraph of A.
 
@@ -140,21 +127,6 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     lam = _cycle_mean(a, cycle)
     potential = (walks - lam * np.arange(n + 1)[:, np.newaxis]).max(axis=0)
     return CycleMeanResult(lam, cycle, TropVector(potential))
-
-
-def _acyclic(a: TropMatrix) -> bool:
-    """True when the digraph of A has no cycle: peeling the nodes without an
-    incoming arc, layer by layer, removes them all (Kahn's algorithm, O(n^2)).
-    A node on a cycle, a self-loop included, is never peeled."""
-    arcs = a.data > EPSILON
-    indegree = arcs.sum(axis=0)
-    left = np.ones(a.rows, dtype=bool)
-    layer = np.flatnonzero(indegree == 0)
-    while layer.size:
-        left[layer] = False
-        indegree -= arcs[layer].sum(axis=0)
-        layer = np.flatnonzero(left & (indegree == 0))
-    return not left.any()
 
 
 def _star_sweep(data: np.ndarray) -> np.ndarray:
@@ -196,52 +168,3 @@ def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
             f"star diverges: maximum cycle mean {cm.lambda_} exceeds tol {tol}",
             lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
     return TropMatrix(_star_sweep(a.data - max(cm.lambda_, 0.0)))
-
-
-def _resolves(tol: float, *parts) -> bool:
-    """The rounding gate: True when twice the float64 spacing at the sum of
-    the parts' largest finite magnitudes is at most tol (at the default tol,
-    for a sum below 2^22).  A certificate test lhs <= rhs + tol whose two
-    sides each add at most one entry of each part then rounds by at most tol
-    in all: each of its three sums by half a spacing of that bound, or the
-    one with tol by a whole spacing where it crosses a power of two.  Without
-    the gate, stored numbers made large enough would let rounding absorb any
-    gap."""
-    scale = 0.0
-    for part in parts:
-        part = np.asarray(part)
-        scale += np.max(np.abs(part), where=part != EPSILON, initial=0.0)
-    return bool(2 * np.spacing(scale) <= tol)
-
-
-def _heaviest_cycle(a: TropMatrix, s: np.ndarray) -> float:
-    """max(A + S^T), the largest diagonal entry of A S.  For S = A* it is the
-    weight of the heaviest cycle of A, as every closed walk through i is an
-    arc i -> v followed by a walk from v back to i."""
-    return float(np.max(a.data + s.T))
-
-
-def _strictly_negative(a: TropMatrix, s: np.ndarray, tol: float) -> bool:
-    """True when S, a fixed point of x -> A x + I within tol, proves that
-    lambda(A) < -tol and that S is A* within 2n tol; the test is O(n^2).
-
-    Say max(A S, I) and S agree within t entrywise, so a_uv + S_vw <= S_uw + t
-    and 0 <= S_ii + t.  Along a cycle i = i_0 -> i_1 -> ... -> i_k = i of
-    k <= n arcs and weight W this gives
-        (A S)_ii >= a_{i i_1} + S_{i_1 i} >= ... >= W + S_ii - (k - 1) t
-                 >= W - k t,
-    so W <= max(A + S^T) + k t.  If max(A + S^T) < -2n t, every elementary
-    cycle has W + k t < 0 and W < -k t, a mean below -t.  Unrolling
-    S <= max(A S, I) + t along a walk from i to j then closes each cycle at a
-    loss, so S_ij <= A*_ij + n t; unrolling S >= max(A S, I) - t along the
-    heaviest path from i to j gives S_ij >= A*_ij - n t.  S is the unique
-    fixed point, up to n t.
-
-    Under the rounding gate (_resolves on A and S) the rounded tests of the
-    fixed point prove the exact ones with t = 2 tol, and the rounded maximum
-    of A + S^T is off by less than tol; hence the bound -(4n + 1) tol.  The
-    sweep's own star is such a fixed point up to its rounding, so the
-    solvers apply the rule to it as it stands.
-    """
-    return (_resolves(tol, a.data, s)
-            and _heaviest_cycle(a, s) < -(4 * a.rows + 1) * tol)

@@ -39,3 +39,9 @@ class CertificateViolationError(TropError):
 
 class InstanceFormatError(TropError):
     """Instance or solution text failed parsing or validation."""
+
+
+def require(problems: list[str]):
+    """A solver's self-check: raise the first line a certificate rule gave."""
+    if problems:
+        raise CertificateViolationError(problems[0])

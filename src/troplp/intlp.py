@@ -97,9 +97,11 @@ class GapReport:
         return self.dual.phi_min_int
 
 
-def solve_primal_integer(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntPrimalResult:
-    """Floor of the real primal witness; optimal for the integer primal."""
-    xhat = greatest_subsolution(inst.a, inst.b)
+def solve_primal_integer(inst: LpInstance, tol: float = DEFAULT_TOL, *,
+                         principal: TropVector | None = None) -> IntPrimalResult:
+    """Floor of the real primal witness, the principal solution (residuated
+    here unless given); optimal for the integer primal."""
+    xhat = greatest_subsolution(inst.a, inst.b) if principal is None else principal
     x = TropVector(floor_frac(xhat.data, 0.0, tol))
     return IntPrimalResult(x, tdot(inst.c, x))
 
@@ -115,10 +117,10 @@ def solve_dual_integer(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntDualRes
 
 
 def duality_gap(inst: LpInstance, tol: float = DEFAULT_TOL) -> GapReport:
-    """Both integer optima and the real optimum between them."""
-    real_optimum = tdot(inst.c, greatest_subsolution(inst.a, inst.b))
-    return GapReport(solve_primal_integer(inst, tol), solve_dual_integer(inst, tol),
-                     real_optimum)
+    """Both integer optima and the real optimum between them, from one residuation."""
+    xhat = greatest_subsolution(inst.a, inst.b)
+    return GapReport(solve_primal_integer(inst, tol, principal=xhat),
+                     solve_dual_integer(inst, tol), tdot(inst.c, xhat))
 
 
 def estimate_via_floor_b(inst: LpInstance, tol: float = DEFAULT_TOL) -> float:

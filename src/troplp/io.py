@@ -19,9 +19,9 @@ A problem kind is one entry of the `_KINDS` table: its instance fields,
 whether epsilon and a non-square A are allowed, the statuses its solutions
 carry, its solver and its certificate check.  A solution stores only what
 the check reads: the witnesses, the values and statuses they certify, and
-the instance.  The check shares one copy of each certificate formula with
-the solvers' self-checks, and reads every stored field through the same
-typed readers that parse instances.
+the instance.  A kind's check reads the stored fields through the same
+typed readers that parse instances and passes them to the rules of
+certificates, which the solvers' self-checks call too; it calls no solver.
 """
 
 from __future__ import annotations
@@ -36,18 +36,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import certificates
 from ._version import __version__
-from .closure import (_acyclic, _cycle_mean, _diverges, _resolves, _star_sweep,
-                      _strictly_negative, kleene_star, max_cycle_mean)
-from .core import (DEFAULT_TOL, EPSILON, TropMatrix, TropVector, excess,
-                   identity, mismatch, tadd, tdot, tmul, transpose)
+from .closure import _diverges, _star_sweep, kleene_star, max_cycle_mean
+from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, tdot
 from .errors import DivergentStarError, FiniteRequiredError, InstanceFormatError
 from .intlp import duality_gap, solve_dual_integer, solve_primal_integer
-from .lp import (LpInstance, dual_violation, primal_violation, solve_dual,
-                 solve_primal)
-from .onesided import _check_system, shortfall, solve_equality, subeigen_member
+from .lp import LpInstance, solve_dual, solve_primal
+from .onesided import _check_system, solve_equality
 from .twosided import (FEASIBLE, UNIQUE_FIXED_POINT, TwoSidedInstance,
-                       solve_tslp, solve_tslp2, two_sided_lhs)
+                       solve_tslp, solve_tslp2)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -426,33 +424,6 @@ def _read_cycle(payload: dict, nodes: int) -> list[int]:
     return cycle
 
 
-def _check_value(problems: list[str], payload: dict, key: str,
-                 recomputed: float, tol: float) -> float:
-    stored = _read_number(payload, key)
-    if mismatch(stored, recomputed, tol) is not None:
-        problems.append(f"{key}: stored {stored!r} but recomputed {recomputed!r}")
-    return stored
-
-
-def _check_integral(problems: list[str], label: str, vec: TropVector, tol: float):
-    worst = mismatch(vec.data, np.round(vec.data), tol)
-    if worst is not None:
-        problems.append(f"{label}: components deviate from integers by {worst}")
-
-
-def _check_cycle(a: TropMatrix, lam: float, payload: dict, tol: float,
-                 problems: list[str]) -> float | None:
-    """Check that the stored witness cycle has mean lam; return its mean,
-    summed as max_cycle_mean sums the lambda it reports."""
-    mean = _cycle_mean(a, _read_cycle(payload, a.rows))
-    if mean == EPSILON:
-        problems.append("witness cycle uses arcs absent from A")
-        return None
-    if mismatch(mean, lam, tol) is not None:
-        problems.append(f"witness cycle mean {mean} != lambda {lam}")
-    return mean
-
-
 # Per-kind solvers (instance -> solution body) and checks.
 
 def _x_body(objective: float, x: TropVector) -> dict:
@@ -463,26 +434,16 @@ def _pi_body(objective: float, pi: TropVector) -> dict:
     return {"objective": _json(objective), "pi": _json(pi.data)}
 
 
-def _check_x(inst: InstanceFile, payload: dict, tol: float, problems: list[str],
-             integral: bool = False, key: str = "objective") -> float:
+def _verify_x(inst: InstanceFile, payload: dict, tol: float,
+              integral: bool = False) -> list[str]:
     x = _read_vector(payload, "x", inst.a.cols)
-    over = primal_violation(inst, x, tol)
-    if over is not None:
-        problems.append(f"primal witness infeasible by {over}")
-    if integral:
-        _check_integral(problems, "x", x, tol)
-    return _check_value(problems, payload, key, tdot(inst.c, x), tol)
+    return certificates.primal(inst, x, _read_number(payload, "objective"), tol, integral)
 
 
-def _check_pi(inst: InstanceFile, payload: dict, tol: float, problems: list[str],
-              integral: bool = False, key: str = "objective") -> float:
+def _verify_pi(inst: InstanceFile, payload: dict, tol: float,
+               integral: bool = False) -> list[str]:
     pi = _read_vector(payload, "pi", inst.a.rows)
-    over = dual_violation(inst, pi, tol)
-    if over is not None:
-        problems.append(f"dual witness infeasible by {over}")
-    if integral:
-        _check_integral(problems, "pi", pi, tol)
-    return _check_value(problems, payload, key, tdot(pi, inst.b), tol)
+    return certificates.dual(inst, pi, _read_number(payload, "objective"), tol, integral)
 
 
 def _solve_primal(inst: InstanceFile, tol: float) -> dict:
@@ -512,14 +473,13 @@ def _solve_gap(inst: InstanceFile, tol: float) -> dict:
             "upper": _json(report.upper), "x": _json(x.data), "pi": _json(pi.data)}
 
 
-def _verify_gap(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
-    lower = _check_x(inst, payload, tol, problems, integral=True, key="lower")
-    upper = _check_pi(inst, payload, tol, problems, integral=True, key="upper")
-    real = _check_value(problems, payload, "real_optimum",
-                        solve_primal(LpInstance(inst.a, inst.b, inst.c))[1], tol)
-    if excess(lower, real, tol) is not None or excess(real, upper, tol) is not None:
-        problems.append(
-            f"gap interval broken: lower {lower}, real {real}, upper {upper}")
+def _verify_gap(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
+    x, pi = _read_vector(payload, "x", inst.a.cols), _read_vector(payload, "pi", inst.a.rows)
+    lower, real, upper = (_read_number(payload, key)
+                          for key in ("lower", "real_optimum", "upper"))
+    return (certificates.primal(inst, x, lower, tol, integral=True, key="lower")
+            + certificates.dual(inst, pi, upper, tol, integral=True, key="upper")
+            + certificates.gap(inst, lower, real, upper, tol))
 
 
 def _solve_tslp(inst: InstanceFile, tol: float) -> dict:
@@ -533,50 +493,27 @@ def _solve_tslp2(inst: InstanceFile, tol: float) -> dict:
             "solution_kind": res.feasibility_kind}
 
 
-def _check_y(inst: InstanceFile, payload: dict, tol: float,
-             problems: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Check the stored objective of y; return max(Ay, d) and y."""
+def _verify_tslp(inst: InstanceFile, payload: dict, tol: float,
+                 equation: bool = False) -> list[str]:
     y = _read_vector(payload, "y", inst.a.rows)
-    _check_value(problems, payload, "objective", tdot(inst.c, y), tol)
-    return two_sided_lhs(inst, y), y.data
-
-
-def _verify_tslp(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
-    worst = excess(*_check_y(inst, payload, tol, problems), tol)
-    if worst is not None:
-        problems.append(f"two-sided witness infeasible by {worst}")
-
-
-def _verify_tslp2(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
-    worst = mismatch(*_check_y(inst, payload, tol, problems), tol)
-    if worst is not None:
-        problems.append(f"fixed-point equation violated by {worst}")
-    if payload.get("solution_kind") not in (FEASIBLE, UNIQUE_FIXED_POINT):
+    problems = (certificates.value("objective", _read_number(payload, "objective"),
+                                   tdot(inst.c, y), tol)
+                + certificates.two_sided(inst, y, tol, equation))
+    if equation and payload.get("solution_kind") not in (FEASIBLE, UNIQUE_FIXED_POINT):
         problems.append("unknown tslp2 solution kind")
+    return problems
 
 
 def _solve_star(inst: InstanceFile, tol: float) -> dict:
     return {"star": _distinct_value_rows(kleene_star(inst.a, tol).data)}
 
 
-def _verify_star(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
-    """The star is a fixed point of x -> Ax + I.  Where closure's O(n^2) rule
-    then proves every cycle of A strictly negative, that fixed point is
-    unique, A* within 2n tol, and nothing more is checked; otherwise (a cycle
-    near or above -tol in mean, or entries past the rounding gate) the
-    idempotency product runs as well."""
+def _verify_star(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
     star = TropMatrix(_read_array(payload.get("star"), 2, True, "star"))
     if star.shape != inst.a.shape:
         raise InstanceFormatError(f"star has shape {star.shape}, expected {inst.a.shape}")
     _check_magnitude("star", star.data, _MAX_STORED)
-    fixed_point = tadd(tmul(inst.a, star), identity(inst.a.rows))
-    worst = mismatch(fixed_point.data, star.data, tol)
-    if worst is not None:
-        problems.append(f"star is not a fixed point of x -> Ax + I ({worst})")
-    elif not _strictly_negative(inst.a, star.data, tol):
-        worst = mismatch(tmul(star, star).data, star.data, tol)
-        if worst is not None:
-            problems.append(f"star is not idempotent ({worst})")
+    return certificates.star(inst.a, star, tol)
 
 
 def _solve_mcm(inst: InstanceFile, tol: float) -> dict:
@@ -587,39 +524,29 @@ def _solve_mcm(inst: InstanceFile, tol: float) -> dict:
             "potential": _json(cm.potential.data)}
 
 
-def _verify_mcm(inst: InstanceFile, payload: dict, tol: float, problems: list[str]):
-    """The witness cycle bounds lambda from below; the stored potential, a
-    subeigenvector of A^T, bounds it from above in O(n^2).  Where the
-    potential is absent (older files), too large for its test to resolve
-    tol, or fails, the O(n^3) sweep decides."""
+def _verify_mcm(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
+    """The witness cycle bounds lambda from below; the stored potential
+    bounds it from above in O(n^2).  Where the potential is absent (older
+    files), too large for its test to resolve tol, or fails, the O(n^3) sweep
+    decides."""
     lam = _read_number(payload, "lambda", allow_eps=True)
-    if lam != EPSILON:
-        _check_cycle(inst.a, lam, payload, tol, problems)
-        if "potential" in payload:
-            x = _read_vector(payload, "potential", inst.a.rows)
-            # A potential plus any constant is still a potential, so the gate
-            # keeps a shifted one from hiding a gap in the rounding of
-            # x_u + a_uv <= lam + x_v + tol; an honest |x| is at most
-            # 2n max |a_uv|.
-            if (_resolves(tol, x.data, lam, inst.a.data)
-                    and subeigen_member(transpose(inst.a), lam, x, tol)):
-                return
-        # A cycle of mean above lam + tol closes a positive walk in A - (lam + tol).
-        if _diverges(_star_sweep(inst.a.data - (lam + tol))):
-            problems.append("lambda below the maximum cycle mean")
-        return
-    if payload.get("witness_cycle") is not None:
-        problems.append("acyclic result must not carry a witness cycle")
-    if not _acyclic(inst.a):
-        problems.append("lambda = -inf claimed but the digraph has a cycle")
+    if lam == EPSILON:
+        return certificates.acyclic_claim(inst.a, payload.get("witness_cycle"))
+    cycle = _read_cycle(payload, inst.a.rows)
+    x = _read_vector(payload, "potential", inst.a.rows) if "potential" in payload else None
+    problems = certificates.witness_cycle(inst.a, cycle, lam, tol)
+    # A cycle of mean above lam + tol closes a positive walk in A - (lam + tol).
+    if ((x is None or not certificates.potential(inst.a, lam, x, tol))
+            and _diverges(_star_sweep(inst.a.data - (lam + tol)))):
+        problems.append("lambda below the maximum cycle mean")
+    return problems
 
 
-def _verify_divergence(inst: InstanceFile, payload: dict, tol: float,
-                       problems: list[str]):
+def _verify_divergence(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
     """Check of the two failure statuses: a witness cycle of positive mean."""
-    mean = _check_cycle(inst.a, _read_number(payload, "lambda"), payload, tol, problems)
-    if mean is not None and mean <= tol:
-        problems.append(f"witness cycle mean {mean} does not certify divergence")
+    lam = _read_number(payload, "lambda")
+    return certificates.witness_cycle(inst.a, _read_cycle(payload, inst.a.rows), lam,
+                                      tol, diverges=True)
 
 
 def _solve_onesided(inst: InstanceFile, tol: float) -> dict:
@@ -629,17 +556,11 @@ def _solve_onesided(inst: InstanceFile, tol: float) -> dict:
             "residual": _json(res.residual)}
 
 
-def _verify_onesided(inst: InstanceFile, payload: dict, tol: float,
-                     problems: list[str]):
+def _verify_onesided(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
     p = _read_vector(payload, "principal", inst.a.cols)
     _check_system(inst.a, inst.b)
-    over = primal_violation(inst, p, tol)
-    if over is not None:
-        problems.append(f"principal exceeds b by {over}")
-    residual = shortfall(inst.a, inst.b, p)
-    _check_value(problems, payload, "residual", residual, tol)
-    if payload.get("solvable_as_equality") is not (excess(residual, 0.0, tol) is None):
-        problems.append("solvable_as_equality flag disagrees with residual")
+    return certificates.one_sided(inst, p, _read_number(payload, "residual"),
+                                  payload.get("solvable_as_equality"), tol)
 
 
 class _Kind(NamedTuple):
@@ -653,7 +574,7 @@ class _Kind(NamedTuple):
 
     fields: tuple[str, ...]
     solve: Callable[[InstanceFile, float], dict]
-    verify: Callable[[InstanceFile, dict, float, list], None]
+    verify: Callable[[InstanceFile, dict, float], list[str]]
     statuses: tuple[str, ...] = ("optimal",)
     eps: bool = False
     square: bool = False
@@ -665,16 +586,16 @@ _OPTIMAL_OR_INFEASIBLE = ("optimal", "infeasible-lambda-positive")
 # The entries call solvers through this module's names, looked up at call
 # time, so a caller that rebinds a solver name here is honoured.
 _KINDS = {
-    "primal": _Kind(_ABC, _solve_primal, _check_x),
-    "dual": _Kind(_ABC, _solve_dual, _check_pi),
+    "primal": _Kind(_ABC, _solve_primal, _verify_x),
+    "dual": _Kind(_ABC, _solve_dual, _verify_pi),
     "primal-integer": _Kind(_ABC, _solve_primal_integer,
-                            partial(_check_x, integral=True)),
+                            partial(_verify_x, integral=True)),
     "dual-integer": _Kind(_ABC, _solve_dual_integer,
-                          partial(_check_pi, integral=True)),
+                          partial(_verify_pi, integral=True)),
     "gap": _Kind(_ABC, _solve_gap, _verify_gap),
     "tslp": _Kind(("A", "d", "c"), _solve_tslp, _verify_tslp,
                   _OPTIMAL_OR_INFEASIBLE, square=True),
-    "tslp2": _Kind(("A", "d", "c"), _solve_tslp2, _verify_tslp2,
+    "tslp2": _Kind(("A", "d", "c"), _solve_tslp2, partial(_verify_tslp, equation=True),
                    _OPTIMAL_OR_INFEASIBLE, square=True),
     "star": _Kind(("A",), _solve_star, _verify_star, ("ok", "divergent-star"),
                   eps=True, square=True),
@@ -731,12 +652,10 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
     if status not in spec.statuses:
         return [f"status {status!r} is not one that kind {kind!r} writes"]
     verify = spec.verify if status == spec.statuses[0] else _verify_divergence
-    problems: list[str] = []
     try:
-        verify(inst, payload, tol, problems)
+        return verify(inst, payload, tol)
     except (InstanceFormatError, FiniteRequiredError) as exc:
-        problems.append(str(exc))
-    return problems
+        return [str(exc)]
 
 
 def check_solution_text(text: str, tol_override: float | None = None) -> list[str]:

@@ -2,18 +2,18 @@
 
 Primal: maximize the max-plus form c'x subject to Ax <= b over real x.
 Dual: minimize pi'b subject to pi'A >= c' over real pi.  Both have closed-form
-optima with no duality gap; certify() bundles the two witnesses and verifies
-feasibility and value agreement.
+optima with no duality gap; certify() bundles the two witnesses and checks
+them by the rules of certificates: each witness feasible, as `check` tests
+it, and the two values equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (DEFAULT_TOL, TropMatrix, TropVector, excess, mismatch, tdot,
-                   tmul, transpose)
-from .errors import (CertificateViolationError, DimensionMismatchError,
-                     FiniteRequiredError)
+from . import certificates
+from .core import DEFAULT_TOL, TropMatrix, TropVector, tdot
+from .errors import DimensionMismatchError, FiniteRequiredError, require
 from .onesided import greatest_subsolution
 
 
@@ -61,18 +61,6 @@ def solve_dual(inst: LpInstance) -> tuple[TropVector, float]:
     return _dual_witness(inst, solve_primal(inst)[1])
 
 
-def primal_violation(inst, x: TropVector, tol: float = DEFAULT_TOL) -> float | None:
-    """The rule of core.excess on Ax <= b: None when x is feasible, else the
-    largest excess of Ax over b; inst is anything with .a and .b."""
-    return excess(tmul(inst.a, x).data, inst.b.data, tol)
-
-
-def dual_violation(inst, pi: TropVector, tol: float = DEFAULT_TOL) -> float | None:
-    """The rule of core.excess on c' <= pi'A: None when pi is feasible, else
-    the largest excess of c over pi'A; inst is anything with .a and .c."""
-    return excess(inst.c.data, tmul(transpose(inst.a), pi).data, tol)
-
-
 def certify(inst: LpInstance, tol: float = DEFAULT_TOL) -> DualityCertificate:
     """Solve both sides and assert feasibility plus zero gap.
 
@@ -80,13 +68,5 @@ def certify(inst: LpInstance, tol: float = DEFAULT_TOL) -> DualityCertificate:
     """
     x, f_max = solve_primal(inst)
     pi, phi_min = _dual_witness(inst, f_max)
-    over = primal_violation(inst, x, tol)
-    if over is not None:
-        raise CertificateViolationError(f"primal witness infeasible by {over}")
-    over = dual_violation(inst, pi, tol)
-    if over is not None:
-        raise CertificateViolationError(f"dual witness infeasible by {over}")
-    gap = mismatch(f_max, phi_min, tol)
-    if gap is not None:
-        raise CertificateViolationError(f"duality gap {gap} exceeds tolerance")
+    require(certificates.primal(inst, x, f_max, tol) + certificates.dual(inst, pi, f_max, tol))
     return DualityCertificate(x, pi, f_max, phi_min)

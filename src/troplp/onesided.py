@@ -2,11 +2,11 @@
 
 Residuation: Ax <= b holds exactly when x is below the principal solution
 x_j = min_i(b_i - a_ij), the min-plus product of the conjugate -A^T with b,
-written out here as that one formula.  The principal solution is the greatest
-subsolution, and the equality system is solvable exactly when substituting
-it back reproduces b.  subeigen_member tests a finite x against the
-subeigenvector inequality Ax <= lam + x; the mcm check applies it to A^T and
-the stored potential, which bounds every cycle mean of A by lam.
+written out as that one formula in certificates.residuate.  The principal
+solution is the greatest subsolution, and the equality system is solvable
+exactly when substituting it back reproduces b.  subeigen_member tests a
+finite x against the subeigenvector inequality Ax <= lam + x.  These are
+certificate rules; this module guards their input.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import certificates
 from .closure import _require_square
-from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, excess, tmul
+from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, tmul
 from .errors import DimensionMismatchError, FiniteRequiredError
 
 
@@ -55,27 +56,18 @@ def _check_system(a: TropMatrix, b: TropVector):
 
 
 def greatest_subsolution(a: TropMatrix, b: TropVector) -> TropVector:
-    """Greatest x with A x <= b: componentwise x_j = min_i(b_i - a_ij).
-
-    Epsilon entries of A are allowed; they give b_i - a_ij = +inf, which the
-    minimum skips.
-    """
+    """Greatest x with A x <= b: componentwise x_j = min_i(b_i - a_ij), over
+    the finite a_ij."""
     _check_system(a, b)
-    return TropVector((b.data[:, np.newaxis] - a.data).min(axis=0))
+    return certificates.residuate(a, b)
 
 
 def solve_equality(a: TropMatrix, b: TropVector,
                    tol: float = DEFAULT_TOL) -> OneSidedSolveResult:
     """Solve A x = b; the system is solvable iff the principal solution attains b."""
     x = greatest_subsolution(a, b)
-    residual = shortfall(a, b, x)
-    # the rule on max(b - Ax) <= 0, as check applies it to the stored residual
-    return OneSidedSolveResult(x, excess(residual, 0.0, tol) is None, residual)
-
-
-def shortfall(a: TropMatrix, b: TropVector, x: TropVector) -> float:
-    """max(b - Ax): how far Ax falls short of b; at most 0 when Ax >= b."""
-    return float(np.max(b.data - tmul(a, x).data))
+    residual, solvable = certificates.shortfall(tmul(a, x).data, b.data, tol)
+    return OneSidedSolveResult(x, solvable, residual)
 
 
 def subeigen_member(a: TropMatrix, lam: float, x: TropVector,
@@ -87,4 +79,4 @@ def subeigen_member(a: TropMatrix, lam: float, x: TropVector,
     if a.cols != len(x):
         raise DimensionMismatchError(
             f"A has {a.cols} columns but x has length {len(x)}")
-    return excess(tmul(a, x).data, lam + x.data, tol) is None
+    return certificates.subeigenvector(a, lam, x, tol)

@@ -17,20 +17,18 @@ stays within lambda of y; a sweep of A itself would be inflated by about the
 cycle's length times lambda.  Both forms run Karp's cycle mean when the
 sweep's diagonal turns positive, as kleene_star does.  The equation form's
 solution kind, lambda < -tol, is read from the star in O(n^2) where it can
-be, and Karp runs for it only where it cannot.
+be, and Karp runs for it only where it cannot.  Each solver checks its
+answer by certificates.two_sided, the rule `check` applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .closure import (_heaviest_cycle, _strictly_negative, kleene_star,
-                      max_cycle_mean)
-from .core import DEFAULT_TOL, TropMatrix, TropVector, excess, mismatch, tdot, tmul
-from .errors import (CertificateViolationError, DimensionMismatchError,
-                     FiniteRequiredError)
+from .certificates import _heaviest_cycle, _strictly_negative, two_sided
+from .closure import kleene_star, max_cycle_mean
+from .core import DEFAULT_TOL, TropMatrix, TropVector, tdot, tmul
+from .errors import DimensionMismatchError, FiniteRequiredError, require
 
 FEASIBLE = "feasible"
 UNIQUE_FIXED_POINT = "unique-fixed-point"
@@ -59,26 +57,19 @@ class TwoSidedResult:
     feasibility_kind: str
 
 
-def two_sided_lhs(inst, y: TropVector) -> np.ndarray:
-    """The left-hand side max(Ay, d) of both forms; inst is anything with
-    square .a and .d."""
-    return np.maximum(tmul(inst.a, y).data, inst.d.data)
-
-
 def tslp_feasible(inst: TwoSidedInstance, y: TropVector,
                   tol: float = DEFAULT_TOL) -> bool:
     """Check A y + d <= y entrywise within tol."""
     if len(y) != inst.a.rows:
         raise DimensionMismatchError(f"y must have length {inst.a.rows}")
-    return excess(two_sided_lhs(inst, y), y.data, tol) is None
+    return not two_sided(inst, y, tol)
 
 
 def solve_tslp(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedResult:
     """Minimize c'y subject to A y + d <= y; the optimum is y = A* d.
     DivergentStarError when lambda(A) > tol leaves no point feasible."""
     y = tmul(kleene_star(inst.a, tol), inst.d)
-    if not tslp_feasible(inst, y, tol):
-        raise CertificateViolationError("two-sided witness failed feasibility")
+    require(two_sided(inst, y, tol))
     return TwoSidedResult(y, tdot(inst.c, y), FEASIBLE)
 
 
@@ -87,7 +78,7 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
 
     When the maximum cycle mean is below -tol the feasible set is the single
     point A* d, reported as the unique-fixed-point kind.  The star S tells
-    the kind in O(n^2) on either side of a band: closure's rule proves
+    the kind in O(n^2) on either side of a band: _strictly_negative proves
     lambda < -tol, and the heaviest diagonal entry of A S, at least -tol, is
     the weight of a closed walk of A (S holds weights of walks of A, or of
     the lighter A - lambda), so one of its cycles has a mean of at least
@@ -95,8 +86,7 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
     """
     star = kleene_star(inst.a, tol)
     y = tmul(star, inst.d)
-    if mismatch(two_sided_lhs(inst, y), y.data, tol) is not None:
-        raise CertificateViolationError("fixed-point witness violates the equation")
+    require(two_sided(inst, y, tol, equation=True))
     if _strictly_negative(inst.a, star.data, tol):
         unique = True
     elif _heaviest_cycle(inst.a, star.data) >= -tol:

@@ -356,6 +356,13 @@ class TestGapReport:
         assert (report.lower, report.upper) == (report.primal.f_max_int,
                                                 report.dual.phi_min_int)
 
+    def test_runs_the_residuation_once(self, monkeypatch):
+        # the real optimum and the integer primal share one principal solution
+        calls = util.count_calls(monkeypatch, greatest_subsolution)
+        report = duality_gap(REGRESSION)
+        assert len(calls) == 1
+        assert report.primal == solve_primal_integer(REGRESSION)
+
     def test_interval_orders_and_width(self):
         rng = np.random.default_rng(37)
         for _ in range(40):

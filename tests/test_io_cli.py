@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import util
 from troplp import (EPSILON, CertificateViolationError, InstanceFormatError,
-                    TropMatrix, closure, core, intlp, twosided)
+                    TropMatrix, certificates, closure, core, intlp)
 from troplp.cli import main
 from troplp.io import (_INT_OVERFLOW, _KINDS, _MAX_ENTRY, EXIT_CERTIFICATE,
                        EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS,
@@ -493,7 +493,7 @@ class TestSolveToPayload:
         # the solver's own self-check is the only residual solve computes
         inst = parse_instance(json.dumps(util.golden_instance_obj(
             np.random.default_rng(66), kind)))
-        calls = util.count_calls(monkeypatch, twosided.two_sided_lhs)
+        calls = util.count_calls(monkeypatch, certificates.two_sided)
         payload, code = solve_to_payload(inst, 1e-9)
         assert code == EXIT_OK
         assert len(calls) == 1

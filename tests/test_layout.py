@@ -1,0 +1,66 @@
+"""Static checks of the source tree: where the certificate rules live, and
+that every import is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import troplp
+import util
+
+SRC = Path(troplp.__file__).parent
+# names that certificates took over; the first three were renamed there
+MOVED = ("primal_violation", "dual_violation", "two_sided_lhs", "shortfall",
+         "_resolves", "_heaviest_cycle", "_strictly_negative", "_cycle_mean",
+         "_acyclic")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_certificates_imports_only_core():
+    modules = set()
+    for node in ast.walk(_tree(SRC / "certificates.py")):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert modules == {"__future__", "numpy", ".core"}
+
+
+def test_each_rule_is_defined_in_certificates_alone():
+    rules = _defined(_tree(SRC / "certificates.py"))
+    assert set(MOVED[3:]) <= rules
+    elsewhere = {path.name: sorted(_defined(_tree(path)) & (rules | set(MOVED)))
+                 for path in SRC.glob("*.py") if path.name != "certificates.py"}
+    assert {name: found for name, found in elsewhere.items() if found} == {}
+
+
+def _imports_and_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    bound, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return bound, used
+
+
+@pytest.mark.parametrize("path", sorted([*SRC.glob("*.py"), *util.TESTS.glob("*.py")]),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_import_is_used(path):
+    bound, used = _imports_and_names(_tree(path))
+    assert sorted(bound - used) == []

@@ -115,8 +115,8 @@ class TestBoxes:
             brute_dual_integer(inst, dual_box(inst))
 
 
-PRODUCTION = ("__init__", "core", "closure", "onesided", "lp", "intlp", "twosided",
-              "io", "cli")
+PRODUCTION = ("__init__", "core", "certificates", "closure", "onesided", "lp", "intlp",
+              "twosided", "io", "cli")
 
 
 @pytest.mark.parametrize("module", PRODUCTION)
