@@ -3,7 +3,8 @@
 The scalar carrier is R together with the bottom element epsilon = -inf.
 Tropical addition is max (epsilon neutral), tropical multiplication is +
 (epsilon absorbing).  IEEE -inf implements both laws natively, so entries are
-stored in read-only float64 arrays; NaN and +inf are rejected at construction.
+stored in read-only float64 arrays; NaN and +inf are rejected at construction,
+both found by one max reduction over the entries.
 Only (max, +) operations are provided: residuation, the one place the min-plus
 conjugate enters, is written out in onesided.
 """
@@ -27,9 +28,12 @@ def _as_array(entries, ndim: int) -> np.ndarray:
         raise ValueError(f"expected {ndim} dimensions, got shape {arr.shape}")
     if arr.size == 0 or min(arr.shape) == 0:
         raise ValueError("every dimension must be at least 1")
-    if np.isnan(arr).any():
+    # one reduction finds both: NaN propagates through the max, and +inf is
+    # the max of any array without NaN that holds it
+    top = arr.max()
+    if np.isnan(top):
         raise ValueError("NaN entries are not allowed")
-    if np.isposinf(arr).any():
+    if top == np.inf:
         raise ValueError("+inf entries are not allowed")
     arr.setflags(write=False)
     return arr

@@ -6,14 +6,17 @@ written as the string "-inf" and are accepted only where the kind permits
 them.  Solutions embed the instance they were computed from, so a solution
 file alone is enough to re-check its certificate.  A solution payload is the
 JSON document itself, epsilon spelled "-inf" in memory as on disk: one reader
-(_read_array) turns its arrays into floats and one writer (_json) back; it
-reads a valid array in C-level passes and walks entries only to name a bad one.
-The embedded instance's A is the exception on the way out: when the input
-already spells A's rows as the canonical layout would (_row_texts),
-parse_instance keeps those row texts and the layout copies them instead of
-formatting every float again.  A star's rows are written from its distinct
-values, each formatted once (_distinct_value_rows).  The bytes are the same
-either way.
+(_read_array) turns its arrays into floats and one writer (_json) back.  The
+reader lists its entries' types once, which settles an all-float array (every
+epsilon-free array troplp writes) in one count, and converts only the numbers
+of an array with epsilon; it reads a valid array in C-level passes and walks
+entries only to name a bad one.  The embedded instance's A is the exception
+on the way out: when the input already spells A's rows as the canonical
+layout would (_row_texts), parse_instance keeps the rows it decoded together
+with their texts, the payload embeds those rows instead of a second list from
+_json, and the layout copies the texts instead of formatting every float
+again.  A star's rows are written from its distinct values, each formatted
+once (_distinct_value_rows).  The bytes are the same either way.
 
 A problem kind is one entry of the `_KINDS` table: its instance fields,
 whether epsilon and a non-square A are allowed, the statuses its solutions
@@ -61,11 +64,13 @@ class InstanceFile:
     c: TropVector | None = None
     d: TropVector | None = None
     tol: float | None = None
-    # A's rows as parse_instance cut them from a canonically spelled input
-    # (see _row_texts), else None.  Not an init field, so dataclasses.replace
-    # drops the texts rather than pair them with another A.
-    a_rows: tuple[str, ...] | None = field(default=None, init=False, compare=False,
-                                           repr=False)
+    # A as the JSON rows parse_instance decoded, carrying the row texts it
+    # cut from a canonically spelled input (see _row_texts), else None.  Every
+    # payload made from this instance embeds this one list, so a caller that
+    # edits a payload's A replaces the list and never its entries.  Not an
+    # init field, so dataclasses.replace drops the rows rather than pair them
+    # with another A.
+    a_rows: _Rows | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _reject_constant(token: str):
@@ -104,8 +109,11 @@ def _read_array(value, ndim: int, allow_eps: bool, where: str) -> np.ndarray:
     """A list of numbers (ndim 1) or of equal-length rows (ndim 2) as a float
     array.  The error is the one _number gives for the first bad entry, or
     the malformed row before it.  A valid array is read in C-level passes: a
-    census of its entries' exact types, one float conversion, and a count of
-    non-finite values, which must be the epsilon entries; only a failed pass
+    list of its entries' exact types, which settles an all-float array by one
+    count (only other arrays build the set of their types) and an epsilon
+    array's strings by another; one float conversion, of the numbers alone
+    into an epsilon-filled array when there is epsilon; and a count of
+    non-finite values, which must be the epsilon entries.  Only a failed pass
     walks the entries in row order through _number to raise that error."""
     if not isinstance(value, list) or not value:
         raise InstanceFormatError(
@@ -120,7 +128,8 @@ def _read_array(value, ndim: int, allow_eps: bool, where: str) -> np.ndarray:
                 f"has length {len(row)}, expected {width}" if isinstance(row, list) and row
                 else "is not a non-empty list"))
     cells = list(chain.from_iterable(rows))
-    kinds = set(map(type, cells))
+    types = list(map(type, cells))
+    kinds = {float} if types.count(float) == len(cells) else set(types)
     values, eps = None, 0
     try:
         if kinds <= {int, float}:
@@ -129,9 +138,10 @@ def _read_array(value, ndim: int, allow_eps: bool, where: str) -> np.ndarray:
             objects = np.fromiter(cells, object, len(cells))
             is_eps = objects == "-inf"
             eps = np.count_nonzero(is_eps)
-            if list(map(type, cells)).count(str) == eps:  # every string is "-inf"
-                objects[is_eps] = EPSILON
-                values = objects.astype(float)
+            if types.count(str) == eps:  # every string is "-inf"
+                numbers = ~is_eps  # converted alone: sparse graphs are mostly epsilon
+                values = np.full(len(cells), EPSILON)
+                values[numbers] = objects[numbers].astype(float)
     except OverflowError:  # an integer past float range, which the walk names
         pass
     if values is None or np.count_nonzero(np.isfinite(values)) != len(cells) - eps:
@@ -284,10 +294,15 @@ def _row_texts(text: str, a: np.ndarray) -> tuple[str, ...] | None:
 
 
 def parse_instance(text: str, default_problem: str | None = None) -> InstanceFile:
-    """Parse and validate one instance from JSON text.  The result carries
-    A's row texts when the text spells them canonically, for the writer."""
-    inst = _instance_from_obj(_load_json(text), default_problem)
-    object.__setattr__(inst, "a_rows", _row_texts(text, inst.a.data))
+    """Parse and validate one instance from JSON text.  When the text spells
+    A canonically, the result keeps A's decoded rows with their texts for the
+    writer: every number then has a '.', so the rows hold floats and "-inf",
+    the same list _json would build from the floats."""
+    obj = _load_json(text)
+    inst = _instance_from_obj(obj, default_problem)
+    texts = _row_texts(text, inst.a.data)
+    if texts is not None:
+        object.__setattr__(inst, "a_rows", _Rows(obj["A"], texts))
     return inst
 
 
@@ -305,7 +320,8 @@ class _Rows(list):
     """A matrix as a list of JSON rows that also carries each row's canonical
     text, which _layout writes in place of encoding the row again.  Every
     other reader sees the plain list.  The texts describe the rows it was
-    made with: to change a payload's A, replace the list, not its entries."""
+    made with, and the payloads made from one parsed instance share its A's
+    row lists: to change a payload's A, replace the list, never its entries."""
 
     __slots__ = ("texts",)
 
@@ -328,9 +344,8 @@ def _distinct_value_rows(values: np.ndarray) -> _Rows:
 
 
 def instance_to_obj(inst: InstanceFile) -> dict:
-    a = _json(inst.a.data)
     obj: dict = {"problem": inst.problem,
-                 "A": a if inst.a_rows is None else _Rows(a, inst.a_rows)}
+                 "A": _json(inst.a.data) if inst.a_rows is None else inst.a_rows}
     for key, vec in (("b", inst.b), ("c", inst.c), ("d", inst.d)):
         if vec is not None:
             obj[key] = _json(vec.data)

@@ -25,6 +25,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TropVector([1.0, float("inf")])
 
+    @pytest.mark.parametrize("entries, message", [
+        ([[float("nan"), float("inf")]], "NaN entries are not allowed"),
+        ([[E, float("inf")]], "+inf entries are not allowed"),
+    ])
+    def test_rejection_messages(self, entries, message):
+        with pytest.raises(ValueError) as info:
+            TropMatrix(entries)
+        assert str(info.value) == message
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             TropMatrix([[]])
