@@ -17,9 +17,9 @@ the source has no incoming arc and adds no cycle.  The star is finite iff
 lambda(A) <= 0, and a positive cycle through node i leaves a positive entry
 (i, i) after the sweep, so the sweep's own diagonal tells convergence and the
 cycle mean is computed only when it turns positive: to name the divergent
-cycle, or, when lambda is positive but within tol, to sweep A - lambda
-instead, since a sweep of A would be inflated by about the cycle's length
-times lambda.
+cycle, or to re-sweep A - lambda when 0 < lambda <= tol, since a sweep of A
+is then inflated by about the cycle's length times lambda.  With lambda <= 0
+the positive diagonal was rounding, and the first sweep is the star.
 """
 
 from __future__ import annotations
@@ -154,9 +154,9 @@ def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
 
     The series is finite only when the maximum cycle mean is nonpositive, in
     which case it equals the partial sum up to exponent n-1 and is computed
-    by a Floyd-Warshall sweep in O(n^3).  Karp runs only when the sweep's
-    diagonal turns positive, for the divergence rule: refuse when
-    lambda > tol, else return the star of A - max(lambda, 0).
+    by a Floyd-Warshall sweep in O(n^3).  When the sweep's diagonal turns
+    positive, Karp's lambda decides: refuse when lambda > tol, re-sweep
+    A - lambda when 0 < lambda <= tol, else keep the sweep (rounding).
     """
     _require_square(a)
     swept = _star_sweep(a.data)
@@ -167,4 +167,4 @@ def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
         raise DivergentStarError(
             f"star diverges: maximum cycle mean {cm.lambda_} exceeds tol {tol}",
             lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
-    return TropMatrix(_star_sweep(a.data - max(cm.lambda_, 0.0)))
+    return TropMatrix(swept if cm.lambda_ <= 0.0 else _star_sweep(a.data - cm.lambda_))

@@ -43,7 +43,7 @@ from . import certificates
 from ._version import __version__
 from .closure import _diverges, _star_sweep, kleene_star, max_cycle_mean
 from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, tdot
-from .errors import DivergentStarError, FiniteRequiredError, InstanceFormatError
+from .errors import DivergentStarError, InstanceFormatError
 from .intlp import duality_gap, solve_dual_integer, solve_primal_integer
 from .lp import LpInstance, solve_dual, solve_primal
 from .onesided import _check_system, solve_equality
@@ -105,16 +105,18 @@ def _number(value, allow_eps: bool, where: str) -> float:
 _INT_OVERFLOW = 2**1024 - 2**970  # the least integer float() cannot convert
 
 
-def _read_array(value, ndim: int, allow_eps: bool, where: str) -> np.ndarray:
+def _read_array(value, ndim: int, allow_eps: bool, where: str, bound: float) -> np.ndarray:
     """A list of numbers (ndim 1) or of equal-length rows (ndim 2) as a float
-    array.  The error is the one _number gives for the first bad entry, or
-    the malformed row before it.  A valid array is read in C-level passes: a
-    list of its entries' exact types, which settles an all-float array by one
-    count (only other arrays build the set of their types) and an epsilon
-    array's strings by another; one float conversion, of the numbers alone
-    into an epsilon-filled array when there is epsilon; and a count of
-    non-finite values, which must be the epsilon entries.  Only a failed pass
-    walks the entries in row order through _number to raise that error."""
+    array, its finite entries at most bound in magnitude: _MAX_ENTRY in an
+    instance, _MAX_STORED in a solution.  The error is the one _number gives
+    for the first bad entry, or the malformed row before it; with no such
+    error, _check_magnitude's.  A valid array is read in C-level
+    passes: a list of its entries' exact types, which settles an all-float
+    array by one count (only other arrays build the set of their types) and
+    an epsilon array's strings by another; one float conversion, of the
+    numbers alone into an epsilon-filled array when there is epsilon; and a
+    count of the values within bound, which fails on epsilon, +inf and nan,
+    so the rest must be epsilon.  Only a failed pass walks the entries."""
     if not isinstance(value, list) or not value:
         raise InstanceFormatError(
             f"{where}: expected a non-empty list of {'numbers' if ndim == 1 else 'rows'}")
@@ -122,8 +124,8 @@ def _read_array(value, ndim: int, allow_eps: bool, where: str) -> np.ndarray:
     width = len(rows[0]) if isinstance(rows[0], list) else 0
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not row or len(row) != width:
-            if i:  # a bad entry in an earlier row is reported first
-                _read_array(rows[:i], 2, allow_eps, where)
+            if i:  # a bad entry in an earlier row is reported first, magnitude last
+                _read_array(rows[:i], 2, allow_eps, where, sys.float_info.max)
             raise InstanceFormatError(f"{where}: row {i} " + (
                 f"has length {len(row)}, expected {width}" if isinstance(row, list) and row
                 else "is not a non-empty list"))
@@ -144,10 +146,11 @@ def _read_array(value, ndim: int, allow_eps: bool, where: str) -> np.ndarray:
                 values[numbers] = objects[numbers].astype(float)
     except OverflowError:  # an integer past float range, which the walk names
         pass
-    if values is None or np.count_nonzero(np.isfinite(values)) != len(cells) - eps:
+    if values is None or np.count_nonzero(np.abs(values) <= bound) != len(cells) - eps:
         values = np.array([_number(cell, allow_eps, f"{where}[{k}]" if ndim == 1
                                    else f"{where}[{k // width}][{k % width}]")
                            for k, cell in enumerate(cells)])
+        _check_magnitude(where, values, bound)
     return values if ndim == 1 else values.reshape(len(rows), width)
 
 
@@ -174,7 +177,7 @@ _MAX_ENTRY = 1e300
 _MAX_STORED = 1e307
 
 
-def _check_magnitude(key: str, values: np.ndarray, bound: float = _MAX_ENTRY):
+def _check_magnitude(key: str, values: np.ndarray, bound: float):
     big = (np.abs(values) > bound) & (values != EPSILON)
     if big.any():
         raise InstanceFormatError(f"{key}: finite entries must not exceed {bound:.0e} "
@@ -198,20 +201,18 @@ def _instance_from_obj(obj, default_problem: str | None = None) -> InstanceFile:
         if key not in obj:
             raise InstanceFormatError(f'missing required field "{key}" for kind {problem!r}')
 
-    a = TropMatrix(_read_array(obj["A"], 2, spec.eps, "A"))
+    a = TropMatrix(_read_array(obj["A"], 2, spec.eps, "A", _MAX_ENTRY))
     if spec.square and a.rows != a.cols:
         raise InstanceFormatError(f"A must be square for kind {problem!r}, got {a.shape}")
-    _check_magnitude("A", a.data)
 
     vectors = {}
     for key, length, axis in (("b", a.rows, "rows"), ("c", a.cols, "columns"),
                               ("d", a.rows, "rows")):
         if key in required:
-            vec = TropVector(_read_array(obj[key], 1, spec.eps, key))
+            vec = TropVector(_read_array(obj[key], 1, spec.eps, key, _MAX_ENTRY))
             if len(vec) != length:
                 raise InstanceFormatError(
                     f"{key} has length {len(vec)} but A has {length} {axis}")
-            _check_magnitude(key, vec.data)
             vectors[key] = vec
 
     tol = check_tol(obj["tol"]) if "tol" in obj else None
@@ -422,10 +423,9 @@ def _read_number(payload: dict, key: str, allow_eps: bool = False) -> float:
 
 
 def _read_vector(payload: dict, key: str, length: int) -> TropVector:
-    values = _read_array(payload.get(key), 1, False, key)
+    values = _read_array(payload.get(key), 1, False, key, _MAX_STORED)
     if len(values) != length:
         raise InstanceFormatError(f"{key}: has length {len(values)}, expected {length}")
-    _check_magnitude(key, values, _MAX_STORED)
     return TropVector(values)
 
 
@@ -524,10 +524,9 @@ def _solve_star(inst: InstanceFile, tol: float) -> dict:
 
 
 def _verify_star(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
-    star = TropMatrix(_read_array(payload.get("star"), 2, True, "star"))
+    star = TropMatrix(_read_array(payload.get("star"), 2, True, "star", _MAX_STORED))
     if star.shape != inst.a.shape:
         raise InstanceFormatError(f"star has shape {star.shape}, expected {inst.a.shape}")
-    _check_magnitude("star", star.data, _MAX_STORED)
     return certificates.star(inst.a, star, tol)
 
 
@@ -572,8 +571,8 @@ def _solve_onesided(inst: InstanceFile, tol: float) -> dict:
 
 
 def _verify_onesided(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
-    p = _read_vector(payload, "principal", inst.a.cols)
     _check_system(inst.a, inst.b)
+    p = _read_vector(payload, "principal", inst.a.cols)
     return certificates.one_sided(inst, p, _read_number(payload, "residual"),
                                   payload.get("solvable_as_equality"), tol)
 
@@ -645,13 +644,15 @@ def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
 def verify_payload(payload: dict, tol_override: float | None = None) -> list[str]:
     """Re-validate a solution payload against its embedded instance.
 
-    Returns a list of human-readable violations; empty means the certificate
-    holds.  A missing problem or instance field, an unknown kind, a damaged
-    instance or a bad tolerance raises InstanceFormatError instead; a missing
-    status reads as the kind's solved status.  The check recomputes every
-    residual from the stored witnesses and the instance.  Fields it does not
-    read are ignored: tool, version, and the certificate block, method,
-    iterations and u that older files carry.
+    Returns a list of human-readable violations, a malformed stored field
+    among them; empty means the certificate holds.  A missing problem or
+    instance field, an unknown kind, a damaged instance or a bad tolerance
+    raises InstanceFormatError instead, and a onesided instance outside its
+    solver's domain FiniteRequiredError: the CLI exits 2 on either.  A
+    missing status reads as the kind's solved status.  The check recomputes
+    every residual from the stored witnesses and the instance.  Fields it
+    does not read are ignored: tool, version, and the certificate block,
+    method, iterations and u that older files carry.
     """
     for key in ("problem", "instance"):
         if key not in payload:
@@ -669,7 +670,7 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
     verify = spec.verify if status == spec.statuses[0] else _verify_divergence
     try:
         return verify(inst, payload, tol)
-    except (InstanceFormatError, FiniteRequiredError) as exc:
+    except InstanceFormatError as exc:
         return [str(exc)]
 
 

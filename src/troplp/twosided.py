@@ -10,15 +10,14 @@ Feasible points exist exactly when the maximum cycle mean lambda of A is
 nonpositive.  Every feasible y of either form has y >= d and y >= A y, hence
 y >= A^k d for every k and so y >= A* d; and A* d satisfies the equation.
 So A* d is the least feasible point of both forms, and since c'y is isotone
-it is the optimum of both.  One star sweep, O(n^3), does the work, with
-closure's divergence rule: it refuses a lambda above tol and sweeps
-A - max(lambda, 0).  So a lambda in (0, tol] counts as feasible, and A y + d
-stays within lambda of y; a sweep of A itself would be inflated by about the
-cycle's length times lambda.  Both forms run Karp's cycle mean when the
-sweep's diagonal turns positive, as kleene_star does.  The equation form's
-solution kind, lambda < -tol, is read from the star in O(n^2) where it can
-be, and Karp runs for it only where it cannot.  Each solver checks its
-answer by certificates.two_sided, the rule `check` applies.
+it is the optimum of both.  The star, O(n^3), does the work, with closure's
+divergence rule: it refuses a lambda above tol and re-sweeps A - lambda when
+0 < lambda <= tol.  So a lambda in (0, tol] counts as feasible, and A y + d
+stays within lambda of y.  Both forms run Karp's cycle mean when the sweep's
+diagonal turns positive, as kleene_star does.  The equation form's solution
+kind, lambda < -tol, is read from the star in O(n^2) where it can be, and
+Karp runs for it only where it cannot.  Each solver checks its answer by
+certificates.two_sided, the rule `check` applies.
 """
 
 from __future__ import annotations

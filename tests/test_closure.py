@@ -341,3 +341,19 @@ class TestKarpCallCount:
         assert np.diagonal(_star_sweep(tight.a.data)).max() > 0
         solve(tight)
         assert len(karp_calls) == 1
+
+    def test_star_resweeps_only_when_lambda_is_positive(self, monkeypatch):
+        # a zero-mean cycle whose sweep rounds the diagonal up to 3.3e-16:
+        # Karp's lambda is 0, so the first sweep is the star
+        zero = TropMatrix([[-2.4, -0.4, 2.5], [-2.3, -1.6, -2.6], [-4.9, -0.2, -2.6]])
+        first = _star_sweep(zero.data)
+        assert np.diagonal(first).max() > 0 and max_cycle_mean(zero).lambda_ == 0.0
+        # 0.1 + 0.2 - 0.3: lambda is 1.85e-17, within tol, so A - lambda is
+        # swept again
+        tight = TropMatrix([[-5, 0.1, -5], [-5, -5, 0.2], [-0.3, -5, -5]])
+        assert 0 < max_cycle_mean(tight).lambda_ <= 1e-9
+        sweeps = util.count_calls(monkeypatch, closure._star_sweep)
+        assert kleene_star(zero).data.tobytes() == first.tobytes()
+        assert len(sweeps) == 1
+        kleene_star(tight)
+        assert len(sweeps) == 3

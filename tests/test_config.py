@@ -1,13 +1,17 @@
-"""The pytest configuration: warnings are errors, except known third-party ones;
-an unregistered marker or a misspelt ini key fails the run on its own."""
+"""The project configuration.  In pytest, warnings are errors, except known
+third-party ones, and an unregistered marker or a misspelt ini key fails the
+run on its own.  pyproject.toml's version is the one solutions carry."""
 
 import importlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import util
+from troplp import __version__
+from troplp.io import parse_instance, solve_to_payload
 
 PYPROJECT = util.TESTS.parent / "pyproject.toml"
 
@@ -39,3 +43,12 @@ def test_strictness_does_not_rest_on_warnings(ini_line, test_text, culprit, tmp_
     output = result.stdout + result.stderr
     assert result.returncode != 0, output
     assert culprit in output
+
+
+def test_package_version_is_the_one_solutions_carry():
+    # a regex, not tomllib, which needs Python 3.11 where 3.10 is supported
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)",
+                        PYPROJECT.read_text(encoding="utf-8"), re.M | re.S)
+    version = re.search(r'^version = "([^"]+)"$', project.group(1), re.M)
+    payload, _ = solve_to_payload(parse_instance('{"problem": "mcm", "A": [[0]]}'), 1e-9)
+    assert version.group(1) == __version__ == payload["version"]

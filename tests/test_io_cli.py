@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import util
-from troplp import (EPSILON, CertificateViolationError, InstanceFormatError,
-                    TropMatrix, certificates, closure, core, intlp)
+from troplp import (EPSILON, CertificateViolationError, FiniteRequiredError,
+                    InstanceFormatError, TropMatrix, certificates, closure, core,
+                    intlp)
 from troplp.cli import main
-from troplp.io import (_INT_OVERFLOW, _KINDS, _MAX_ENTRY, EXIT_CERTIFICATE,
-                       EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS,
+from troplp.io import (_INT_OVERFLOW, _KINDS, _MAX_ENTRY, _MAX_STORED,
+                       EXIT_CERTIFICATE, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS,
                        _distinct_value_rows, _encode, _json, _number,
                        _read_array, check_tol, parse_instance, parse_solution,
                        render_text, serialize_solution, solve_to_payload,
@@ -94,22 +95,31 @@ class TestParseInstance:
         assert inst.problem == "star"
 
 
-def _reference_read(value, ndim, allow_eps, where):
-    """Entry-by-entry reader with the wording _read_array must reproduce."""
+def _reference_read(value, ndim, allow_eps, where, bound):
+    """Entry-by-entry reader with the wording _read_array must reproduce:
+    type and structure errors in row order, then the first finite entry past
+    bound."""
     if not isinstance(value, list) or not value:
         noun = "numbers" if ndim == 1 else "rows"
         raise InstanceFormatError(f"{where}: expected a non-empty list of {noun}")
     if ndim == 1:
-        return np.array([_number(v, allow_eps, f"{where}[{i}]") for i, v in enumerate(value)])
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or not row:
-            raise InstanceFormatError(f"{where}: row {i} is not a non-empty list")
-        if len(row) != len(value[0]):
-            raise InstanceFormatError(
-                f"{where}: row {i} has length {len(row)}, expected {len(value[0])}")
-        rows.append([_number(v, allow_eps, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
-    return np.array(rows)
+        values = np.array([_number(v, allow_eps, f"{where}[{i}]") for i, v in enumerate(value)])
+    else:
+        rows = []
+        for i, row in enumerate(value):
+            if not isinstance(row, list) or not row:
+                raise InstanceFormatError(f"{where}: row {i} is not a non-empty list")
+            if len(row) != len(value[0]):
+                raise InstanceFormatError(
+                    f"{where}: row {i} has length {len(row)}, expected {len(value[0])}")
+            rows.append([_number(v, allow_eps, f"{where}[{i}][{j}]")
+                         for j, v in enumerate(row)])
+        values = np.array(rows)
+    big = [x for x in values.ravel().tolist() if x != E and abs(x) > bound]
+    if big:
+        raise InstanceFormatError(f"{where}: finite entries must not exceed {bound:.0e} "
+                                  f"in magnitude, got {big[0]!r}")
+    return values
 
 
 def _outcome(read, *args):
@@ -137,17 +147,25 @@ class TestReadArray:
 
     @settings(max_examples=400, deadline=None)
     @given(value=st.one_of(st.lists(_CELL, max_size=5), st.lists(_ROW, max_size=4), _CELL),
-           ndim=st.sampled_from([1, 2]), allow_eps=st.booleans())
+           ndim=st.sampled_from([1, 2]), allow_eps=st.booleans(),
+           bound=st.sampled_from([_MAX_ENTRY, _MAX_STORED, 1e3]))
     # a float -inf counts as non-finite next to the "-inf" strings
-    @example(value=[["-inf", -1e400], [1, "-inf"]], ndim=2, allow_eps=True)
+    @example(value=[["-inf", -1e400], [1, "-inf"]], ndim=2, allow_eps=True, bound=_MAX_ENTRY)
     # the reader's type list: a float array with one entry of another type,
     # a string that is not "-inf" beside one that is, and ε alone
-    @example(value=[[1.5, 2.5], [True, 0.5]], ndim=2, allow_eps=True)
-    @example(value=[[1.5, 2.5], [3, 0.5]], ndim=2, allow_eps=False)
-    @example(value=["-inf", "1.5"], ndim=1, allow_eps=True)
-    @example(value=[["-inf", "-inf"], ["-inf", "-inf"]], ndim=2, allow_eps=True)
-    def test_matches_entry_by_entry_reference(self, value, ndim, allow_eps):
-        args = (value, ndim, allow_eps, "A")
+    @example(value=[[1.5, 2.5], [True, 0.5]], ndim=2, allow_eps=True, bound=_MAX_ENTRY)
+    @example(value=[[1.5, 2.5], [3, 0.5]], ndim=2, allow_eps=False, bound=_MAX_ENTRY)
+    @example(value=["-inf", "1.5"], ndim=1, allow_eps=True, bound=_MAX_ENTRY)
+    @example(value=[["-inf", "-inf"], ["-inf", "-inf"]], ndim=2, allow_eps=True,
+             bound=_MAX_ENTRY)
+    # the bound: a float and an integer past it, the latter beside epsilon,
+    # and a huge entry before a type error or a ragged row, which come first
+    @example(value=[[0.5, 1e301], [2.5, -1e302]], ndim=2, allow_eps=False, bound=_MAX_ENTRY)
+    @example(value=["-inf", -10**301], ndim=1, allow_eps=True, bound=_MAX_ENTRY)
+    @example(value=[[1e308, "x"]], ndim=2, allow_eps=True, bound=_MAX_STORED)
+    @example(value=[[-1e308], [1, 2]], ndim=2, allow_eps=True, bound=_MAX_STORED)
+    def test_matches_entry_by_entry_reference(self, value, ndim, allow_eps, bound):
+        args = (value, ndim, allow_eps, "A", bound)
         assert _outcome(_read_array, *args) == _outcome(_reference_read, *args)
 
     def test_valid_arrays_skip_the_entry_walk(self, monkeypatch):
@@ -155,14 +173,15 @@ class TestReadArray:
             raise AssertionError("a valid array took the entry-by-entry walk")
 
         monkeypatch.setattr("troplp.io._number", walked)
+        monkeypatch.setattr("troplp.io._check_magnitude", walked)
         rng = np.random.default_rng(11)
         reals = rng.uniform(-1000, 1000, (64, 64))
         half = np.where(rng.random((64, 64)) < 0.5, E, reals)
         for a, allow_eps in [(reals, False), (half, True), (np.full((64, 64), E), True)]:
-            read = _read_array(util.rows_obj(TropMatrix(a)), 2, allow_eps, "A")
+            read = _read_array(util.rows_obj(TropMatrix(a)), 2, allow_eps, "A", _MAX_ENTRY)
             assert read.tobytes() == a.tobytes()
         ints = rng.integers(-10**6, 10**6, 64)
-        read = _read_array(ints.tolist(), 1, False, "b")
+        read = _read_array(ints.tolist(), 1, False, "b", _MAX_ENTRY)
         assert read.tobytes() == ints.astype(float).tobytes()
 
     @pytest.mark.parametrize("value,ndim,message", [
@@ -171,10 +190,12 @@ class TestReadArray:
         ([[1], [1, 2]], 2, "A: row 1 has length 2, expected 1"),
         ([1, 10**400], 1, "A[1]: integer out of float range"),
         ([float("-inf")], 1, "A[0]: non-finite number -inf"),
+        (["-inf", -2e300], 1, "A: finite entries must not exceed 1e+300 in magnitude, "
+                              "got -2e+300"),
     ])
     def test_messages(self, value, ndim, message):
         with pytest.raises(InstanceFormatError) as info:
-            _read_array(value, ndim, True, "A")
+            _read_array(value, ndim, True, "A", _MAX_ENTRY)
         assert str(info.value) == message
 
 
@@ -959,12 +980,26 @@ class TestCliMain(object):
         assert payload["solvable_as_equality"] is True
         assert main(["check", "--input", str(sol)]) == EXIT_OK
 
-    def test_eps_b_onesided_check_reports_problem(self):
-        payload = {"problem": "onesided", "principal": [0.0],
-                   "solvable_as_equality": False, "residual": 0.0,
-                   "instance": {"problem": "onesided", "A": [[0]], "b": ["-inf"]}}
-        assert verify_payload(parse_solution(json.dumps(payload))) \
-            == ["one-sided solvers require a finite b"]
+    def test_damaged_onesided_check_is_input_error(self, tmp_path, capsys):
+        # a damaged embedded instance is exit 2 for every kind, in check as in
+        # solve, even before a stored field that is malformed too
+        sol = tmp_path / "sol.json"
+        for instance, message in [
+                ({"problem": "onesided", "A": [[0]], "b": ["-inf"]},
+                 "one-sided solvers require a finite b"),
+                ({"problem": "onesided", "A": [["-inf"], [0]], "b": [0, 0]},
+                 "row 0 is all -inf")]:
+            self._write(sol, instance)
+            assert main(["solve", "--input", str(sol)]) == EXIT_INPUT
+            payload = {"problem": "onesided", "principal": [0.0],
+                       "solvable_as_equality": False, "residual": 0.0,
+                       "instance": instance}
+            for stored in (payload, dict(payload, principal="abc")):
+                with pytest.raises(FiniteRequiredError, match=message):
+                    verify_payload(parse_solution(json.dumps(stored)))
+                self._write(sol, stored)
+                assert main(["check", "--input", str(sol)]) == EXIT_INPUT
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["tslp", "tslp2", "star", "mcm"])
     def test_solve_runs_karp_at_most_once(self, kind, monkeypatch):
