@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (EPSILON, TropMatrix, TropVector, excess, identity, mismatch,
-                   tadd, tdot, tmul, transpose)
+                   tadd, tdot, tmul)
 
 
 def _problem(template: str, worst: float | None) -> list[str]:
@@ -36,7 +36,7 @@ def dual(inst, pi: TropVector, stored: float, tol: float, integral: bool = False
          key: str = "objective") -> list[str]:
     """c' <= pi'A, pi integral if asked, and pi'b is the value stored under key."""
     return (_problem("dual witness infeasible by {}",
-                     excess(inst.c.data, tmul(transpose(inst.a), pi).data, tol))
+                     excess(inst.c.data, _row_product(pi, inst.a), tol))
             + (_integral("pi", pi, tol) if integral else [])
             + value(key, stored, tdot(pi, inst.b), tol))
 
@@ -75,7 +75,7 @@ def star(a: TropMatrix, s: TropMatrix, tol: float) -> list[str]:
     rounding gate), idempotent as well."""
     problems = _problem("star is not a fixed point of x -> Ax + I ({})",
                         mismatch(tadd(tmul(a, s), identity(a.rows)).data, s.data, tol))
-    if problems or _strictly_negative(a, s.data, tol):
+    if problems or _strictly_negative(a, s.data, _heaviest_cycle(a, s.data), tol):
         return problems
     return _problem("star is not idempotent ({})", mismatch(tmul(s, s).data, s.data, tol))
 
@@ -110,7 +110,7 @@ def potential(a: TropMatrix, lam: float, x: TropVector, tol: float) -> bool:
     one, so the rounding gate keeps a shifted one from hiding a gap in the
     rounding of these sums; an honest |x| is at most 2n max |a_uv|."""
     return (_resolves(tol, x.data, lam, a.data)
-            and subeigenvector(transpose(a), lam, x, tol))
+            and excess(_row_product(x, a), lam + x.data, tol) is None)
 
 
 def shortfall(ax: np.ndarray, b: np.ndarray, tol: float) -> tuple[float, bool]:
@@ -128,6 +128,11 @@ def one_sided(inst, p: TropVector, residual: float, solvable, tol: float) -> lis
     if solvable is not holds:
         problems.append("solvable_as_equality flag disagrees with residual")
     return problems
+
+
+def _row_product(v: TropVector, a: TropMatrix) -> np.ndarray:
+    """v'A, max_i(v_i + a_ij), without a transposed copy of A."""
+    return np.max(a.data + v.data[:, np.newaxis], axis=0)
 
 
 def _cycle_mean(a: TropMatrix, cycle) -> float:
@@ -176,9 +181,10 @@ def _heaviest_cycle(a: TropMatrix, s: np.ndarray) -> float:
     return float(np.max(a.data + s.T))
 
 
-def _strictly_negative(a: TropMatrix, s: np.ndarray, tol: float) -> bool:
+def _strictly_negative(a: TropMatrix, s: np.ndarray, heaviest: float, tol: float) -> bool:
     """True when S, a fixed point of x -> A x + I within tol, proves that
-    lambda(A) < -tol and that S is A* within 2n tol; the test is O(n^2).
+    lambda(A) < -tol and that S is A* within 2n tol, given heaviest =
+    _heaviest_cycle(A, S); the test is O(n^2).
 
     Say max(A S, I) and S agree within t entrywise, so a_uv + S_vw <= S_uw + t
     and 0 <= S_ii + t.  Along a cycle i = i_0 -> i_1 -> ... -> i_k = i of
@@ -199,4 +205,4 @@ def _strictly_negative(a: TropMatrix, s: np.ndarray, tol: float) -> bool:
     solvers apply the rule to it as it stands.
     """
     return (_resolves(tol, a.data, s)
-            and _heaviest_cycle(a, s) < -(4 * a.rows + 1) * tol)
+            and heaviest < -(4 * a.rows + 1) * tol)

@@ -10,13 +10,15 @@ JSON document itself, epsilon spelled "-inf" in memory as on disk: one reader
 reader lists its entries' types once, which settles an all-float array (every
 epsilon-free array troplp writes) in one count, and converts only the numbers
 of an array with epsilon; it reads a valid array in C-level passes and walks
-entries only to name a bad one.  The embedded instance's A is the exception
-on the way out: when the input already spells A's rows as the canonical
-layout would (_row_texts), parse_instance keeps the rows it decoded together
-with their texts, the payload embeds those rows instead of a second list from
-_json, and the layout copies the texts instead of formatting every float
-again.  A star's rows are written from its distinct values, each formatted
-once (_distinct_value_rows).  The bytes are the same either way.
+entries only to name a bad one.  An input's A is the exception both ways.
+parse_instance tests A's bytes first (_row_texts): a canonically spelled A
+holds only floats and "-inf", is converted from its decoded rows without
+_read_array, and keeps those rows with their texts, so the payload embeds
+them instead of a second list from _json and the layout copies the texts
+instead of formatting every float again.  Any other spelling, and epsilon the
+kind forbids, takes _read_array with its messages.  A star's rows are written
+from its distinct values, each formatted once (_distinct_value_rows).  The
+bytes are the same either way.
 
 A problem kind is one entry of the `_KINDS` table: its instance fields,
 whether epsilon and a non-square A are allowed, the statuses its solutions
@@ -34,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -184,7 +186,10 @@ def _check_magnitude(key: str, values: np.ndarray, bound: float):
                                   f"in magnitude, got {float(values[big][0])!r}")
 
 
-def _instance_from_obj(obj, default_problem: str | None = None) -> InstanceFile:
+def _instance_from_obj(obj, default_problem: str | None = None,
+                       eps: np.ndarray | None = None) -> InstanceFile:
+    """The instance in a decoded JSON object; eps is A's mask from _row_texts,
+    which spares A _read_array unless it holds epsilon the kind forbids."""
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance must be a JSON object")
     problem = obj.get("problem", default_problem)
@@ -201,7 +206,10 @@ def _instance_from_obj(obj, default_problem: str | None = None) -> InstanceFile:
         if key not in obj:
             raise InstanceFormatError(f'missing required field "{key}" for kind {problem!r}')
 
-    a = TropMatrix(_read_array(obj["A"], 2, spec.eps, "A", _MAX_ENTRY))
+    if eps is not None and (spec.eps or not eps.any()):
+        a = TropMatrix(_read_canonical(obj["A"], eps))
+    else:
+        a = TropMatrix(_read_array(obj["A"], 2, spec.eps, "A", _MAX_ENTRY))
     if spec.square and a.rows != a.cols:
         raise InstanceFormatError(f"A must be square for kind {problem!r}, got {a.shape}")
 
@@ -231,15 +239,18 @@ def _load_json(text: str):
         raise InstanceFormatError("invalid JSON: nested too deeply") from None
 
 
-def _row_texts(text: str, a: np.ndarray) -> tuple[str, ...] | None:
-    """The rows of the validated matrix a cut from the instance text, when
-    the text spells them exactly as the canonical layout writes them: numbers
-    as float repr, "-inf", ', ' between entries and '], [' between rows.
+def _row_texts(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """A's row texts and epsilon mask (a flag per entry, row by row) cut from
+    the instance text, or None.  The test reads bytes alone, runs before A is
+    read, and decides both how A is read and whether the writer copies these
+    texts.  It passes when the text spells A as the canonical layout writes
+    it: ', ' between entries, '], [' between rows, and each entry "-inf" or a
+    number with one '.', no exponent, at most 15 digits (which round-trip
+    through float64, so no shorter spelling does) and no trailing zero but
+    that of '.0'.  The decoded entries are then floats below 1e15 in
+    magnitude and "-inf".  Repr's one rule that needs a value, an exponent
+    for a nonzero magnitude below 1e-4, parse_instance checks on the floats.
 
-    A number token is repr's spelling when it has one '.', no exponent, at
-    most 15 digits, no trailing zero but that of '.0', and a magnitude of 0 or
-    at least 1e-4 (repr writes smaller ones with an exponent): 15 decimal
-    digits round-trip through float64, so no shorter spelling round-trips.
     The text is trusted only with no backslash in it, so that "A" is spelled
     plainly, and with one "A", so that it is the key parsed.  The test runs
     in C-level passes: counts over the region's bytes, and comparisons on the
@@ -250,23 +261,19 @@ def _row_texts(text: str, a: np.ndarray) -> tuple[str, ...] | None:
     if key < 0 or not text.startswith('"A": [[', key) or "\\" in text:
         return None
     # row 0 alone refuses an integer-spelled A: its numbers need one '.' each
-    if text.count(".", first, text.find("]", first)) != np.count_nonzero(a[0] > EPSILON):
+    row = text[first:text.find("]", first)]
+    n = row.count(",") + 1
+    if row.count(".") != n - row.count('"') // 2:
         return None
     last = text.rfind("]]") + 1
     # a second "A" inside the region would fail the byte counts below
     if last <= first or text.find('"A"', last) >= 0:
         return None
     region = np.frombuffer(text[first:last].encode("ascii", "replace"), np.uint8)
-    m, n = a.shape
-    eps = np.isneginf(a).ravel()
-    n_eps = np.count_nonzero(eps)
-    dots = np.count_nonzero(region == ord("."))
-    # JSON allows one '.' per number, so one for each means no integer token
-    if dots != eps.size - n_eps:
-        return None
     commas = np.flatnonzero(region == ord(","))
+    m = (len(commas) + 1) // n  # a ragged A fails the count of brackets below
     between = commas[n - 1::n]  # the comma of each '], ['
-    if not (len(commas) == m * n - 1 and (region[commas + 1] == ord(" ")).all()
+    if not ((region[commas + 1] == ord(" ")).all()
             and np.count_nonzero(region == ord(" ")) == len(commas)
             and (region[between - 1] == ord("]")).all()
             and (region[between + 2] == ord("[")).all()):
@@ -276,33 +283,50 @@ def _row_texts(text: str, a: np.ndarray) -> tuple[str, ...] | None:
     starts = np.concatenate(([1], commas + 2 + row_end))  # token k is region[starts[k]:ends[k]]
     ends = np.concatenate((commas - row_end, [len(region) - 1]))
     head = region[starts]
-    minus = head == ord("-")
+    eps, minus = head == ord('"'), head == ord("-")
+    n_eps = np.count_nonzero(eps)
+    dots = np.count_nonzero(region == ord("."))
+    # JSON allows one '.' per number, so one for each means no integer token.
     # Every byte but the digits is then accounted for: below '0' the
     # separators, the dots, the signs and the '"', '-' of each "-inf"; above
     # '9' the brackets and the 'inf' of each "-inf".
-    if (not np.array_equal(head == ord('"'), eps)
+    if (dots != eps.size - n_eps
             or np.count_nonzero(region < ord("0"))
             != 2 * len(commas) + dots + np.count_nonzero(minus) + 3 * n_eps
-            or np.count_nonzero(region > ord("9")) != 2 * m + 3 * n_eps):
+            or np.count_nonzero(region > ord("9")) != 2 * m + 3 * n_eps
+            or not (ends[eps] - starts[eps] == 6).all()
+            or not (region[starts[eps][:, np.newaxis] + np.arange(6)] == _EPS_BYTES).all()):
         return None
-    values = a.ravel()
     if not ((ends - starts - minus <= 16)  # 15 digits and the '.'
-            & ((region[ends - 1] != ord("0")) | (region[ends - 2] == ord(".")))
-            & ((values == 0) | (np.abs(values) >= 1e-4))).all():
+            & ((region[ends - 1] != ord("0")) | (region[ends - 2] == ord(".")))).all():
         return None
     return tuple(text[first + i:first + j] for i, j in
-                 zip([0, *(between + 2).tolist()], [*between.tolist(), len(region)]))
+                 zip([0, *(between + 2).tolist()], [*between.tolist(), len(region)])), eps
+
+
+_EPS_BYTES = np.frombuffer(b'"-inf"', np.uint8)
+
+
+def _read_canonical(rows: list, eps: np.ndarray) -> np.ndarray | list:
+    """A canonically spelled A from its decoded rows: the rows themselves, or
+    with epsilon an epsilon-filled array that takes the rows' floats."""
+    if not eps.any():
+        return rows
+    values = np.full(eps.size, EPSILON)
+    values[~eps] = np.fromiter(compress(chain.from_iterable(rows), (~eps).tobytes()),
+                               float, eps.size - np.count_nonzero(eps))
+    return values.reshape(len(rows), -1)
 
 
 def parse_instance(text: str, default_problem: str | None = None) -> InstanceFile:
-    """Parse and validate one instance from JSON text.  When the text spells
-    A canonically, the result keeps A's decoded rows with their texts for the
-    writer: every number then has a '.', so the rows hold floats and "-inf",
-    the same list _json would build from the floats."""
+    """Parse and validate one instance from JSON text.  A canonically spelled
+    A (_row_texts) is read from its decoded rows, floats and "-inf" as _json
+    would build them, and kept with their texts for the writer unless repr
+    spells an entry below 1e-4 with an exponent."""
     obj = _load_json(text)
-    inst = _instance_from_obj(obj, default_problem)
-    texts = _row_texts(text, inst.a.data)
-    if texts is not None:
+    texts, eps = _row_texts(text) or (None, None)
+    inst = _instance_from_obj(obj, default_problem, eps)
+    if texts is not None and not ((inst.a.data != 0) & (np.abs(inst.a.data) < 1e-4)).any():
         object.__setattr__(inst, "a_rows", _Rows(obj["A"], texts))
     return inst
 

@@ -86,9 +86,10 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
     star = kleene_star(inst.a, tol)
     y = tmul(star, inst.d)
     require(two_sided(inst, y, tol, equation=True))
-    if _strictly_negative(inst.a, star.data, tol):
+    heaviest = _heaviest_cycle(inst.a, star.data)
+    if _strictly_negative(inst.a, star.data, heaviest, tol):
         unique = True
-    elif _heaviest_cycle(inst.a, star.data) >= -tol:
+    elif heaviest >= -tol:
         unique = False
     else:
         unique = max_cycle_mean(inst.a).lambda_ < -tol

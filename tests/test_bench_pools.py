@@ -4,7 +4,9 @@ The benchmark counts an instance as failed when solve's exit differs from
 the one its generator expects, when check rejects the solution, or when a
 tiny instance's answer disagrees with a brute-force oracle.  This smoke test
 runs the same three tests on one seed of both pools: every tiny instance
-(the oracle-checked ones among them) and the first 12 generated ones.
+(the oracle-checked ones among them) and the first 12 generated ones.  It
+also records that every A of both pools is canonically spelled, so that
+parse_instance reads it from its bytes' test and never through _read_array.
 bench/workloads.py is imported as it is, and the pools are written under
 the test's temporary directory.
 """
@@ -16,6 +18,7 @@ import pytest
 
 import util
 from troplp.cli import main
+from troplp.io import _read_array, parse_instance
 
 SEED = 11
 FIRST = 12
@@ -55,3 +58,13 @@ def test_pool_solves_checks_and_matches_the_oracles(name, tmp_path, capsys):
             failures.append(f"{inst.label}: {mismatch}")
     capsys.readouterr()
     assert failures == []
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_every_pool_a_takes_the_byte_read(name, tmp_path, monkeypatch):
+    pool = workloads.build_pool(name, SEED, tmp_path)
+    reads = util.count_calls(monkeypatch, _read_array)
+    copied = [parse_instance(inst.path.read_text(encoding="utf-8")).a_rows is not None
+              for inst in pool]
+    assert copied.count(True) == len(pool)
+    assert [args[3] for args in reads].count("A") == 0

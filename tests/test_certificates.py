@@ -3,10 +3,14 @@ solvers' self-checks raise the line a rule gives."""
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import util
-from troplp import (CertificateViolationError, TropMatrix, TropVector, core,
+from troplp import (CertificateViolationError, TropMatrix, TropVector, certificates, core,
                     duality_gap, greatest_subsolution, kleene_star,
                     max_cycle_mean, solve_dual, solve_dual_integer, solve_equality,
                     solve_primal, solve_primal_integer, solve_tslp, solve_tslp2,
@@ -42,6 +46,25 @@ def test_onesided_check_forms_ap_once(monkeypatch):
     products = util.count_calls(monkeypatch, core.tmul)
     assert verify_payload(payload) == []
     assert sum(isinstance(args[1], TropVector) for args in products) == 1
+
+
+@pytest.mark.parametrize("name", ["dual", "dual-integer", "mcm"])
+def test_row_products_form_no_matrix_product(name, monkeypatch):
+    # pi'A and the potential's x'A are read off A itself: no transposed copy
+    payload = json.loads((GOLDEN / f"{name}.solution.json").read_text())
+    products = util.count_calls(monkeypatch, core.tmul)
+    assert verify_payload(payload) == []
+    assert products == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.floats(-1e6, 1e6) | st.just(core.EPSILON)), st.data())
+def test_row_product_is_the_transposed_product(a, data):
+    v = TropVector(data.draw(hnp.arrays(float, a.shape[0], elements=st.floats(-1e6, 1e6))))
+    expected = core.tmul(core.transpose(TropMatrix(a)), v).data
+    # the same sums and maxima; only the sign of a zero may come out otherwise
+    assert np.array_equal(certificates._row_product(v, TropMatrix(a)), expected)
 
 
 @pytest.mark.parametrize("kind,line", [

@@ -342,6 +342,15 @@ class TestKarpCallCount:
         solve(tight)
         assert len(karp_calls) == 1
 
+    def test_tslp2_weighs_its_heaviest_cycle_once(self, monkeypatch):
+        # the rounding gate holds but the cycle 0 -> 1 -> 0 of weight 0 fails
+        # the bound: the kind is read from the max(A + S^T) the bound was given
+        inst = TwoSidedInstance(TropMatrix([[-1, 0], [0, -1]]), TropVector([0, 0]),
+                                TropVector([0, 0]))
+        weighed = util.count_calls(monkeypatch, certificates._heaviest_cycle)
+        assert solve_tslp2(inst).feasibility_kind == "feasible"
+        assert len(weighed) == 1
+
     def test_star_resweeps_only_when_lambda_is_positive(self, monkeypatch):
         # a zero-mean cycle whose sweep rounds the diagonal up to 3.3e-16:
         # Karp's lambda is 0, so the first sweep is the star

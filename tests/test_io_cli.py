@@ -418,43 +418,98 @@ _INTEGERS = {"problem": "mcm", "A": np.round(_ROUND3["A"]).astype(int).tolist()}
 
 
 class TestRowCopy:
-    """parse_instance cuts A's rows from a canonically spelled input, and the
-    writer copies them; any other spelling is formatted from the floats.
-    Either way the solution bytes are the same."""
+    """parse_instance tests A's bytes before reading it.  A canonically
+    spelled A is read from its decoded rows, and the writer copies its row
+    texts; any other spelling goes through _read_array and is formatted from
+    the floats.  Either way A and the solution bytes are the same."""
 
-    @pytest.mark.parametrize("text, copied", [
-        ('{"problem": "mcm", "A": [[1, 2], [3, 4]]}', False),
-        ('{"problem": "onesided", "A": [[1e2, 1.5]], "b": [1.0]}', False),
-        ('{"problem": "onesided", "A": [[1.50, 2.0]], "b": [1.0]}', False),
-        ('{"problem": "onesided", "A": [[-0.0, 0.0, 0.0001, 2.5]], "b": [1.0]}', True),
-        ('{"problem": "onesided", "A": [[0.00001, 1.0]], "b": [1.0]}', False),
-        (json.dumps({"problem": "onesided", "A": [[0.1 + 0.2, 1.0]], "b": [1.0]}), False),
+    @pytest.mark.parametrize("text, reads, copied", [
+        ('{"problem": "mcm", "A": [[1, 2], [3, 4]]}', 1, False),
+        ('{"problem": "onesided", "A": [[1e2, 1.5]], "b": [1.0]}', 1, False),
+        ('{"problem": "onesided", "A": [[1.50, 2.0]], "b": [1.0]}', 1, False),
+        ('{"problem": "onesided", "A": [[-0.0, 0.0, 0.0001, 2.5]], "b": [1.0]}', 0, True),
+        ('{"problem": "onesided", "A": [[0.00001, 1.0]], "b": [1.0]}', 0, False),
+        (json.dumps({"problem": "onesided", "A": [[0.1 + 0.2, 1.0]], "b": [1.0]}), 1, False),
         (json.dumps({"problem": "onesided", "A": [[123456789012345.0, 1.0]], "b": [1.0]}),
-         False),
+         1, False),
         (json.dumps({"problem": "onesided", "A": [[99999999999999.0, 1.0]], "b": [1.0]}),
-         True),
-        (json.dumps(_WITH_EPS), True),
-        (json.dumps(_WITH_EPS, separators=(",", ":")), False),
-        (json.dumps(_WITH_EPS, indent=1), False),
-        ('{"problem": "onesided", "b": [1.0, 2.0], "A": [[1.5, 2.5], [0.5, -1.0]]}', True),
-        ('{"problem": "mcm", "\\u0041": [[1.5]]}', False),
-        ('{"problem": "mcm", "A": [[1.5]], "\\u0041": [[2.5]]}', False),
-        ('{"problem": "onesided", "A": [[1.5, -2.0, 0.25]], "b": [2.0]}', True),
-        ('{"problem": "onesided", "A": [[1.5], [0.25], [-3.0]], "b": [1.0, 2.0, 3.0]}', True),
+         0, True),
+        (json.dumps(_WITH_EPS), 0, True),
+        (json.dumps(_WITH_EPS, separators=(",", ":")), 1, False),
+        (json.dumps(_WITH_EPS, indent=1), 1, False),
+        ('{"problem": "onesided", "b": [1.0, 2.0], "A": [[1.5, 2.5], [0.5, -1.0]]}', 0, True),
+        ('{"problem": "mcm", "\\u0041": [[1.5]]}', 1, False),
+        ('{"problem": "mcm", "A": [[1.5]], "\\u0041": [[2.5]]}', 1, False),
+        ('{"problem": "onesided", "A": [[1.5, -2.0, 0.25]], "b": [2.0]}', 0, True),
+        ('{"problem": "onesided", "A": [[1.5], [0.25], [-3.0]], "b": [1.0, 2.0, 3.0]}', 0, True),
+        ('{"problem": "onesided", "A": [[-0.0, "-inf"], ["-inf", -3.0]], "b": [1.0, 2.0]}',
+         0, True),
     ], ids=["int", "exponent", "trailing-zero", "zeros-and-1e-4", "below-1e-4",
             "17-digits", "16-digits", "15-digits", "eps", "compact", "indent",
-            "A-last", "escaped-A", "escaped-A-duplicate", "single-row", "single-column"])
-    def test_copy_writes_the_formatter_bytes(self, text, copied):
+            "A-last", "escaped-A", "escaped-A-duplicate", "single-row", "single-column",
+            "negative-zero-and-eps"])
+    def test_copy_writes_the_formatter_bytes(self, text, reads, copied, monkeypatch):
+        calls = util.count_calls(monkeypatch, _read_array)
         inst = parse_instance(text)
+        assert [args[3] for args in calls].count("A") == reads
         assert (inst.a_rows is not None) == copied
+        # the byte read gives the floats _read_array gives, -0.0 included
+        obj = json.loads(text)
+        general = _read_array(obj["A"], 2, _KINDS[obj["problem"]].eps, "A", _MAX_ENTRY)
+        assert inst.a.data.tobytes() == general.tobytes()
         payload, _ = solve_to_payload(inst, 1e-9)
         assert serialize_solution(payload) == serialize_solution(_plain_a(payload))
-        assert payload["instance"]["A"] == json.loads(text)["A"]
+        assert payload["instance"]["A"] == obj["A"]
         # the copied rows are the parsed lists: the same types and bits as
         # formatting the floats, -0.0 included
         a, formatted = payload["instance"]["A"], _json(inst.a.data)
         assert [list(map(type, row)) for row in a] == [list(map(type, row)) for row in formatted]
         assert _floats(a).tobytes() == _floats(formatted).tobytes()
+
+    @pytest.mark.parametrize("a, message", [
+        ('[[0.5, 2.5], [-1.5, "-inf"]], "c": [0.0, 0.0]',
+         'A[1][1]: "-inf" not permitted here'),
+        ('[[0.5, 2.5], [-1.5, "1.5"]]', "A[1][1]: expected a number, got '1.5'"),
+        ('[[0.5, 2.5], [-1.5, "-inF"]]', "A[1][1]: expected a number, got '-inF'"),
+        ('[[0.5, 2.5], [-1.5, "1.50"]]', "A[1][1]: expected a number, got '1.50'"),
+        ("[[0.5, 2.5], [-1.5, true]]", "A[1][1]: booleans are not numbers"),
+        ("[[0.5, 2.5], [-1.5, null]]", "A[1][1]: expected a number, got None"),
+        ("[[0.5, 2.5], [-1.5]]", "A: row 1 has length 1, expected 2"),
+        ('[[0.5, 2.5], [-1.5, 1.0]], "A": [1.5, 2.5]', "A: row 0 is not a non-empty list"),
+    ], ids=["eps-in-primal", "string", "eps-misspelled", "string-trailing-zero", "true",
+            "null", "ragged", "duplicate-A"])
+    def test_other_input_falls_back_with_the_message(self, a, message, monkeypatch):
+        # canonical bytes around one thing the byte read does not take
+        problem = "primal" if '"c"' in a else "onesided"
+        text = f'{{"problem": "{problem}", "b": [1.0, 2.0], "A": {a}}}'
+        calls = util.count_calls(monkeypatch, _read_array)
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance(text)
+        assert str(info.value) == message
+        assert [args[3] for args in calls][:1] == ["A"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.tuples(st.floats(-1e6, 1e6), st.integers(0, 6))
+                      .map(lambda pair: round(*pair))
+                      | st.sampled_from([E, 0.0, -0.0, 1e-5, 1e-4, 1e16,
+                                         99999999999999.0, 999999999999999.0])
+                      | st.floats(-1e6, 1e6)))
+    @example(np.array([[-0.0, E], [E, 1.5]]))
+    def test_byte_read_matches_the_general_read(self, values):
+        rows = _json(values)
+        obj = {"problem": "onesided", "A": rows, "b": [0.0] * len(rows)}
+        inst = parse_instance(json.dumps(obj))
+        general = parse_instance(json.dumps(obj, indent=1))  # never canonical
+        assert general.a_rows is None
+        assert inst.a.data.tobytes() == general.a.data.tobytes() == values.tobytes()
+        # repr's spelling is copied when it has no exponent and 15 digits at most
+        plain = all(cell == "-inf" or ("e" not in repr(cell)
+                                       and len(repr(cell).lstrip("-")) <= 16)
+                    for row in rows for cell in row)
+        assert (None if inst.a_rows is None else inst.a_rows.texts) == (
+            tuple(map(json.dumps, rows)) if plain else None)
+        assert inst.a_rows is None or inst.a_rows == rows
 
     @pytest.mark.parametrize("obj, copied", [(_ROUND3, True), (_WITH_EPS, True),
                                              (_INTEGERS, False)],
