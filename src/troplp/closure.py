@@ -52,7 +52,7 @@ class CycleMeanResult:
 
 def _require_square(a: TropMatrix):
     if a.rows != a.cols:
-        raise DimensionMismatchError(f"matrix is not square: {a.shape}")
+        raise DimensionMismatchError(f"A is not square: {a.shape}")
 
 
 def _walk_table(data: np.ndarray) -> np.ndarray:

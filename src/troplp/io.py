@@ -2,31 +2,35 @@
 
 Instances are single JSON objects with a "problem" kind, the matrices and
 vectors that kind requires, and an optional "tol".  Epsilon entries are
-written as the string "-inf" and are accepted only where the kind permits
-them.  Solutions embed the instance they were computed from, so a solution
-file alone is enough to re-check its certificate.  A solution payload is the
-JSON document itself, epsilon spelled "-inf" in memory as on disk: one reader
+written as the string "-inf".  Parsing checks the format alone: the fields,
+their JSON types and their magnitudes, with "-inf" allowed in every array.
+Each kind's domain (where epsilon may stand, a square A, the vectors'
+lengths) is decided by the library guard its solver states it in, which
+solve_to_payload and verify_payload run before the solver or the check.
+Solutions embed the instance they were computed from, so a solution file
+alone is enough to re-check its certificate.  A solution payload is the JSON
+document itself, epsilon spelled "-inf" in memory as on disk: one reader
 (_read_array) turns its arrays into floats and one writer (_json) back.  The
-reader lists its entries' types once, which settles an all-float array (every
-epsilon-free array troplp writes) in one count, and converts only the numbers
-of an array with epsilon; it reads a valid array in C-level passes and walks
-entries only to name a bad one.  An input's A is the exception both ways.
-parse_instance tests A's bytes first (_row_texts): a canonically spelled A
-holds only floats and "-inf", is converted from its decoded rows without
-_read_array, and keeps those rows with their texts, so the payload embeds
-them instead of a second list from _json and the layout copies the texts
-instead of formatting every float again.  Any other spelling, and epsilon the
-kind forbids, takes _read_array with its messages.  A star's rows are written
-from its distinct values, each formatted once (_distinct_value_rows).  The
-bytes are the same either way.
+reader lists its entries' types once, which settles an all-float array
+(every epsilon-free array troplp writes) in one count, and converts only the
+numbers of an array with epsilon; it reads a valid array in C-level passes
+and walks entries only to name a bad one.  An input's A is the exception
+both ways.  parse_instance tests A's bytes first (_row_texts): a canonically
+spelled A holds only floats and "-inf", is converted from its decoded rows
+without _read_array, and keeps those rows with their texts, so the payload
+embeds them instead of a second list from _json and the layout copies the
+texts instead of formatting every float again.  Any other spelling takes
+_read_array with its messages.  A star's rows are written from its distinct
+values, each formatted once (_distinct_value_rows).  The bytes are the same
+either way.
 
-A problem kind is one entry of the `_KINDS` table: its instance fields,
-whether epsilon and a non-square A are allowed, the statuses its solutions
-carry, its solver and its certificate check.  A solution stores only what
-the check reads: the witnesses, the values and statuses they certify, and
-the instance.  A kind's check reads the stored fields through the same
-typed readers that parse instances and passes them to the rules of
-certificates, which the solvers' self-checks call too; it calls no solver.
+A problem kind is one entry of the `_KINDS` table: its instance fields, the
+guard of its domain, its solver, its certificate check and the statuses its
+solutions carry.  A solution stores only what the check reads: the
+witnesses, the values and statuses they certify, and the instance.  A kind's
+check reads the stored fields through the same typed readers that parse
+instances and passes them to the rules of certificates, which the solvers'
+self-checks call too; it calls no solver.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ import numpy as np
 
 from . import certificates
 from ._version import __version__
-from .closure import _diverges, _star_sweep, kleene_star, max_cycle_mean
+from .closure import (_diverges, _require_square, _star_sweep, kleene_star,
+                      max_cycle_mean)
 from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, tdot
 from .errors import DivergentStarError, InstanceFormatError
 from .intlp import duality_gap, solve_dual_integer, solve_primal_integer
@@ -60,6 +65,11 @@ EXIT_CERTIFICATE = 3
 
 @dataclass(frozen=True)
 class InstanceFile:
+    """A parsed instance: well-formed fields, not yet inside the kind's
+    domain, which solve_to_payload and verify_payload check.  The solvers and
+    certificate rules read its a, b, c and d as they read an LpInstance or a
+    TwoSidedInstance."""
+
     problem: str
     a: TropMatrix
     b: TropVector | None = None
@@ -188,8 +198,9 @@ def _check_magnitude(key: str, values: np.ndarray, bound: float):
 
 def _instance_from_obj(obj, default_problem: str | None = None,
                        eps: np.ndarray | None = None) -> InstanceFile:
-    """The instance in a decoded JSON object; eps is A's mask from _row_texts,
-    which spares A _read_array unless it holds epsilon the kind forbids."""
+    """The instance in a decoded JSON object, read for its format alone: its
+    fields, their JSON types and their magnitudes, "-inf" allowed in every
+    array.  eps is A's mask from _row_texts, which spares A _read_array."""
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance must be a JSON object")
     problem = obj.get("problem", default_problem)
@@ -206,23 +217,10 @@ def _instance_from_obj(obj, default_problem: str | None = None,
         if key not in obj:
             raise InstanceFormatError(f'missing required field "{key}" for kind {problem!r}')
 
-    if eps is not None and (spec.eps or not eps.any()):
-        a = TropMatrix(_read_canonical(obj["A"], eps))
-    else:
-        a = TropMatrix(_read_array(obj["A"], 2, spec.eps, "A", _MAX_ENTRY))
-    if spec.square and a.rows != a.cols:
-        raise InstanceFormatError(f"A must be square for kind {problem!r}, got {a.shape}")
-
-    vectors = {}
-    for key, length, axis in (("b", a.rows, "rows"), ("c", a.cols, "columns"),
-                              ("d", a.rows, "rows")):
-        if key in required:
-            vec = TropVector(_read_array(obj[key], 1, spec.eps, key, _MAX_ENTRY))
-            if len(vec) != length:
-                raise InstanceFormatError(
-                    f"{key} has length {len(vec)} but A has {length} {axis}")
-            vectors[key] = vec
-
+    a = TropMatrix(_read_array(obj["A"], 2, True, "A", _MAX_ENTRY) if eps is None
+                   else _read_canonical(obj["A"], eps))
+    vectors = {key: TropVector(_read_array(obj[key], 1, True, key, _MAX_ENTRY))
+               for key in required[1:]}
     tol = check_tol(obj["tol"]) if "tol" in obj else None
     return InstanceFile(problem, a, tol=tol, **vectors)
 
@@ -319,10 +317,12 @@ def _read_canonical(rows: list, eps: np.ndarray) -> np.ndarray | list:
 
 
 def parse_instance(text: str, default_problem: str | None = None) -> InstanceFile:
-    """Parse and validate one instance from JSON text.  A canonically spelled
-    A (_row_texts) is read from its decoded rows, floats and "-inf" as _json
-    would build them, and kept with their texts for the writer unless repr
-    spells an entry below 1e-4 with an exponent."""
+    """Parse one instance from JSON text and check its format: the fields,
+    their JSON types and their magnitudes.  The kind's domain is left to
+    solve_to_payload.  A canonically spelled A (_row_texts) is read from its
+    decoded rows, floats and "-inf" as _json would build them, and kept with
+    their texts for the writer unless repr spells an entry below 1e-4 with an
+    exponent."""
     obj = _load_json(text)
     texts, eps = _row_texts(text) or (None, None)
     inst = _instance_from_obj(obj, default_problem, eps)
@@ -486,27 +486,27 @@ def _verify_pi(inst: InstanceFile, payload: dict, tol: float,
 
 
 def _solve_primal(inst: InstanceFile, tol: float) -> dict:
-    x, f = solve_primal(LpInstance(inst.a, inst.b, inst.c))
+    x, f = solve_primal(inst)
     return _x_body(f, x)
 
 
 def _solve_dual(inst: InstanceFile, tol: float) -> dict:
-    pi, phi = solve_dual(LpInstance(inst.a, inst.b, inst.c))
+    pi, phi = solve_dual(inst)
     return _pi_body(phi, pi)
 
 
 def _solve_primal_integer(inst: InstanceFile, tol: float) -> dict:
-    res = solve_primal_integer(LpInstance(inst.a, inst.b, inst.c), tol)
+    res = solve_primal_integer(inst, tol)
     return _x_body(res.f_max_int, res.x_opt)
 
 
 def _solve_dual_integer(inst: InstanceFile, tol: float) -> dict:
-    res = solve_dual_integer(LpInstance(inst.a, inst.b, inst.c), tol)
+    res = solve_dual_integer(inst, tol)
     return _pi_body(res.phi_min_int, res.pi_opt)
 
 
 def _solve_gap(inst: InstanceFile, tol: float) -> dict:
-    report = duality_gap(LpInstance(inst.a, inst.b, inst.c), tol)
+    report = duality_gap(inst, tol)
     x, pi = report.primal.x_opt, report.dual.pi_opt
     return {"lower": _json(report.lower), "real_optimum": _json(report.real_optimum),
             "upper": _json(report.upper), "x": _json(x.data), "pi": _json(pi.data)}
@@ -522,12 +522,12 @@ def _verify_gap(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
 
 
 def _solve_tslp(inst: InstanceFile, tol: float) -> dict:
-    res = solve_tslp(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
+    res = solve_tslp(inst, tol)
     return {"objective": _json(res.g_min), "y": _json(res.y_opt.data)}
 
 
 def _solve_tslp2(inst: InstanceFile, tol: float) -> dict:
-    res = solve_tslp2(TwoSidedInstance(inst.a, inst.d, inst.c), tol)
+    res = solve_tslp2(inst, tol)
     return {"objective": _json(res.g_min), "y": _json(res.y_opt.data),
             "solution_kind": res.feasibility_kind}
 
@@ -595,7 +595,6 @@ def _solve_onesided(inst: InstanceFile, tol: float) -> dict:
 
 
 def _verify_onesided(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
-    _check_system(inst.a, inst.b)
     p = _read_vector(payload, "principal", inst.a.cols)
     return certificates.one_sided(inst, p, _read_number(payload, "residual"),
                                   payload.get("solvable_as_equality"), tol)
@@ -605,40 +604,40 @@ class _Kind(NamedTuple):
     """One problem kind.  A NamedTuple rather than a dataclass: it is just as
     immutable and takes less import time, which every CLI start pays.
 
-    statuses[0] is the status of a solved instance; statuses[1], present
-    only for kinds whose solver can raise DivergentStarError, is written when
-    it does.
+    domain is the library guard that states the kind's rule on its instance
+    (where epsilon may stand, whether A is square, the vectors' lengths),
+    called as domain(A, *vectors in field order); it raises
+    FiniteRequiredError or DimensionMismatchError.  statuses[0] is the status
+    of a solved instance; statuses[1], present only for kinds whose solver
+    can raise DivergentStarError, is written when it does.
     """
 
     fields: tuple[str, ...]
+    domain: Callable[..., object]
     solve: Callable[[InstanceFile, float], dict]
     verify: Callable[[InstanceFile, dict, float], list[str]]
     statuses: tuple[str, ...] = ("optimal",)
-    eps: bool = False
-    square: bool = False
 
 
-_ABC = ("A", "b", "c")
+_ABC, _ADC = ("A", "b", "c"), ("A", "d", "c")
 _OPTIMAL_OR_INFEASIBLE = ("optimal", "infeasible-lambda-positive")
 
 # The entries call solvers through this module's names, looked up at call
 # time, so a caller that rebinds a solver name here is honoured.
 _KINDS = {
-    "primal": _Kind(_ABC, _solve_primal, _verify_x),
-    "dual": _Kind(_ABC, _solve_dual, _verify_pi),
-    "primal-integer": _Kind(_ABC, _solve_primal_integer,
+    "primal": _Kind(_ABC, LpInstance, _solve_primal, _verify_x),
+    "dual": _Kind(_ABC, LpInstance, _solve_dual, _verify_pi),
+    "primal-integer": _Kind(_ABC, LpInstance, _solve_primal_integer,
                             partial(_verify_x, integral=True)),
-    "dual-integer": _Kind(_ABC, _solve_dual_integer,
+    "dual-integer": _Kind(_ABC, LpInstance, _solve_dual_integer,
                           partial(_verify_pi, integral=True)),
-    "gap": _Kind(_ABC, _solve_gap, _verify_gap),
-    "tslp": _Kind(("A", "d", "c"), _solve_tslp, _verify_tslp,
-                  _OPTIMAL_OR_INFEASIBLE, square=True),
-    "tslp2": _Kind(("A", "d", "c"), _solve_tslp2, partial(_verify_tslp, equation=True),
-                   _OPTIMAL_OR_INFEASIBLE, square=True),
-    "star": _Kind(("A",), _solve_star, _verify_star, ("ok", "divergent-star"),
-                  eps=True, square=True),
-    "mcm": _Kind(("A",), _solve_mcm, _verify_mcm, ("ok",), eps=True, square=True),
-    "onesided": _Kind(("A", "b"), _solve_onesided, _verify_onesided, ("ok",), eps=True),
+    "gap": _Kind(_ABC, LpInstance, _solve_gap, _verify_gap),
+    "tslp": _Kind(_ADC, TwoSidedInstance, _solve_tslp, _verify_tslp, _OPTIMAL_OR_INFEASIBLE),
+    "tslp2": _Kind(_ADC, TwoSidedInstance, _solve_tslp2, partial(_verify_tslp, equation=True),
+                   _OPTIMAL_OR_INFEASIBLE),
+    "star": _Kind(("A",), _require_square, _solve_star, _verify_star, ("ok", "divergent-star")),
+    "mcm": _Kind(("A",), _require_square, _solve_mcm, _verify_mcm, ("ok",)),
+    "onesided": _Kind(("A", "b"), _check_system, _solve_onesided, _verify_onesided, ("ok",)),
 }
 
 KINDS = tuple(_KINDS)
@@ -650,8 +649,13 @@ def _head(problem: str, tol: float, status: str) -> dict:
 
 
 def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
-    """Dispatch on the instance kind; returns (solution payload, exit code)."""
+    """Dispatch on the instance kind; returns (solution payload, exit code).
+
+    The kind's domain guard runs first: an instance outside the domain raises
+    its FiniteRequiredError or DimensionMismatchError, which the CLI reports
+    as an input error (exit 2)."""
     spec = _spec(inst.problem)
+    spec.domain(inst.a, *(getattr(inst, key) for key in spec.fields[1:]))
     try:
         body = spec.solve(inst, tol)
         status, code = spec.statuses[0], EXIT_OK
@@ -670,9 +674,10 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
 
     Returns a list of human-readable violations, a malformed stored field
     among them; empty means the certificate holds.  A missing problem or
-    instance field, an unknown kind, a damaged instance or a bad tolerance
-    raises InstanceFormatError instead, and a onesided instance outside its
-    solver's domain FiniteRequiredError: the CLI exits 2 on either.  A
+    instance field, an unknown kind, a malformed instance or a bad tolerance
+    raises InstanceFormatError instead, and an instance outside the kind's
+    domain the guard's FiniteRequiredError or DimensionMismatchError, the
+    same error solve_to_payload raises: the CLI exits 2 on each.  A
     missing status reads as the kind's solved status.  The check recomputes
     every residual from the stored witnesses and the instance.  Fields it
     does not read are ignored: tool, version, and the certificate block,
@@ -686,6 +691,7 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
     inst = _instance_from_obj(payload["instance"], default_problem=kind)
     if inst.problem != kind:
         raise InstanceFormatError("instance kind disagrees with solution kind")
+    spec.domain(inst.a, *(getattr(inst, key) for key in spec.fields[1:]))
     tol = check_tol(tol_override if tol_override is not None
                     else payload.get("tol", DEFAULT_TOL))
     status = payload.get("status", spec.statuses[0])

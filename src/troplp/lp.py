@@ -19,15 +19,20 @@ from .onesided import greatest_subsolution
 
 @dataclass(frozen=True)
 class LpInstance:
-    """Finite data (A, b, c) with A m-by-n, b of length m, c of length n."""
+    """Finite data (A, b, c) with A m-by-n, b of length m, c of length n.
+
+    This is the guard of the A-b-c domain.  The solvers, like the rules of
+    certificates, read only .a, .b and .c, so they take any instance that
+    passed it."""
 
     a: TropMatrix
     b: TropVector
     c: TropVector
 
     def __post_init__(self):
-        if not (self.a.is_finite() and self.b.is_finite() and self.c.is_finite()):
-            raise FiniteRequiredError("LP instances must be finite")
+        for key, value in (("A", self.a), ("b", self.b), ("c", self.c)):
+            if not value.is_finite():
+                raise FiniteRequiredError(f"LP instances must be finite, but {key} holds -inf")
         if self.a.rows != len(self.b):
             raise DimensionMismatchError(
                 f"A has {self.a.rows} rows but b has length {len(self.b)}")

@@ -35,6 +35,9 @@ UNIQUE_FIXED_POINT = "unique-fixed-point"
 
 @dataclass(frozen=True)
 class TwoSidedInstance:
+    """Finite data (A, d, c) with A n-by-n and d, c of length n: the guard of
+    the two-sided domain.  The solvers read only .a, .d and .c."""
+
     a: TropMatrix
     d: TropVector
     c: TropVector
@@ -42,11 +45,13 @@ class TwoSidedInstance:
     def __post_init__(self):
         if self.a.rows != self.a.cols:
             raise DimensionMismatchError(f"A is not square: {self.a.shape}")
-        if not (self.a.is_finite() and self.d.is_finite() and self.c.is_finite()):
-            raise FiniteRequiredError("two-sided instances must be finite")
-        if len(self.d) != self.a.rows or len(self.c) != self.a.rows:
-            raise DimensionMismatchError(
-                f"d and c must have length {self.a.rows}")
+        for key, value in (("A", self.a), ("d", self.d), ("c", self.c)):
+            if not value.is_finite():
+                raise FiniteRequiredError(
+                    f"two-sided instances must be finite, but {key} holds -inf")
+            if key != "A" and len(value) != self.a.rows:
+                raise DimensionMismatchError(
+                    f"A has {self.a.rows} rows but {key} has length {len(value)}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 third-party ones, and an unregistered marker or a misspelt ini key fails the
 run on its own.  pyproject.toml's version is the one solutions carry."""
 
+import ast
 import importlib
 import re
 import subprocess
@@ -52,3 +53,17 @@ def test_package_version_is_the_one_solutions_carry():
     version = re.search(r'^version = "([^"]+)"$', project.group(1), re.M)
     payload, _ = solve_to_payload(parse_instance('{"problem": "mcm", "A": [[0]]}'), 1e-9)
     assert version.group(1) == __version__ == payload["version"]
+
+
+def test_sources_parse_at_the_oldest_supported_python():
+    # numpy may be missing for the oldest interpreter, so its grammar is
+    # checked in process: ast's feature_version rejects newer syntax (best
+    # effort), and nothing is compiled into the tree
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      PYPROJECT.read_text(encoding="utf-8"), re.M)
+    version = tuple(map(int, floor.groups()))
+    sources = [*(util.TESTS.parent / "src" / "troplp").rglob("*.py"),
+               *util.TESTS.rglob("*.py")]
+    assert len(sources) > 20
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)

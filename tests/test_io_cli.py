@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import util
-from troplp import (EPSILON, CertificateViolationError, FiniteRequiredError,
-                    InstanceFormatError, TropMatrix, certificates, closure, core,
-                    intlp)
+from troplp import (EPSILON, CertificateViolationError, DimensionMismatchError,
+                    FiniteRequiredError, InstanceFormatError, TropMatrix,
+                    certificates, closure, core, intlp)
 from troplp.cli import main
 from troplp.io import (_INT_OVERFLOW, _KINDS, _MAX_ENTRY, _MAX_STORED,
                        EXIT_CERTIFICATE, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS,
@@ -40,9 +40,11 @@ class TestParseInstance:
             '{"problem":"mcm","A":[["-inf",1],["-inf","-inf"]]}')
         assert inst.a[0, 0] == E
 
+    # parsing reads the format alone; solve runs the kind's domain guard
     def test_eps_in_finite_only_field(self):
-        with pytest.raises(InstanceFormatError, match="-inf"):
-            parse_instance('{"problem":"dual","A":[[1,"-inf"]],"b":[0],"c":[0,0]}')
+        inst = parse_instance('{"problem":"dual","A":[[1,"-inf"]],"b":[0],"c":[0,0]}')
+        with pytest.raises(FiniteRequiredError, match="A holds -inf"):
+            solve_to_payload(inst, 1e-9)
 
     def test_nan_and_infinity_literals_rejected(self):
         with pytest.raises(InstanceFormatError):
@@ -69,12 +71,14 @@ class TestParseInstance:
             parse_instance('{"problem":"mcm","A":[[1,2],[3]]}')
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InstanceFormatError, match="length"):
-            parse_instance('{"problem":"primal","A":[[1,2]],"b":[0,0],"c":[0,0]}')
+        inst = parse_instance('{"problem":"primal","A":[[1,2]],"b":[0,0],"c":[0,0]}')
+        with pytest.raises(DimensionMismatchError, match="b has length 2"):
+            solve_to_payload(inst, 1e-9)
 
     def test_square_required_for_star(self):
-        with pytest.raises(InstanceFormatError, match="square"):
-            parse_instance('{"problem":"star","A":[[1,2]]}')
+        inst = parse_instance('{"problem":"star","A":[[1,2]]}')
+        with pytest.raises(DimensionMismatchError, match="A is not square"):
+            solve_to_payload(inst, 1e-9)
 
     def test_bad_tol(self):
         with pytest.raises(InstanceFormatError, match="tol"):
@@ -93,6 +97,10 @@ class TestParseInstance:
     def test_default_problem_for_utility_commands(self):
         inst = parse_instance('{"A":[[1]]}', default_problem="star")
         assert inst.problem == "star"
+
+    def test_missing_problem_without_default(self):
+        with pytest.raises(InstanceFormatError, match='missing required field "problem"'):
+            parse_instance('{"A":[[1]]}')
 
 
 def _reference_read(value, ndim, allow_eps, where, bound):
@@ -383,6 +391,10 @@ class TestRoundTrip:
         text = '{"problem": "mcm", "lambda": "-inf", "instance": {"A": [["-inf"]]}}'
         assert parse_solution(text) == json.loads(text)
 
+    def test_parse_solution_rejects_a_non_object(self):
+        with pytest.raises(InstanceFormatError, match="solution must be a JSON object"):
+            parse_solution("[]")
+
     def test_every_kind_round_trips(self):
         rng = np.random.default_rng(61)
         for kind in KINDS:
@@ -455,7 +467,7 @@ class TestRowCopy:
         assert (inst.a_rows is not None) == copied
         # the byte read gives the floats _read_array gives, -0.0 included
         obj = json.loads(text)
-        general = _read_array(obj["A"], 2, _KINDS[obj["problem"]].eps, "A", _MAX_ENTRY)
+        general = _read_array(obj["A"], 2, True, "A", _MAX_ENTRY)
         assert inst.a.data.tobytes() == general.tobytes()
         payload, _ = solve_to_payload(inst, 1e-9)
         assert serialize_solution(payload) == serialize_solution(_plain_a(payload))
@@ -468,7 +480,7 @@ class TestRowCopy:
 
     @pytest.mark.parametrize("a, message", [
         ('[[0.5, 2.5], [-1.5, "-inf"]], "c": [0.0, 0.0]',
-         'A[1][1]: "-inf" not permitted here'),
+         "LP instances must be finite, but A holds -inf"),
         ('[[0.5, 2.5], [-1.5, "1.5"]]', "A[1][1]: expected a number, got '1.5'"),
         ('[[0.5, 2.5], [-1.5, "-inF"]]', "A[1][1]: expected a number, got '-inF'"),
         ('[[0.5, 2.5], [-1.5, "1.50"]]', "A[1][1]: expected a number, got '1.50'"),
@@ -479,14 +491,15 @@ class TestRowCopy:
     ], ids=["eps-in-primal", "string", "eps-misspelled", "string-trailing-zero", "true",
             "null", "ragged", "duplicate-A"])
     def test_other_input_falls_back_with_the_message(self, a, message, monkeypatch):
-        # canonical bytes around one thing the byte read does not take
+        # canonical bytes around one thing the byte read does not take, or,
+        # for primal, epsilon it takes in any kind and the kind's guard refuses
         problem = "primal" if '"c"' in a else "onesided"
         text = f'{{"problem": "{problem}", "b": [1.0, 2.0], "A": {a}}}'
         calls = util.count_calls(monkeypatch, _read_array)
-        with pytest.raises(InstanceFormatError) as info:
-            parse_instance(text)
+        with pytest.raises((InstanceFormatError, FiniteRequiredError)) as info:
+            solve_to_payload(parse_instance(text), 1e-9)
         assert str(info.value) == message
-        assert [args[3] for args in calls][:1] == ["A"]
+        assert [args[3] for args in calls][:1] == ["b" if problem == "primal" else "A"]
 
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
@@ -671,6 +684,41 @@ class TestVerifyPayload:
         a[back_arc] = -1.0
         payload["instance"]["A"] = util.rows_obj(TropMatrix(a))
         assert verify_payload(payload) == ["lambda = -inf claimed but the digraph has a cycle"]
+
+    def test_gap_real_optimum_below_lower_rejected(self):
+        inst = parse_instance('{"problem":"gap","A":[[0.5]],"b":[1],"c":[0]}')
+        payload, _ = solve_to_payload(inst, 1e-9)
+        assert (payload["lower"], payload["real_optimum"]) == (0.0, 0.5)
+        problems = verify_payload(dict(payload, real_optimum=-1.0))
+        assert "gap interval broken: lower 0.0, real -1.0, upper 1.0" in problems
+
+    def test_mcm_witness_across_an_absent_arc_rejected(self):
+        inst = parse_instance('{"problem":"mcm","A":[[-1.0, 0.0],["-inf", -1.0]]}')
+        payload, _ = solve_to_payload(inst, 1e-9)
+        assert payload["lambda"] == -1.0 and verify_payload(payload) == []
+        tampered = dict(payload, witness_cycle=[0, 1])  # the arc 1 -> 0 is -inf
+        assert verify_payload(tampered) == ["witness cycle uses arcs absent from A"]
+
+    def test_divergent_star_with_a_negative_cycle_rejected(self):
+        payload = {"problem": "star", "status": "divergent-star", "lambda": -1.0,
+                   "witness_cycle": [0], "instance": {"problem": "star", "A": [[-1.0]]}}
+        assert verify_payload(payload) == [
+            "witness cycle mean -1.0 does not certify divergence"]
+
+    def test_star_of_another_shape_is_a_violation(self, tmp_path):
+        inst = parse_instance('{"problem":"star","A":[[-1.0, 0.0],["-inf", -1.0]]}')
+        payload, _ = solve_to_payload(inst, 1e-9)
+        tampered = dict(payload, star=[[0.0]])
+        assert verify_payload(tampered) == ["star has shape (1, 1), expected (2, 2)"]
+        assert _check(tampered, tmp_path) == EXIT_CERTIFICATE
+
+    def test_solution_kind_differs_from_its_instance(self, tmp_path, capsys):
+        payload, _ = solve_to_payload(parse_instance('{"problem":"mcm","A":[[0.0]]}'), 1e-9)
+        mixed = dict(payload, instance={"problem": "star", "A": [[0.0]]})
+        with pytest.raises(InstanceFormatError, match="instance kind disagrees"):
+            verify_payload(mixed)
+        assert _check(mixed, tmp_path) == EXIT_INPUT
+        assert "instance kind disagrees with solution kind" in capsys.readouterr().err
 
     def test_mcm_lambda_below_the_maximum_rejected(self):
         inst = parse_instance('{"problem":"mcm","A":[[1,"-inf"],["-inf",2]]}')
@@ -1320,6 +1368,52 @@ class TestCheckMalformedFields:
                 if code not in (EXIT_INPUT, EXIT_CERTIFICATE):
                     accepted.append((field, value, code))
         assert accepted == []
+
+
+# A valid instance of every kind draws its fields from here; every cycle mean
+# of A is negative, so the two-sided kinds are feasible.
+_DOMAIN_BASE = {"A": [[-1.0, -0.5], [-0.25, -2.0]], "b": [1.0, 2.0],
+                "c": [0.0, 0.5], "d": [0.0, 1.0]}
+_SQUARE_KINDS = ("tslp", "tslp2", "star", "mcm")
+
+
+def _domain_damages():
+    """(kind, field, damaged instance): "-inf" in each field the kind
+    forbids, a non-square A where it needs a square one, and each vector one
+    entry short."""
+    for kind, spec in _KINDS.items():
+        base = {"problem": kind, **{key: _DOMAIN_BASE[key] for key in spec.fields}}
+        forbid = {"star": (), "mcm": (), "onesided": ("b",)}.get(kind, spec.fields)
+        for key in forbid:
+            value = json.loads(json.dumps(base[key]))
+            (value[0] if key == "A" else value)[1] = "-inf"
+            yield pytest.param(kind, key, dict(base, **{key: value}), id=f"{kind}-eps-{key}")
+        if kind in _SQUARE_KINDS:
+            yield pytest.param(kind, "A", dict(base, A=[row + [0.0] for row in base["A"]]),
+                               id=f"{kind}-non-square")
+        for key in spec.fields[1:]:
+            yield pytest.param(kind, key, dict(base, **{key: base[key][:-1]}),
+                               id=f"{kind}-short-{key}")
+
+
+class TestDomain:
+    """Parsing reads the format; solve and check run the kind's domain guard
+    and exit 2 on an instance outside it, with the same message."""
+
+    @pytest.mark.parametrize("kind, key, damaged", list(_domain_damages()))
+    def test_damaged_instance_is_input_error(self, kind, key, damaged, tmp_path, capsys):
+        named = re.compile(rf"^troplp: input error: .*\b{key}\b.*\n$")
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(damaged))
+        assert main(["solve", "--input", str(path)]) == EXIT_INPUT
+        solve_err = capsys.readouterr().err
+        assert named.match(solve_err), solve_err
+        base = {key: _DOMAIN_BASE[key] for key in _KINDS[kind].fields}
+        payload, code = solve_to_payload(parse_instance(json.dumps(dict(base, problem=kind))),
+                                         1e-9)
+        assert code == EXIT_OK and verify_payload(payload) == []
+        assert _check(dict(payload, instance=damaged), tmp_path) == EXIT_INPUT
+        assert capsys.readouterr().err == solve_err
 
 
 class TestKindTable:
