@@ -58,8 +58,9 @@ class _TropArray:
         return self._data
 
     def is_finite(self) -> bool:
-        """True if no entry is epsilon."""
-        return not np.isneginf(self._data).any()
+        """True if no entry is epsilon: construction rejects NaN and +inf and
+        every dimension is at least 1, so the least entry decides."""
+        return bool(self._data.min() > EPSILON)
 
     def __getitem__(self, idx) -> float:
         return float(self._data[idx])

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import certificates
 from .core import DEFAULT_TOL, TropVector, tdot
 from .lp import LpInstance
-from .onesided import greatest_subsolution
 
 
 def fr(x, tol: float = DEFAULT_TOL):
@@ -101,7 +101,7 @@ def solve_primal_integer(inst: LpInstance, tol: float = DEFAULT_TOL, *,
                          principal: TropVector | None = None) -> IntPrimalResult:
     """Floor of the real primal witness, the principal solution (residuated
     here unless given); optimal for the integer primal."""
-    xhat = greatest_subsolution(inst.a, inst.b) if principal is None else principal
+    xhat = certificates.residuate(inst.a, inst.b) if principal is None else principal
     x = TropVector(floor_frac(xhat.data, 0.0, tol))
     return IntPrimalResult(x, tdot(inst.c, x))
 
@@ -118,7 +118,7 @@ def solve_dual_integer(inst: LpInstance, tol: float = DEFAULT_TOL) -> IntDualRes
 
 def duality_gap(inst: LpInstance, tol: float = DEFAULT_TOL) -> GapReport:
     """Both integer optima and the real optimum between them, from one residuation."""
-    xhat = greatest_subsolution(inst.a, inst.b)
+    xhat = certificates.residuate(inst.a, inst.b)
     return GapReport(solve_primal_integer(inst, tol, principal=xhat),
                      solve_dual_integer(inst, tol), tdot(inst.c, xhat))
 

@@ -25,12 +25,14 @@ values, each formatted once (_distinct_value_rows).  The bytes are the same
 either way.
 
 A problem kind is one entry of the `_KINDS` table: its instance fields, the
-guard of its domain, its solver, its certificate check and the statuses its
-solutions carry.  A solution stores only what the check reads: the
-witnesses, the values and statuses they certify, and the instance.  A kind's
-check reads the stored fields through the same typed readers that parse
-instances and passes them to the rules of certificates, which the solvers'
-self-checks call too; it calls no solver.
+guard of its domain, its solver, its certificate check, the fields its
+solutions store and the statuses they carry.  A solution stores only what
+the check reads: the status, the instance and the fields of `_Kind.stored`,
+which the README kinds table's `stored` column lists.  Each stored field is
+named there once, with its reader; verify_payload reads every one in one
+loop, through the same _number and _read_array that parse instances, and
+passes the values to the kind's check, which applies the rules of
+certificates that the solvers' self-checks call too; it calls no solver.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -437,141 +440,84 @@ def render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Typed readers for stored solution fields; a malformed field raises
-# InstanceFormatError, which verify_payload reports as a problem.
+# Readers of the stored fields that _Kind.stored lists.  Each takes the
+# field's JSON value, its key and the instance, and returns what the kind's
+# check takes; a malformed value raises InstanceFormatError naming the key,
+# which verify_payload reports as a problem.
 
-def _read_number(payload: dict, key: str, allow_eps: bool = False) -> float:
-    value = _number(payload.get(key), allow_eps, key)
-    _check_magnitude(key, np.float64(value), _MAX_STORED)
-    return value
+def _read_number(value, key: str, inst: InstanceFile, allow_eps: bool = False) -> float:
+    number = _number(value, allow_eps, key)
+    _check_magnitude(key, np.float64(number), _MAX_STORED)
+    return number
 
 
-def _read_vector(payload: dict, key: str, length: int) -> TropVector:
-    values = _read_array(payload.get(key), 1, False, key, _MAX_STORED)
-    if len(values) != length:
-        raise InstanceFormatError(f"{key}: has length {len(values)}, expected {length}")
+def _read_vector(value, key: str, inst: InstanceFile, axis: int) -> TropVector:
+    """A vector as long as A has rows (axis 0) or columns (axis 1)."""
+    values = _read_array(value, 1, False, key, _MAX_STORED)
+    if len(values) != inst.a.shape[axis]:
+        raise InstanceFormatError(
+            f"{key}: has length {len(values)}, expected {inst.a.shape[axis]}")
     return TropVector(values)
 
 
-def _read_cycle(payload: dict, nodes: int) -> list[int]:
-    cycle = payload.get("witness_cycle")
-    if (not isinstance(cycle, list) or not cycle
-            or not all(type(v) is int and 0 <= v < nodes for v in cycle)):
-        raise InstanceFormatError(
-            f"witness_cycle: expected a non-empty list of node indices below {nodes}, "
-            f"got {cycle!r}")
-    return cycle
+def _read_cycle(value, key: str, inst: InstanceFile, nullable: bool = False) -> list[int] | None:
+    """A witness cycle of node indices, or with nullable also None for null."""
+    if not (value is None and nullable or isinstance(value, list) and value
+            and all(type(v) is int and 0 <= v < inst.a.rows for v in value)):
+        raise InstanceFormatError(f"{key}: expected a non-empty list of node indices "
+                                  f"below {inst.a.rows}, got {value!r}")
+    return value
 
 
-# Per-kind solvers (instance -> solution body) and checks.
-
-def _x_body(objective: float, x: TropVector) -> dict:
-    return {"objective": _json(objective), "x": _json(x.data)}
-
-
-def _pi_body(objective: float, pi: TropVector) -> dict:
-    return {"objective": _json(objective), "pi": _json(pi.data)}
-
-
-def _verify_x(inst: InstanceFile, payload: dict, tol: float,
-              integral: bool = False) -> list[str]:
-    x = _read_vector(payload, "x", inst.a.cols)
-    return certificates.primal(inst, x, _read_number(payload, "objective"), tol, integral)
-
-
-def _verify_pi(inst: InstanceFile, payload: dict, tol: float,
-               integral: bool = False) -> list[str]:
-    pi = _read_vector(payload, "pi", inst.a.rows)
-    return certificates.dual(inst, pi, _read_number(payload, "objective"), tol, integral)
-
-
-def _solve_primal(inst: InstanceFile, tol: float) -> dict:
-    x, f = solve_primal(inst)
-    return _x_body(f, x)
-
-
-def _solve_dual(inst: InstanceFile, tol: float) -> dict:
-    pi, phi = solve_dual(inst)
-    return _pi_body(phi, pi)
-
-
-def _solve_primal_integer(inst: InstanceFile, tol: float) -> dict:
-    res = solve_primal_integer(inst, tol)
-    return _x_body(res.f_max_int, res.x_opt)
-
-
-def _solve_dual_integer(inst: InstanceFile, tol: float) -> dict:
-    res = solve_dual_integer(inst, tol)
-    return _pi_body(res.phi_min_int, res.pi_opt)
-
-
-def _solve_gap(inst: InstanceFile, tol: float) -> dict:
-    report = duality_gap(inst, tol)
-    x, pi = report.primal.x_opt, report.dual.pi_opt
-    return {"lower": _json(report.lower), "real_optimum": _json(report.real_optimum),
-            "upper": _json(report.upper), "x": _json(x.data), "pi": _json(pi.data)}
-
-
-def _verify_gap(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
-    x, pi = _read_vector(payload, "x", inst.a.cols), _read_vector(payload, "pi", inst.a.rows)
-    lower, real, upper = (_read_number(payload, key)
-                          for key in ("lower", "real_optimum", "upper"))
-    return (certificates.primal(inst, x, lower, tol, integral=True, key="lower")
-            + certificates.dual(inst, pi, upper, tol, integral=True, key="upper")
-            + certificates.gap(inst, lower, real, upper, tol))
-
-
-def _solve_tslp(inst: InstanceFile, tol: float) -> dict:
-    res = solve_tslp(inst, tol)
-    return {"objective": _json(res.g_min), "y": _json(res.y_opt.data)}
-
-
-def _solve_tslp2(inst: InstanceFile, tol: float) -> dict:
-    res = solve_tslp2(inst, tol)
-    return {"objective": _json(res.g_min), "y": _json(res.y_opt.data),
-            "solution_kind": res.feasibility_kind}
-
-
-def _verify_tslp(inst: InstanceFile, payload: dict, tol: float,
-                 equation: bool = False) -> list[str]:
-    y = _read_vector(payload, "y", inst.a.rows)
-    problems = (certificates.value("objective", _read_number(payload, "objective"),
-                                   tdot(inst.c, y), tol)
-                + certificates.two_sided(inst, y, tol, equation))
-    if equation and payload.get("solution_kind") not in (FEASIBLE, UNIQUE_FIXED_POINT):
-        problems.append("unknown tslp2 solution kind")
-    return problems
-
-
-def _solve_star(inst: InstanceFile, tol: float) -> dict:
-    return {"star": _distinct_value_rows(kleene_star(inst.a, tol).data)}
-
-
-def _verify_star(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
-    star = TropMatrix(_read_array(payload.get("star"), 2, True, "star", _MAX_STORED))
+def _read_star(value, key: str, inst: InstanceFile) -> TropMatrix:
+    star = TropMatrix(_read_array(value, 2, True, key, _MAX_STORED))
     if star.shape != inst.a.shape:
-        raise InstanceFormatError(f"star has shape {star.shape}, expected {inst.a.shape}")
-    return certificates.star(inst.a, star, tol)
+        raise InstanceFormatError(f"{key} has shape {star.shape}, expected {inst.a.shape}")
+    return star
 
 
-def _solve_mcm(inst: InstanceFile, tol: float) -> dict:
-    cm = max_cycle_mean(inst.a)
-    if cm.witness_cycle is None:
-        return {"lambda": _json(cm.lambda_), "witness_cycle": None}
-    return {"lambda": _json(cm.lambda_), "witness_cycle": list(cm.witness_cycle),
-            "potential": _json(cm.potential.data)}
+def _read_flag(value, key: str, inst: InstanceFile):
+    """onesided's flag as stored: its rule compares it with the residual's verdict."""
+    return value
 
 
-def _verify_mcm(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
+def _read_solution_kind(value, key: str, inst: InstanceFile) -> str:
+    if value not in (FEASIBLE, UNIQUE_FIXED_POINT):
+        raise InstanceFormatError("unknown tslp2 solution kind")
+    return value
+
+
+_read_m_vector = partial(_read_vector, axis=0)
+_read_n_vector = partial(_read_vector, axis=1)
+
+
+class _Optional(partial):
+    """The reader of a field that a file may lack: absent, it reads as None,
+    and a solver's None is not written."""
+
+
+def _stored_json(value):
+    """JSON form of a value a solver stores: a number or vector by _json, a
+    star's rows by _distinct_value_rows, a cycle as a list, and a flag, a
+    name or None as it is."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, TropMatrix):
+        return _distinct_value_rows(value.data)
+    return _json(value.data if isinstance(value, TropVector) else value)
+
+
+def _check_mcm(inst: InstanceFile, tol: float, lam: float, cycle, x) -> list[str]:
     """The witness cycle bounds lambda from below; the stored potential
     bounds it from above in O(n^2).  Where the potential is absent (older
     files), too large for its test to resolve tol, or fails, the O(n^3) sweep
     decides."""
-    lam = _read_number(payload, "lambda", allow_eps=True)
     if lam == EPSILON:
-        return certificates.acyclic_claim(inst.a, payload.get("witness_cycle"))
-    cycle = _read_cycle(payload, inst.a.rows)
-    x = _read_vector(payload, "potential", inst.a.rows) if "potential" in payload else None
+        return certificates.acyclic_claim(inst.a, cycle)
+    if cycle is None:
+        return ["a finite lambda needs a witness cycle"]
     problems = certificates.witness_cycle(inst.a, cycle, lam, tol)
     # A cycle of mean above lam + tol closes a positive walk in A - (lam + tol).
     if ((x is None or not certificates.potential(inst.a, lam, x, tol))
@@ -580,24 +526,9 @@ def _verify_mcm(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
     return problems
 
 
-def _verify_divergence(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
+def _check_divergence(inst: InstanceFile, tol: float, lam: float, cycle) -> list[str]:
     """Check of the two failure statuses: a witness cycle of positive mean."""
-    lam = _read_number(payload, "lambda")
-    return certificates.witness_cycle(inst.a, _read_cycle(payload, inst.a.rows), lam,
-                                      tol, diverges=True)
-
-
-def _solve_onesided(inst: InstanceFile, tol: float) -> dict:
-    res = solve_equality(inst.a, inst.b, tol)
-    return {"principal": _json(res.principal.data),
-            "solvable_as_equality": res.solvable_as_equality,
-            "residual": _json(res.residual)}
-
-
-def _verify_onesided(inst: InstanceFile, payload: dict, tol: float) -> list[str]:
-    p = _read_vector(payload, "principal", inst.a.cols)
-    return certificates.one_sided(inst, p, _read_number(payload, "residual"),
-                                  payload.get("solvable_as_equality"), tol)
+    return certificates.witness_cycle(inst.a, cycle, lam, tol, diverges=True)
 
 
 class _Kind(NamedTuple):
@@ -607,38 +538,91 @@ class _Kind(NamedTuple):
     domain is the library guard that states the kind's rule on its instance
     (where epsilon may stand, whether A is square, the vectors' lengths),
     called as domain(A, *vectors in field order); it raises
-    FiniteRequiredError or DimensionMismatchError.  statuses[0] is the status
-    of a solved instance; statuses[1], present only for kinds whose solver
-    can raise DivergentStarError, is written when it does.
+    FiniteRequiredError or DimensionMismatchError.  stored lists the fields a
+    solution stores, in the order solve_to_payload writes them, each with
+    its reader.  solve(inst, tol) returns their values in that order, and
+    check(inst, tol, *values) applies the rules of certificates to the values
+    read back.  statuses[0] is the status of a solved instance; statuses[1],
+    present only for kinds whose solver can raise DivergentStarError, is
+    written when it does, with the fields of _DIVERGENT.
     """
 
     fields: tuple[str, ...]
     domain: Callable[..., object]
-    solve: Callable[[InstanceFile, float], dict]
-    verify: Callable[[InstanceFile, dict, float], list[str]]
+    solve: Callable[[InstanceFile, float], tuple]
+    check: Callable[..., list[str]]
+    stored: tuple[tuple[str, Callable], ...]
     statuses: tuple[str, ...] = ("optimal",)
 
 
 _ABC, _ADC = ("A", "b", "c"), ("A", "d", "c")
 _OPTIMAL_OR_INFEASIBLE = ("optimal", "infeasible-lambda-positive")
 
-# The entries call solvers through this module's names, looked up at call
-# time, so a caller that rebinds a solver name here is honoured.
+# The solve entries call solvers through this module's names, looked up at
+# call time, so a caller that rebinds a solver name here is honoured.
 _KINDS = {
-    "primal": _Kind(_ABC, LpInstance, _solve_primal, _verify_x),
-    "dual": _Kind(_ABC, LpInstance, _solve_dual, _verify_pi),
-    "primal-integer": _Kind(_ABC, LpInstance, _solve_primal_integer,
-                            partial(_verify_x, integral=True)),
-    "dual-integer": _Kind(_ABC, LpInstance, _solve_dual_integer,
-                          partial(_verify_pi, integral=True)),
-    "gap": _Kind(_ABC, LpInstance, _solve_gap, _verify_gap),
-    "tslp": _Kind(_ADC, TwoSidedInstance, _solve_tslp, _verify_tslp, _OPTIMAL_OR_INFEASIBLE),
-    "tslp2": _Kind(_ADC, TwoSidedInstance, _solve_tslp2, partial(_verify_tslp, equation=True),
-                   _OPTIMAL_OR_INFEASIBLE),
-    "star": _Kind(("A",), _require_square, _solve_star, _verify_star, ("ok", "divergent-star")),
-    "mcm": _Kind(("A",), _require_square, _solve_mcm, _verify_mcm, ("ok",)),
-    "onesided": _Kind(("A", "b"), _check_system, _solve_onesided, _verify_onesided, ("ok",)),
+    "primal": _Kind(_ABC, LpInstance, lambda inst, tol: solve_primal(inst)[::-1],
+                    lambda inst, tol, f, x: certificates.primal(inst, x, f, tol),
+                    (("objective", _read_number), ("x", _read_n_vector))),
+    "dual": _Kind(_ABC, LpInstance, lambda inst, tol: solve_dual(inst)[::-1],
+                  lambda inst, tol, phi, pi: certificates.dual(inst, pi, phi, tol),
+                  (("objective", _read_number), ("pi", _read_m_vector))),
+    "primal-integer": _Kind(
+        _ABC, LpInstance,
+        lambda inst, tol: attrgetter("f_max_int", "x_opt")(solve_primal_integer(inst, tol)),
+        lambda inst, tol, f, x: certificates.primal(inst, x, f, tol, integral=True),
+        (("objective", _read_number), ("x", _read_n_vector))),
+    "dual-integer": _Kind(
+        _ABC, LpInstance,
+        lambda inst, tol: attrgetter("phi_min_int", "pi_opt")(solve_dual_integer(inst, tol)),
+        lambda inst, tol, phi, pi: certificates.dual(inst, pi, phi, tol, integral=True),
+        (("objective", _read_number), ("pi", _read_m_vector))),
+    "gap": _Kind(
+        _ABC, LpInstance,
+        lambda inst, tol: attrgetter("lower", "real_optimum", "upper", "primal.x_opt",
+                                     "dual.pi_opt")(duality_gap(inst, tol)),
+        lambda inst, tol, lower, real, upper, x, pi: (
+            certificates.primal(inst, x, lower, tol, integral=True, key="lower")
+            + certificates.dual(inst, pi, upper, tol, integral=True, key="upper")
+            + certificates.gap(inst, lower, real, upper, tol)),
+        (("lower", _read_number), ("real_optimum", _read_number), ("upper", _read_number),
+         ("x", _read_n_vector), ("pi", _read_m_vector))),
+    "tslp": _Kind(
+        _ADC, TwoSidedInstance,
+        lambda inst, tol: attrgetter("g_min", "y_opt")(solve_tslp(inst, tol)),
+        lambda inst, tol, g, y: (certificates.value("objective", g, tdot(inst.c, y), tol)
+                                 + certificates.two_sided(inst, y, tol)),
+        (("objective", _read_number), ("y", _read_m_vector)), _OPTIMAL_OR_INFEASIBLE),
+    "tslp2": _Kind(
+        _ADC, TwoSidedInstance,
+        lambda inst, tol: attrgetter("g_min", "y_opt", "feasibility_kind")(
+            solve_tslp2(inst, tol)),
+        lambda inst, tol, g, y, _kind: (certificates.value("objective", g, tdot(inst.c, y), tol)
+                                        + certificates.two_sided(inst, y, tol, equation=True)),
+        (("objective", _read_number), ("y", _read_m_vector),
+         ("solution_kind", _read_solution_kind)), _OPTIMAL_OR_INFEASIBLE),
+    "star": _Kind(("A",), _require_square, lambda inst, tol: (kleene_star(inst.a, tol),),
+                  lambda inst, tol, star: certificates.star(inst.a, star, tol),
+                  (("star", _read_star),), ("ok", "divergent-star")),
+    "mcm": _Kind(
+        ("A",), _require_square,
+        lambda inst, tol: attrgetter("lambda_", "witness_cycle", "potential")(
+            max_cycle_mean(inst.a)), _check_mcm,
+        (("lambda", partial(_read_number, allow_eps=True)),
+         ("witness_cycle", partial(_read_cycle, nullable=True)),
+         ("potential", _Optional(_read_vector, axis=0))), ("ok",)),
+    "onesided": _Kind(
+        ("A", "b"), _check_system,
+        lambda inst, tol: attrgetter("principal", "solvable_as_equality", "residual")(
+            solve_equality(inst.a, inst.b, tol)),
+        lambda inst, tol, p, solvable, residual: certificates.one_sided(
+            inst, p, residual, solvable, tol),
+        (("principal", _read_n_vector), ("solvable_as_equality", _read_flag),
+         ("residual", _read_number)), ("ok",)),
 }
+
+# The fields of both failure statuses, which _check_divergence reads.
+_DIVERGENT = (("lambda", _read_number), ("witness_cycle", _read_cycle))
 
 KINDS = tuple(_KINDS)
 
@@ -657,14 +641,14 @@ def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
     spec = _spec(inst.problem)
     spec.domain(inst.a, *(getattr(inst, key) for key in spec.fields[1:]))
     try:
-        body = spec.solve(inst, tol)
+        stored, values = spec.stored, spec.solve(inst, tol)
         status, code = spec.statuses[0], EXIT_OK
     except DivergentStarError as exc:
-        status = spec.statuses[1]
-        cycle = None if exc.witness_cycle is None else list(exc.witness_cycle)
-        body, code = {"lambda": _json(exc.lambda_), "witness_cycle": cycle}, EXIT_INFEASIBLE
+        stored, values = _DIVERGENT, (exc.lambda_, exc.witness_cycle)
+        status, code = spec.statuses[1], EXIT_INFEASIBLE
     payload = _head(inst.problem, tol, status)
-    payload.update(body)
+    payload.update((key, _stored_json(value)) for (key, read), value in zip(stored, values)
+                   if value is not None or not isinstance(read, _Optional))
     payload["instance"] = instance_to_obj(inst)
     return payload, code
 
@@ -672,14 +656,16 @@ def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
 def verify_payload(payload: dict, tol_override: float | None = None) -> list[str]:
     """Re-validate a solution payload against its embedded instance.
 
-    Returns a list of human-readable violations, a malformed stored field
-    among them; empty means the certificate holds.  A missing problem or
+    Returns a list of human-readable violations, a missing or malformed
+    stored field among them; empty means the certificate holds.  A missing problem or
     instance field, an unknown kind, a malformed instance or a bad tolerance
     raises InstanceFormatError instead, and an instance outside the kind's
     domain the guard's FiniteRequiredError or DimensionMismatchError, the
     same error solve_to_payload raises: the CLI exits 2 on each.  A
-    missing status reads as the kind's solved status.  The check recomputes
-    every residual from the stored witnesses and the instance.  Fields it
+    missing status reads as the kind's solved status.  Every field the status
+    stores (_Kind.stored, or _DIVERGENT) is read in order, and the first one
+    missing or malformed is the one problem; the check then recomputes every
+    residual from the stored witnesses and the instance.  Fields it
     does not read are ignored: tool, version, and the certificate block,
     method, iterations and u that older files carry.
     """
@@ -697,11 +683,17 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
     status = payload.get("status", spec.statuses[0])
     if status not in spec.statuses:
         return [f"status {status!r} is not one that kind {kind!r} writes"]
-    verify = spec.verify if status == spec.statuses[0] else _verify_divergence
+    stored, check = ((spec.stored, spec.check) if status == spec.statuses[0]
+                     else (_DIVERGENT, _check_divergence))
+    values = []
     try:
-        return verify(inst, payload, tol)
+        for key, read in stored:
+            if key not in payload and not isinstance(read, _Optional):
+                return [f"{key}: missing from the solution"]
+            values.append(read(payload[key], key, inst) if key in payload else None)
     except InstanceFormatError as exc:
         return [str(exc)]
+    return check(inst, tol, *values)
 
 
 def check_solution_text(text: str, tol_override: float | None = None) -> list[str]:

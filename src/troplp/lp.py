@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from . import certificates
 from .core import DEFAULT_TOL, TropMatrix, TropVector, tdot
 from .errors import DimensionMismatchError, FiniteRequiredError, require
-from .onesided import greatest_subsolution
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,9 @@ class DualityCertificate:
 
 
 def solve_primal(inst: LpInstance) -> tuple[TropVector, float]:
-    """Optimal primal witness (the greatest feasible point) and its value."""
-    x = greatest_subsolution(inst.a, inst.b)
+    """Optimal primal witness (the greatest feasible point) and its value.
+    LpInstance already decided the domain that residuation needs."""
+    x = certificates.residuate(inst.a, inst.b)
     return x, tdot(inst.c, x)
 
 

@@ -15,11 +15,11 @@ from hypothesis.extra import numpy as hnp
 import util
 from troplp import (EPSILON, CertificateViolationError, DimensionMismatchError,
                     FiniteRequiredError, InstanceFormatError, TropMatrix,
-                    certificates, closure, core, intlp)
+                    certificates, closure, core, intlp, lp, onesided, twosided)
 from troplp.cli import main
-from troplp.io import (_INT_OVERFLOW, _KINDS, _MAX_ENTRY, _MAX_STORED,
+from troplp.io import (_DIVERGENT, _INT_OVERFLOW, _KINDS, _MAX_ENTRY, _MAX_STORED,
                        EXIT_CERTIFICATE, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS,
-                       _distinct_value_rows, _encode, _json, _number,
+                       _Optional, _distinct_value_rows, _encode, _json, _number,
                        _read_array, check_tol, parse_instance, parse_solution,
                        render_text, serialize_solution, solve_to_payload,
                        verify_payload)
@@ -602,6 +602,30 @@ class TestSolveToPayload:
         assert code == EXIT_OK
         assert (len(dual), len(primal)) == (1, 1)
         assert verify_payload(payload) == []
+
+    @pytest.mark.parametrize("kind, solver", [
+        ("primal", lp.solve_primal), ("dual", lp.solve_dual),
+        ("primal-integer", intlp.solve_primal_integer),
+        ("dual-integer", intlp.solve_dual_integer), ("gap", intlp.duality_gap),
+        ("tslp", twosided.solve_tslp), ("tslp2", twosided.solve_tslp2),
+        ("star", closure.kleene_star), ("mcm", closure.max_cycle_mean),
+        ("onesided", onesided.solve_equality)])
+    def test_solver_is_looked_up_at_call_time(self, kind, solver, monkeypatch):
+        # the table calls the solver through io's name, so a caller that
+        # rebinds that name sees every solve
+        inst = parse_instance((GOLDEN / f"{kind}.instance.json").read_text())
+        calls = util.count_calls(monkeypatch, solver)
+        assert solve_to_payload(inst, 1e-9)[1] == EXIT_OK
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["primal", "dual", "primal-integer", "dual-integer",
+                                      "gap"])
+    def test_abc_solve_decides_the_domain_once(self, kind, monkeypatch):
+        # LpInstance decided what residuation needs; onesided's guard does not run again
+        inst = parse_instance((GOLDEN / f"{kind}.instance.json").read_text())
+        guards = util.count_calls(monkeypatch, onesided._check_system)
+        assert solve_to_payload(inst, 1e-9)[1] == EXIT_OK
+        assert guards == []
 
     @pytest.mark.parametrize("kind", ["tslp", "tslp2"])
     def test_two_sided_residual_computed_once(self, kind, monkeypatch):
@@ -1235,6 +1259,8 @@ def test_divergent_payloads_near_tol_check():
 
 
 GOLDEN = util.TESTS / "golden"
+# the golden files of the two failure statuses
+FAILURES = ("infeasible-lambda-positive", "divergent-star")
 
 
 def _fresh_solution(name, tmp_path):
@@ -1295,22 +1321,33 @@ class TestTolRule:
         assert "tol must be" in capsys.readouterr().err
 
 
+_EXACT_FEASIBILITY = ("ROADMAP item 9: feasibility is decided with the absolute tol, which "
+                      "does not cover the rounding of sums of large entries")
+
+
 class TestAbsoluteTolAtLargeEntries:
     """An answer whose entries are large fails its own check, because tol is
     absolute: past about 1e7 the rounding of a residual's sums exceeds 1e-9,
     and past 2^52 the integer lattice cannot be represented at all."""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3: the absolute tol does not cover the rounding of "
-        "sums of large entries"))
     @pytest.mark.parametrize("obj", [
-        {"problem": "primal", "A": [[47699910.1, 60537069.1], [-50629076.5, 9539710.1],
-                                    [-40342746.8, 39560781.1]],
-         "b": [1.6, 2.2, 3.1], "c": [3.0, 1.0]},
-        {"problem": "dual", "A": [[-937663.17], [-51128151.35], [64801275.73]],
-         "b": [4.0, 2.0, 0.0], "c": [-1.6]},
-        {"problem": "dual-integer", "A": [[-4503599627370496, 0]], "b": [0.5], "c": [0, -3]},
-    ], ids=["primal-5e7", "dual-6e7", "dual-integer-2^52"])
+        pytest.param({"problem": "primal",
+                      "A": [[47699910.1, 60537069.1], [-50629076.5, 9539710.1],
+                            [-40342746.8, 39560781.1]],
+                      "b": [1.6, 2.2, 3.1], "c": [3.0, 1.0]},
+                     marks=pytest.mark.xfail(strict=True, reason=_EXACT_FEASIBILITY),
+                     id="primal-5e7"),
+        pytest.param({"problem": "dual", "A": [[-937663.17], [-51128151.35], [64801275.73]],
+                      "b": [4.0, 2.0, 0.0], "c": [-1.6]},
+                     marks=pytest.mark.xfail(strict=True, reason=_EXACT_FEASIBILITY),
+                     id="dual-6e7"),
+        pytest.param({"problem": "dual-integer", "A": [[-4503599627370496, 0]], "b": [0.5],
+                      "c": [0, -3]},
+                     marks=pytest.mark.xfail(strict=True, reason=(
+                         "ROADMAP item 3's input bound: past 2^52 the float spacing "
+                         "reaches 1 and the integer lattice cannot be represented")),
+                     id="dual-integer-2^52"),
+    ])
     def test_fresh_answer_checks(self, obj, tmp_path):
         inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
         inst.write_text(json.dumps(obj))
@@ -1342,6 +1379,22 @@ class TestCheckMalformedFields:
         assert _check(doc, tmp_path) == EXIT_CERTIFICATE
         assert "troplp: certificate violation:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, key, read", [
+        pytest.param(name, key, read, id=f"{name}-{key}")
+        for name in KINDS + FAILURES
+        for key, read in (_DIVERGENT if name in FAILURES else _KINDS[name].stored)])
+    def test_each_missing_stored_field(self, name, key, read, tmp_path, capsys, monkeypatch):
+        fresh = _fresh_solution(name, tmp_path)
+        del fresh[key]
+        sweeps = util.count_calls(monkeypatch, closure._star_sweep)
+        code = _check(fresh, tmp_path)
+        err = capsys.readouterr().err
+        if isinstance(read, _Optional):  # an older mcm file: the sweep decides
+            assert (code, err, len(sweeps)) == (EXIT_OK, "", 1)
+        else:
+            assert code == EXIT_CERTIFICATE
+            assert err == f"troplp: certificate violation: {key}: missing from the solution\n"
+
     def test_fractional_cycle_node_not_truncated(self):
         payload, _ = solve_to_payload(parse_instance('{"problem":"mcm","A":[[1]]}'), 1e-9)
         assert payload["witness_cycle"] == [0] and verify_payload(payload) == []
@@ -1352,8 +1405,7 @@ class TestCheckMalformedFields:
     UNREAD = ("tool", "version")
     WRONG = ("abc", True, None, ["a"], [0.7], {"a": 1})
 
-    @pytest.mark.parametrize("name", KINDS + ("infeasible-lambda-positive",
-                                              "divergent-star"))
+    @pytest.mark.parametrize("name", KINDS + FAILURES)
     def test_every_read_field_rejects_wrong_types(self, name, tmp_path, capsys):
         fresh = _fresh_solution(name, tmp_path)
         assert _check(fresh, tmp_path) == EXIT_OK
@@ -1416,10 +1468,24 @@ class TestDomain:
         assert capsys.readouterr().err == solve_err
 
 
+def _stored_names(stored) -> str:
+    return " ".join(f"[{key}]" if isinstance(read, _Optional) else key for key, read in stored)
+
+
 class TestKindTable:
+    README = (util.TESTS.parent / "README.md").read_text(encoding="utf-8")
+
     def test_readme_lists_every_kind_and_its_fields(self):
-        readme = (util.TESTS.parent / "README.md").read_text(encoding="utf-8")
-        rows = re.findall(r"^\| `([a-z0-9-]+)` +\| `([A-Za-z ]+)` +\|", readme, re.M)
+        rows = re.findall(r"^\| `([a-z0-9-]+)` +\| `([A-Za-z ]+)` +\|", self.README, re.M)
         assert dict(rows) == {kind: " ".join(spec.fields)
                               for kind, spec in _KINDS.items()}
         assert len(rows) == len(KINDS)
+
+    def test_readme_lists_every_kind_and_its_stored_fields(self):
+        rows = re.findall(r"^\| `([a-z0-9-]+)` +\| `[A-Za-z ]+` +\| `([a-z_ \[\]]+)` +\|",
+                          self.README, re.M)
+        assert dict(rows) == {kind: _stored_names(spec.stored) for kind, spec in _KINDS.items()}
+        assert len(rows) == len(KINDS)
+        failures = re.findall(r"The failure statuses \(.*?\) store `([a-z_ ]+)`\.",
+                              " ".join(self.README.split()))
+        assert failures == [_stored_names(_DIVERGENT)]

@@ -8,6 +8,7 @@ import pytest
 
 import troplp
 import util
+from troplp.io import _DIVERGENT, _KINDS
 
 SRC = Path(troplp.__file__).parent
 # names that certificates took over; the first three were renamed there
@@ -41,6 +42,24 @@ def test_each_rule_is_defined_in_certificates_alone():
     elsewhere = {path.name: sorted(_defined(_tree(path)) & (rules | set(MOVED)))
                  for path in SRC.glob("*.py") if path.name != "certificates.py"}
     assert {name: found for name, found in elsewhere.items() if found} == {}
+
+
+def _string_literals_outside(tree: ast.Module, names: tuple[str, ...]) -> list[str]:
+    """Every string constant of the tree, except those in the module-level
+    assignments to the given names."""
+    skipped = {id(node) for statement in tree.body if isinstance(statement, ast.Assign)
+               and any(getattr(target, "id", None) in names for target in statement.targets)
+               for node in ast.walk(statement)}
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in skipped]
+
+
+def test_each_stored_field_is_named_in_the_kind_table_alone():
+    stored = {key for spec in _KINDS.values() for key, _ in spec.stored}
+    stored |= {key for key, _ in _DIVERGENT}
+    literals = _string_literals_outside(_tree(SRC / "io.py"), ("_KINDS", "_DIVERGENT"))
+    assert sorted(stored & set(literals)) == []
 
 
 def _imports_and_names(tree: ast.Module) -> tuple[set[str], set[str]]:
