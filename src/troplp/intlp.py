@@ -20,11 +20,14 @@ such t,
 
 attained by sigma_i = floor_frac(phi_int, fr(b_i)): the row that gives the
 max-min has phi_int in its own phase, so its sigma equals phi_int.  This is
-one O(mn) expression.  For integer b every phase is 0 and the formula is the
-paper's direct rule: phi_int = ceil(max_j min_i(b_i + c_j - a_ij)), the
-ceiling of the real optimum, with pi_i = phi_int - b_i.  The paper's candidate
-descent for general real b reaches the same value; it is kept as a test
-reference in oracles.descent_dual_integer.
+one O(mn) expression.  An epsilon a_ij makes u_ij = +inf, which the min over
+rows skips, as LpInstance leaves every column a finite entry; the integer
+primal floors the residuation, which skips it in the same way.  For integer
+b every phase is 0 and the formula is the paper's direct rule:
+phi_int = ceil(max_j min_i(b_i + c_j - a_ij)), the ceiling of the real
+optimum, with pi_i = phi_int - b_i.  The paper's candidate descent for
+general real b reaches the same value; it is kept as a test reference in
+oracles.descent_dual_integer.
 
 Past 2^52 in magnitude the float64 spacing is at least 1, so every float
 there is an integer.  fr returns 0.  With phase 0, ceil_frac and floor_frac

@@ -14,13 +14,17 @@ from dataclasses import dataclass
 from . import certificates
 from .core import DEFAULT_TOL, TropMatrix, TropVector, tdot
 from .errors import DimensionMismatchError, FiniteRequiredError, require
+from .onesided import _check_system
 
 
 @dataclass(frozen=True)
 class LpInstance:
-    """Finite data (A, b, c) with A m-by-n, b of length m, c of length n.
+    """Data (A, b, c) with A m-by-n, b of length m, c of length n: the guard
+    of the A-b-c domain.
 
-    This is the guard of the A-b-c domain.  The solvers, like the rules of
+    A and b are residuation's, as onesided._check_system states it: a finite
+    b and a finite entry in every row and column of A, which may hold
+    epsilon elsewhere.  c is finite.  The solvers, like the rules of
     certificates, read only .a, .b and .c, so they take any instance that
     passed it."""
 
@@ -29,12 +33,9 @@ class LpInstance:
     c: TropVector
 
     def __post_init__(self):
-        for key, value in (("A", self.a), ("b", self.b), ("c", self.c)):
-            if not value.is_finite():
-                raise FiniteRequiredError(f"LP instances must be finite, but {key} holds -inf")
-        if self.a.rows != len(self.b):
-            raise DimensionMismatchError(
-                f"A has {self.a.rows} rows but b has length {len(self.b)}")
+        _check_system(self.a, self.b)
+        if not self.c.is_finite():
+            raise FiniteRequiredError("LP instances need a finite c")
         if self.a.cols != len(self.c):
             raise DimensionMismatchError(
                 f"A has {self.a.cols} columns but c has length {len(self.c)}")

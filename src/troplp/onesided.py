@@ -35,21 +35,26 @@ class OneSidedSolveResult:
 
 
 def _check_system(a: TropMatrix, b: TropVector):
-    """Residuation needs a finite b and a finite entry in every row and column.
+    """The domain of residuation, the guard of the onesided kind and, through
+    LpInstance, of the A-b-c kinds: a finite b as long as A has rows, and a
+    finite entry in every row and column of A (a doubly R-astic A).
 
     An epsilon entry a_ij only drops row i from the minimum for x_j; an all
     epsilon column would leave x_j unbounded, and an all epsilon row would
-    keep (A x)_i at epsilon, an infinite shortfall below b_i.
+    keep (A x)_i at epsilon, an infinite shortfall below b_i.  A finite A is
+    told by one reduction; rows and columns are scanned only when it holds
+    epsilon.
     """
     if not b.is_finite():
-        raise FiniteRequiredError("one-sided solvers require a finite b")
-    finite = a.data > EPSILON
-    for axis, what in ((0, "column"), (1, "row")):
-        empty = np.flatnonzero(~finite.any(axis=axis))
-        if empty.size:
-            raise FiniteRequiredError(
-                f"one-sided solvers need a finite entry in every {what} of A; "
-                f"{what} {int(empty[0])} is all -inf")
+        raise FiniteRequiredError("residuation needs a finite b")
+    if not a.is_finite():
+        finite = a.data > EPSILON
+        for axis, what in ((0, "column"), (1, "row")):
+            empty = np.flatnonzero(~finite.any(axis=axis))
+            if empty.size:
+                raise FiniteRequiredError(
+                    f"residuation needs a finite entry in every {what} of A; "
+                    f"{what} {int(empty[0])} is all -inf")
     if a.rows != len(b):
         raise DimensionMismatchError(
             f"A has {a.rows} rows but b has length {len(b)}")

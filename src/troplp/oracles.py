@@ -192,14 +192,17 @@ def brute_dual_integer(inst: LpInstance, box: Box,
 
 
 def primal_box(inst: LpInstance, below: int = 2, cap: int = DEFAULT_CAP) -> Box:
-    """Box around the floored real primal witness, extended `below` downward."""
+    """Box around the floored real primal witness, extended `below` downward
+    and one integer upward.
+
+    The integer of margin keeps every point that brute_primal_integer's
+    test, feasible within tol, accepts: min_i(b_i - a_ij) can round to just
+    below an integer that such a point reaches.
+    """
     a, b = inst.a.data.tolist(), inst.b.data.tolist()
     m, n = inst.a.shape
-    tops = []
-    for j in range(n):
-        top = math.floor(min(b[i] - a[i][j] for i in range(m)))
-        tops.append(top)
-    return Box(tuple(t - below for t in tops), tuple(tops), cap)
+    tops = [math.floor(min(b[i] - a[i][j] for i in range(m))) for j in range(n)]
+    return Box(tuple(t - below for t in tops), tuple(t + 1 for t in tops), cap)
 
 
 def dual_box(inst: LpInstance, margin: int = 1, cap: int = DEFAULT_CAP) -> Box:

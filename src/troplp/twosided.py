@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificates import _heaviest_cycle, _strictly_negative, two_sided
-from .closure import kleene_star, max_cycle_mean
+from .closure import _require_square, kleene_star, max_cycle_mean
 from .core import DEFAULT_TOL, TropMatrix, TropVector, tdot, tmul
 from .errors import DimensionMismatchError, FiniteRequiredError, require
 
@@ -35,21 +35,21 @@ UNIQUE_FIXED_POINT = "unique-fixed-point"
 
 @dataclass(frozen=True)
 class TwoSidedInstance:
-    """Finite data (A, d, c) with A n-by-n and d, c of length n: the guard of
-    the two-sided domain.  The solvers read only .a, .d and .c."""
+    """Data (A, d, c) with d and c finite of length n: the guard of the
+    two-sided domain.  A is the star's, as closure._require_square states
+    it: square, with epsilon allowed anywhere.  The solvers read only .a, .d
+    and .c."""
 
     a: TropMatrix
     d: TropVector
     c: TropVector
 
     def __post_init__(self):
-        if self.a.rows != self.a.cols:
-            raise DimensionMismatchError(f"A is not square: {self.a.shape}")
-        for key, value in (("A", self.a), ("d", self.d), ("c", self.c)):
+        _require_square(self.a)
+        for key, value in (("d", self.d), ("c", self.c)):
             if not value.is_finite():
-                raise FiniteRequiredError(
-                    f"two-sided instances must be finite, but {key} holds -inf")
-            if key != "A" and len(value) != self.a.rows:
+                raise FiniteRequiredError(f"two-sided instances need a finite {key}")
+            if len(value) != self.a.rows:
                 raise DimensionMismatchError(
                     f"A has {self.a.rows} rows but {key} has length {len(value)}")
 

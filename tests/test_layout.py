@@ -1,5 +1,5 @@
-"""Static checks of the source tree: where the certificate rules live, and
-that every import is used."""
+"""Static checks of the source tree: where the certificate rules and the
+domain rules live, and that every import is used."""
 
 import ast
 from pathlib import Path
@@ -42,6 +42,23 @@ def test_each_rule_is_defined_in_certificates_alone():
     elsewhere = {path.name: sorted(_defined(_tree(path)) & (rules | set(MOVED)))
                  for path in SRC.glob("*.py") if path.name != "certificates.py"}
     assert {name: found for name, found in elsewhere.items() if found} == {}
+
+
+@pytest.mark.parametrize("path, cls, rule", [("lp.py", "LpInstance", "_check_system"),
+                                             ("twosided.py", "TwoSidedInstance",
+                                              "_require_square")])
+def test_each_instance_guard_defers_to_its_kernel_rule(path, cls, rule):
+    # A's domain is stated once, by the kernel's guard: the instance guard
+    # calls it and tests neither A's entries nor its shape itself
+    klass = next(node for node in _tree(SRC / path).body
+                 if isinstance(node, ast.ClassDef) and node.name == cls)
+    method = next(node for node in klass.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    calls = {ast.unparse(node.func) for node in ast.walk(method) if isinstance(node, ast.Call)}
+    assert rule in calls and "self.a.is_finite" not in calls
+    compared = [{ast.unparse(side) for side in (node.left, *node.comparators)}
+                for node in ast.walk(method) if isinstance(node, ast.Compare)]
+    assert not any({"self.a.rows", "self.a.cols"} <= sides for sides in compared)
 
 
 def _string_literals_outside(tree: ast.Module, names: tuple[str, ...]) -> list[str]:

@@ -15,10 +15,16 @@ WORKED = LpInstance(TropMatrix([[1, 2], [3, 4]]), TropVector([5, 6]),
 
 
 class TestInstanceValidation:
-    def test_eps_rejected(self):
-        with pytest.raises(FiniteRequiredError):
+    def test_all_eps_column_rejected(self):
+        with pytest.raises(FiniteRequiredError, match="column 1 is all -inf"):
             LpInstance(TropMatrix([[1, float("-inf")]]), TropVector([0]),
                        TropVector([0, 0]))
+
+    def test_eps_accepted_beside_a_finite_entry_in_every_row_and_column(self):
+        inst = LpInstance(TropMatrix([[1, float("-inf")], [float("-inf"), 2]]),
+                          TropVector([0, 0]), TropVector([0, 0]))
+        cert = certify(inst)
+        assert cert.f_max == cert.phi_min == -1.0
 
     def test_dimensions_checked(self):
         with pytest.raises(DimensionMismatchError):

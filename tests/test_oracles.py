@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from troplp import (EPSILON, DivergentStarError, LpInstance, TropMatrix,
-                    TropVector, identity)
+                    TropVector, identity, solve_primal_integer)
 from troplp.oracles import (Box, EnumerationCapExceededError,
                             NoFeasiblePointError, brute_cycle_mean,
                             brute_dual_integer, brute_primal_integer,
@@ -113,6 +113,13 @@ class TestBoxes:
                               TropVector(rng.integers(-20, 21, n) * 0.25))
             brute_primal_integer(inst, primal_box(inst))
             brute_dual_integer(inst, dual_box(inst))
+
+    def test_primal_box_holds_the_point_feasible_within_tol(self):
+        # 1.2 - 2.2 rounds to -1.0000000000000002, whose floor is -2; but
+        # 2.2 + (-1) <= 1.2 + tol, so -1 is feasible and the optimum
+        inst = LpInstance(TropMatrix([[2.2]]), TropVector([1.2]), TropVector([0]))
+        assert brute_primal_integer(inst, primal_box(inst)) == (TropVector([-1]), -1.0)
+        assert solve_primal_integer(inst).f_max_int == -1.0
 
 
 PRODUCTION = ("__init__", "core", "certificates", "closure", "onesided", "lp", "intlp",
