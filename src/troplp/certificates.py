@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (EPSILON, TropMatrix, TropVector, excess, identity, mismatch,
-                   tadd, tdot, tmul)
+from .core import EPSILON, TropMatrix, TropVector, excess, mismatch, tdot, tmul
 
 
 def _problem(template: str, worst: float | None) -> list[str]:
@@ -72,10 +71,15 @@ def two_sided(inst, y: TropVector, tol: float, equation: bool = False) -> list[s
 def star(a: TropMatrix, s: TropMatrix, tol: float) -> list[str]:
     """S is a fixed point of x -> Ax + I, and where _strictly_negative does
     not prove it unique (a cycle mean near or above -tol, or entries past the
-    rounding gate), idempotent as well."""
+    rounding gate), idempotent as well.  One product A S serves both tests:
+    max(A S, I) raises only its diagonal, whose maximum is _heaviest_cycle's
+    bound, formed from the same sums."""
+    fixed = np.array(tmul(a, s).data)
+    heaviest = float(fixed.diagonal().max())
+    np.fill_diagonal(fixed, np.maximum(fixed.diagonal(), 0.0))
     problems = _problem("star is not a fixed point of x -> Ax + I ({})",
-                        mismatch(tadd(tmul(a, s), identity(a.rows)).data, s.data, tol))
-    if problems or _strictly_negative(a, s.data, _heaviest_cycle(a, s.data), tol):
+                        mismatch(fixed, s.data, tol))
+    if problems or _strictly_negative(a, s.data, heaviest, tol):
         return problems
     return _problem("star is not idempotent ({})", mismatch(tmul(s, s).data, s.data, tol))
 
@@ -184,7 +188,8 @@ def _heaviest_cycle(a: TropMatrix, s: np.ndarray) -> float:
 def _strictly_negative(a: TropMatrix, s: np.ndarray, heaviest: float, tol: float) -> bool:
     """True when S, a fixed point of x -> A x + I within tol, proves that
     lambda(A) < -tol and that S is A* within 2n tol, given heaviest =
-    _heaviest_cycle(A, S); the test is O(n^2).
+    _heaviest_cycle(A, S), the largest diagonal entry of A S; the test is
+    O(n^2).
 
     Say max(A S, I) and S agree within t entrywise, so a_uv + S_vw <= S_uw + t
     and 0 <= S_ii + t.  Along a cycle i = i_0 -> i_1 -> ... -> i_k = i of

@@ -29,10 +29,11 @@ guard of its domain, its solver, its certificate check, the fields its
 solutions store and the statuses they carry.  A solution stores only what
 the check reads: the status, the instance and the fields of `_Kind.stored`,
 which the README kinds table's `stored` column lists.  Each stored field is
-named there once, with its reader; verify_payload reads every one in one
-loop, through the same _number and _read_array that parse instances, and
-passes the values to the kind's check, which applies the rules of
-certificates that the solvers' self-checks call too; it calls no solver.
+named there once, with its reader, and required (an acyclic mcm's cycle
+and potential are null); verify_payload reads every one in one loop, through
+the same _number and _read_array that parse instances, and passes the values
+to the kind's check, which applies the rules of certificates that the
+solvers' self-checks call too; it calls no solver.
 """
 
 from __future__ import annotations
@@ -451,8 +452,11 @@ def _read_number(value, key: str, inst: InstanceFile, allow_eps: bool = False) -
     return number
 
 
-def _read_vector(value, key: str, inst: InstanceFile, axis: int) -> TropVector:
-    """A vector as long as A has rows (axis 0) or columns (axis 1)."""
+def _read_vector(value, key: str, inst: InstanceFile, axis: int,
+                 nullable: bool = False) -> TropVector | None:
+    """A vector as long as A has rows (axis 0) or columns (axis 1); if nullable, null is None."""
+    if value is None and nullable:
+        return None
     values = _read_array(value, 1, False, key, _MAX_STORED)
     if len(values) != inst.a.shape[axis]:
         raise InstanceFormatError(
@@ -491,11 +495,6 @@ _read_m_vector = partial(_read_vector, axis=0)
 _read_n_vector = partial(_read_vector, axis=1)
 
 
-class _Optional(partial):
-    """The reader of a field that a file may lack: absent, it reads as None,
-    and a solver's None is not written."""
-
-
 def _stored_json(value):
     """JSON form of a value a solver stores: a number or vector by _json, a
     star's rows by _distinct_value_rows, a cycle as a list, and a flag, a
@@ -511,16 +510,15 @@ def _stored_json(value):
 
 def _check_mcm(inst: InstanceFile, tol: float, lam: float, cycle, x) -> list[str]:
     """The witness cycle bounds lambda from below; the stored potential
-    bounds it from above in O(n^2).  Where the potential is absent (older
-    files), too large for its test to resolve tol, or fails, the O(n^3) sweep
-    decides."""
+    bounds it from above in O(n^2).  Where the potential is too large for its
+    test to resolve tol, or fails, the O(n^3) sweep decides."""
     if lam == EPSILON:
         return certificates.acyclic_claim(inst.a, cycle)
-    if cycle is None:
-        return ["a finite lambda needs a witness cycle"]
+    if cycle is None or x is None:
+        return ["a finite lambda needs a witness cycle and a potential"]
     problems = certificates.witness_cycle(inst.a, cycle, lam, tol)
     # A cycle of mean above lam + tol closes a positive walk in A - (lam + tol).
-    if ((x is None or not certificates.potential(inst.a, lam, x, tol))
+    if (not certificates.potential(inst.a, lam, x, tol)
             and _diverges(_star_sweep(inst.a.data - (lam + tol)))):
         problems.append("lambda below the maximum cycle mean")
     return problems
@@ -610,7 +608,7 @@ _KINDS = {
             max_cycle_mean(inst.a)), _check_mcm,
         (("lambda", partial(_read_number, allow_eps=True)),
          ("witness_cycle", partial(_read_cycle, nullable=True)),
-         ("potential", _Optional(_read_vector, axis=0))), ("ok",)),
+         ("potential", partial(_read_vector, axis=0, nullable=True))), ("ok",)),
     "onesided": _Kind(
         ("A", "b"), _check_system,
         lambda inst, tol: attrgetter("principal", "solvable_as_equality", "residual")(
@@ -647,8 +645,7 @@ def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
         stored, values = _DIVERGENT, (exc.lambda_, exc.witness_cycle)
         status, code = spec.statuses[1], EXIT_INFEASIBLE
     payload = _head(inst.problem, tol, status)
-    payload.update((key, _stored_json(value)) for (key, read), value in zip(stored, values)
-                   if value is not None or not isinstance(read, _Optional))
+    payload.update((key, _stored_json(value)) for (key, _), value in zip(stored, values))
     payload["instance"] = instance_to_obj(inst)
     return payload, code
 
@@ -663,9 +660,10 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
     domain the guard's FiniteRequiredError or DimensionMismatchError, the
     same error solve_to_payload raises: the CLI exits 2 on each.  A
     missing status reads as the kind's solved status.  Every field the status
-    stores (_Kind.stored, or _DIVERGENT) is read in order, and the first one
-    missing or malformed is the one problem; the check then recomputes every
-    residual from the stored witnesses and the instance.  Fields it
+    stores (_Kind.stored, or _DIVERGENT) is required and read in order, and
+    the first one missing or malformed is the one problem (so an mcm file
+    without a potential is one); the check then recomputes every residual
+    from the stored witnesses and the instance.  Fields it
     does not read are ignored: tool, version, and the certificate block,
     method, iterations and u that older files carry.
     """
@@ -688,9 +686,9 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
     values = []
     try:
         for key, read in stored:
-            if key not in payload and not isinstance(read, _Optional):
+            if key not in payload:
                 return [f"{key}: missing from the solution"]
-            values.append(read(payload[key], key, inst) if key in payload else None)
+            values.append(read(payload[key], key, inst))
     except InstanceFormatError as exc:
         return [str(exc)]
     return check(inst, tol, *values)

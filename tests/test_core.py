@@ -1,6 +1,7 @@
 """Core max-plus algebra: construction invariants, operations, algebra laws;
 the package's public surface."""
 
+import re
 from types import ModuleType
 
 import numpy as np
@@ -28,6 +29,7 @@ class TestConstruction:
     @pytest.mark.parametrize("entries, message", [
         ([[float("nan"), float("inf")]], "NaN entries are not allowed"),
         ([[E, float("inf")]], "+inf entries are not allowed"),
+        ([1.0, 2.0], "expected 2 dimensions, got shape (2,)"),
     ])
     def test_rejection_messages(self, entries, message):
         with pytest.raises(ValueError) as info:
@@ -71,6 +73,9 @@ class TestTadd:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             tadd(TropMatrix([[1]]), TropMatrix([[1, 2]]))
+        with pytest.raises(DimensionMismatchError,
+                           match="mixed operand kinds: TropMatrix and TropVector"):
+            tadd(TropMatrix([[1]]), TropVector([1]))
 
 
 class TestTmul:
@@ -90,6 +95,9 @@ class TestTmul:
     def test_inner_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
             tmul(TropMatrix([[1, 2]]), TropVector([1, 2, 3]))
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape("inner dimensions disagree: (1, 2) x (1, 2)")):
+            tmul(TropMatrix([[1, 2]]), TropMatrix([[1, 2]]))
 
     def test_matrix_matrix_matches_broadcast_formula(self):
         rng = np.random.default_rng(5)

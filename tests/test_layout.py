@@ -1,7 +1,9 @@
 """Static checks of the source tree: where the certificate rules and the
-domain rules live, and that every import is used."""
+domain rules live, that every import is used, and that the README's package
+layout names every module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,13 @@ def test_each_stored_field_is_named_in_the_kind_table_alone():
     stored |= {key for key, _ in _DIVERGENT}
     literals = _string_literals_outside(_tree(SRC / "io.py"), ("_KINDS", "_DIVERGENT"))
     assert sorted(stored & set(literals)) == []
+
+
+def test_readme_layout_names_every_module():
+    readme = (util.TESTS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Package layout", 1)[1].split("```")[1]
+    named = set(re.findall(r"^  (\w+\.py)\b", block, re.M))
+    assert named == {path.name for path in SRC.glob("*.py")} - {"__init__.py", "_version.py"}
 
 
 def _imports_and_names(tree: ast.Module) -> tuple[set[str], set[str]]:

@@ -153,6 +153,14 @@ class TestSubeigenvectors:
         with pytest.raises(DimensionMismatchError, match="not square"):
             subeigen_member(TropMatrix(rows), 0.0, TropVector(x))
 
+    @pytest.mark.parametrize("x, error, match", [
+        ([0, E], FiniteRequiredError, "requires finite x"),
+        ([0, 0, 0], DimensionMismatchError, "A has 2 columns but x has length 3"),
+    ], ids=["eps-x", "long-x"])
+    def test_member_rejects_a_bad_x(self, x, error, match):
+        with pytest.raises(error, match=match):
+            subeigen_member(TropMatrix([[0, 0], [0, 0]]), 0.0, TropVector(x))
+
     def test_member_at_generous_lambda(self):
         a = TropMatrix([[0, 3], [-1, 0]])
         lam = max_cycle_mean(a).lambda_ + 10

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from troplp import (DivergentStarError, LpInstance, TropMatrix, TropVector,
-                    TwoSidedInstance, closure, kleene_star, leq, max_cycle_mean,
-                    solve_dual, solve_tslp, solve_tslp2, tdot, tmul, transpose,
-                    tslp_feasible)
+from troplp import (DimensionMismatchError, DivergentStarError, LpInstance, TropMatrix,
+                    TropVector, TwoSidedInstance, closure, kleene_star, leq,
+                    max_cycle_mean, solve_dual, solve_tslp, solve_tslp2, tdot, tmul,
+                    transpose, tslp_feasible)
 
 TS1 = TwoSidedInstance(TropMatrix([[-1, -2], [-3, -1]]), TropVector([0, 0]),
                        TropVector([0, 0]))
@@ -178,6 +178,10 @@ class TestFeasibility:
 
     def test_point_below_d_rejected(self):
         assert not tslp_feasible(TS1, TropVector(TS1.d.data - 1))
+
+    def test_wrong_length_y_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="y must have length 2"):
+            tslp_feasible(TS1, TropVector([0, 0, 0]))
 
     def test_scaled_up_subeigenvector_is_feasible(self):
         # Subeigenvectors are closed under scalar shifts, so one shifted far
