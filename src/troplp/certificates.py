@@ -97,9 +97,11 @@ def witness_cycle(a: TropMatrix, cycle, lam: float, tol: float,
     return problems
 
 
-def acyclic_claim(a: TropMatrix, cycle) -> list[str]:
-    """lambda = epsilon: the digraph of A has no cycle, and none is named."""
+def acyclic_claim(a: TropMatrix, cycle, x) -> list[str]:
+    """lambda = epsilon: the digraph of A has no cycle, and neither a cycle
+    nor a potential is named."""
     return (([] if cycle is None else ["acyclic result must not carry a witness cycle"])
+            + ([] if x is None else ["acyclic result must not carry a potential"])
             + ([] if _acyclic(a) else ["lambda = -inf claimed but the digraph has a cycle"]))
 
 
@@ -171,11 +173,17 @@ def _resolves(tol: float, *parts) -> bool:
     one with tol by a whole spacing where it crosses a power of two.  Without
     the gate, stored numbers made large enough would let rounding absorb any
     gap."""
+    return bool(2 * np.spacing(_scale(*parts)) <= tol)
+
+
+def _scale(*parts) -> float:
+    """The sum of the parts' largest finite magnitudes, which bounds every
+    sum a certificate test forms from one entry of each part."""
     scale = 0.0
     for part in parts:
         part = np.asarray(part)
         scale += np.max(np.abs(part), where=part != EPSILON, initial=0.0)
-    return bool(2 * np.spacing(scale) <= tol)
+    return scale
 
 
 def _heaviest_cycle(a: TropMatrix, s: np.ndarray) -> float:

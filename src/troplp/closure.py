@@ -10,6 +10,13 @@ gives in one more O(n^2) pass a potential x_v = max_k (D_k[v] - k lambda): a
 subeigenvector of A^T, x_u + a_uv <= lambda + x_v on every arc, which bounds
 every cycle mean by lambda and is checked in O(n^2).
 
+That potential is also the table's stopping proof.  The table is built level
+by level, and at the levels k = 2, 4, 8, ... below n Karp's rule runs on the
+rows D_0..D_k: when the cycle it traces has a potential over those rows that
+passes the rule check applies, with the rounding slack (k + 2) spacing(scale),
+the table stops there, and lambda is that cycle's mean, the maximum to
+within (k + 3) spacing(scale).  Otherwise the full table of n levels decides.
+
 Karp's table uses a super-source with a zero-weight arc to every node, so
 D_0 = 0 and D_k = max_u(D_{k-1}[u] + A[u, :]) is the heaviest walk of exactly
 k arcs ending at each node.  No strongly connected decomposition is needed:
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import _acyclic, _cycle_mean
+from .certificates import _acyclic, _cycle_mean, _scale, potential
 from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector
 from .errors import DimensionMismatchError, DivergentStarError
 
@@ -55,32 +62,39 @@ def _require_square(a: TropMatrix):
         raise DimensionMismatchError(f"A is not square: {a.shape}")
 
 
-def _walk_table(data: np.ndarray) -> np.ndarray:
-    """Row k holds the heaviest weight of a k-arc walk ending at each node."""
+def _walk_table(data: np.ndarray):
+    """Rows D_0..D_k of Karp's walk table, yielded at the levels k = 2, 4,
+    8, ... below n and at k = n; row k holds the heaviest weight of a k-arc
+    walk ending at each node.  Each yield is a view of one table that grows
+    in place, so every level is built once."""
     n = data.shape[0]
     walks = np.empty((n + 1, n))
     walks[0] = 0.0
     buf = np.empty_like(data)
+    level = 2
     for k in range(1, n + 1):
         np.add(walks[k - 1][:, np.newaxis], data, out=buf)
         buf.max(axis=0, out=walks[k])
-    return walks
+        if k == level or k == n:
+            level *= 2
+            yield walks[:k + 1]
 
 
-def _critical_cycle(data: np.ndarray, walks: np.ndarray, end: int) -> tuple[int, ...]:
-    """Extract an elementary cycle from the arg-max n-arc walk ending at `end`.
+def _critical_cycle(data: np.ndarray, walks: np.ndarray, end: int) -> tuple[int, ...] | None:
+    """The elementary cycle at the first repeated node of the arg-max k-arc
+    walk ending at `end`, traced back through the rows D_0..D_k; None when
+    the walk visits k + 1 distinct nodes, which takes k < n.
 
-    The walk visits n + 1 nodes, so it repeats one; the segment up to the
-    first repeat is an elementary cycle.  Every cycle on that walk is
-    critical: dropping a cycle of l arcs leaves a walk of n - l arcs, which
-    weighs at most D_{n-l}[end], and Karp's minimum bounds that gap by l
-    times the maximum cycle mean.
+    With k = n the walk visits n + 1 nodes, so it repeats one, and every
+    cycle on it is critical: dropping a cycle of l arcs leaves a walk of
+    n - l arcs, which weighs at most D_{n-l}[end], and Karp's minimum bounds
+    that gap by l times the maximum cycle mean.  Below n the cycle is only a
+    candidate, which max_cycle_mean keeps when its potential certifies it.
     """
-    n = data.shape[0]
     path = [end]
     v = end
-    for k in range(n, 0, -1):
-        v = int(np.argmax(walks[k - 1] + data[:, v]))
+    for row in walks[-2::-1]:
+        v = int((row + data[:, v]).argmax())
         path.append(v)
     path.reverse()
 
@@ -89,7 +103,39 @@ def _critical_cycle(data: np.ndarray, walks: np.ndarray, end: int) -> tuple[int,
         if v in seen:
             return tuple(path[seen[v]:pos])
         seen[v] = pos
-    raise AssertionError("walk of length n must repeat a node")
+    return None
+
+
+def _karp(a: TropMatrix, walks: np.ndarray) -> CycleMeanResult | None:
+    """Karp's rule on the rows D_0..D_k: the end v with D_k[v] finite that
+    maximizes min over j < k with D_j[v] finite of (D_k[v] - D_j[v]) / (k - j),
+    the cycle _critical_cycle traces from it, lambda as that cycle's summed
+    mean, and the potential x = max over j <= k of (D_j - j lambda), finite
+    as D_0 = 0.  None when the traced walk holds no cycle."""
+    k = len(walks) - 1
+    last = walks[k]
+    # a cycle, walked round, leaves some k-arc walk finite at every k
+    ends = np.flatnonzero(last > EPSILON)
+    # D_0 = 0, so every column has a finite j; epsilon rows give +inf ratios
+    # that the minimum skips
+    ratios = (last[ends] - walks[:k, ends]) / (k - np.arange(k))[:, np.newaxis]
+    cycle = _critical_cycle(a.data, walks, int(ends[np.argmax(ratios.min(axis=0))]))
+    if cycle is None:
+        return None
+    lam = _cycle_mean(a, cycle)
+    x = (walks - lam * np.arange(k + 1)[:, np.newaxis]).max(axis=0)
+    return CycleMeanResult(lam, cycle, TropVector(x))
+
+
+def _certifies(a: TropMatrix, found: CycleMeanResult, k: int) -> bool:
+    """The stop rule at level k: found's potential passes the rule that check
+    applies, certificates.potential, with the slack (k + 2) spacing(scale)
+    that bounds the rounding of the k-level sums, at the scale _resolves
+    sums.  Summed around any cycle, the rule bounds its mean by
+    lambda + (k + 3) spacing(scale)."""
+    x = found.potential
+    slack = (k + 2) * np.spacing(_scale(x.data, found.lambda_, a.data))
+    return potential(a, found.lambda_, x, slack)
 
 
 def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
@@ -109,24 +155,27 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     D_0 = 0.  An arc u -> v extends each k-walk ending at u to a (k+1)-walk
     ending at v, and a walk of n + 1 arcs holds a cycle, of mean at most
     lambda, whose removal leaves a shorter walk; so x_u + a_uv <= lambda + x_v.
+
+    The table is built level by level and stops early (Hartmann and Orlin's
+    termination of Karp, Networks 23, 1993).  At the levels k = 2, 4, 8, ...
+    below n the same rule runs on the rows D_0..D_k, and its candidate is
+    returned when its potential, taken over those rows, passes _certifies.
+    The candidate is a real cycle, so its mean is at most the maximum, and
+    the potential bounds every cycle mean by lambda + (k + 3) spacing(scale):
+    lambda is the maximum to rounding, the accuracy of Karp's own rounded
+    ratios.  Without an early stop, as on a ring of n arcs, the full table
+    gives the answer above.  A stopped table's potential can differ from the
+    full table's in its last bits.
     """
     _require_square(a)
     if _acyclic(a):
         return CycleMeanResult(EPSILON, None)
-    data = a.data
     n = a.rows
-    walks = _walk_table(data)
-    last = walks[n]
-    # a cycle leaves some n-arc walk finite
-    ends = np.flatnonzero(last > EPSILON)
-    # D_0 = 0, so every column has a finite k; epsilon rows give +inf ratios
-    # that the minimum skips
-    ratios = (last[ends] - walks[:n, ends]) / (n - np.arange(n))[:, np.newaxis]
-    per_end = ratios.min(axis=0)
-    cycle = _critical_cycle(data, walks, int(ends[np.argmax(per_end)]))
-    lam = _cycle_mean(a, cycle)
-    potential = (walks - lam * np.arange(n + 1)[:, np.newaxis]).max(axis=0)
-    return CycleMeanResult(lam, cycle, TropVector(potential))
+    for walks in _walk_table(a.data):
+        found = _karp(a, walks)
+        if len(walks) <= n and found is not None and _certifies(a, found, len(walks) - 1):
+            break
+    return found
 
 
 def _star_sweep(data: np.ndarray) -> np.ndarray:

@@ -513,7 +513,7 @@ def _check_mcm(inst: InstanceFile, tol: float, lam: float, cycle, x) -> list[str
     bounds it from above in O(n^2).  Where the potential is too large for its
     test to resolve tol, or fails, the O(n^3) sweep decides."""
     if lam == EPSILON:
-        return certificates.acyclic_claim(inst.a, cycle)
+        return certificates.acyclic_claim(inst.a, cycle, x)
     if cycle is None or x is None:
         return ["a finite lambda needs a witness cycle and a potential"]
     problems = certificates.witness_cycle(inst.a, cycle, lam, tol)

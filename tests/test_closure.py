@@ -67,6 +67,18 @@ def large_graph(rng, n: int, shape: str) -> TropMatrix:
         return util.sparse_square(rng, n, density=0.05)
     if shape == "ties":
         return TropMatrix(rng.integers(-2, 3, (n, n)).astype(float))
+    if shape == "ring":
+        # a Hamiltonian ring: its one cycle has n arcs, so no shorter walk
+        # closes a cycle
+        data = np.full((n, n), E)
+        data[np.arange(n), (np.arange(n) + 1) % n] = rng.uniform(-10, 10, n)
+        return TropMatrix(data)
+    if shape == "planted":
+        # sparse negative arcs and one cycle of positive arcs, of any length
+        data = np.where(rng.random((n, n)) < 0.3, rng.uniform(-10, 0, (n, n)), E)
+        nodes = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        data[nodes, np.roll(nodes, -1)] = rng.uniform(0, 5, nodes.size)
+        return TropMatrix(data)
     # DAG with one planted cycle
     data = np.where(np.triu(np.ones((n, n), dtype=bool), 1),
                     rng.uniform(-10, 10, (n, n)), E)
@@ -143,7 +155,8 @@ class TestAcyclicPeel:
             for data in _peel_shapes(rng, n):
                 a = TropMatrix(data)
                 # Karp's own verdict: no n-arc walk, so no cycle
-                acyclic = not (closure._walk_table(data)[n] > E).any()
+                *_, walks = closure._walk_table(data)
+                acyclic = not (walks[n] > E).any()
                 assert certificates._acyclic(a) == acyclic
                 res = max_cycle_mean(a)
                 if acyclic:
@@ -162,6 +175,87 @@ class TestAcyclicPeel:
         solve_to_payload(parse_instance('{"problem":"mcm","A":[["-inf",1],[0,"-inf"]]}'),
                          1e-9)
         assert len(tables) == 1
+
+
+def _full_table(a: TropMatrix) -> CycleMeanResult:
+    """Karp's rule on all n + 1 rows, the answer without an early stop."""
+    *_, walks = closure._walk_table(a.data)
+    return closure._karp(a, walks)
+
+
+def _spacing(a: TropMatrix, res) -> float:
+    return np.spacing(certificates._scale(res.potential.data, res.lambda_, a.data))
+
+
+MIXED_MAGNITUDE = TropMatrix([[E, 1, E], [-1, E, E], [-1e300, E, -1e280]])
+
+
+class TestEarlyStop:
+    """max_cycle_mean stops the walk table at the first level k = 2, 4, 8, ...
+    whose candidate its own potential certifies.  The full n-level table, the
+    path the stop replaces, cross-checks every answer."""
+
+    @pytest.fixture
+    def rules(self, monkeypatch):
+        """Each call of Karp's rule, with the rows D_0..D_k it was given."""
+        return util.count_calls(monkeypatch, closure._karp)
+
+    @pytest.mark.parametrize("shape", ["dense", "sparse", "ties", "planted", "ring"])
+    def test_agrees_with_the_full_table(self, rules, shape):
+        rng = np.random.default_rng(24)
+        for _ in range(25):
+            n = int(rng.integers(2, 90))
+            a = large_graph(rng, n, shape)
+            rules.clear()
+            res = max_cycle_mean(a)
+            if res.lambda_ == E:  # a sparse draw can be acyclic
+                assert certificates._acyclic(a) and rules == []
+                continue
+            level = len(rules[-1][1]) - 1
+            full = _full_table(a)
+            # each potential bounds every cycle mean, the other's witness too
+            assert full.lambda_ <= res.lambda_ + (level + 3) * _spacing(a, res)
+            assert res.lambda_ <= full.lambda_ + (n + 3) * _spacing(a, full)
+            assert_critical(a, res)
+            assert certificates.potential(a, res.lambda_, res.potential, 1e-9)
+            assert level == n or shape != "ring"
+
+    def test_mixed_magnitude_keeps_its_maximum(self, rules):
+        # the loop at node 2 has mean -1e280; the cycle 0 -> 1 has mean 0
+        res = max_cycle_mean(MIXED_MAGNITUDE)
+        assert [len(walks) - 1 for _, walks in rules] == [2]
+        assert (res.lambda_, res.witness_cycle) == (0.0, (0, 1))
+        full = _full_table(MIXED_MAGNITUDE)
+        assert (full.lambda_, full.witness_cycle) == (0.0, (0, 1))
+        assert_critical(MIXED_MAGNITUDE, res)
+
+    def test_a_cycle_just_below_the_maximum_is_never_certified(self):
+        # Karp's rule on the random draws never traced a non-critical cycle
+        # below n, so the stop rule is given one by hand: a loop 1e-6 below
+        # lambda, with the potential its rows give at each level
+        a = large_graph(np.random.default_rng(27), 40, "dense")
+        lam = max_cycle_mean(a).lambda_
+        data = a.data.copy()
+        data[5, 5] = lam - 1e-6
+        a = TropMatrix(data)
+        assert max_cycle_mean(a).lambda_ == lam
+        *_, walks = closure._walk_table(data)
+        for k in (2, 4, 8, 16, 32):
+            x = (walks[:k + 1] - data[5, 5] * np.arange(k + 1)[:, np.newaxis]).max(axis=0)
+            loop = CycleMeanResult(data[5, 5], (5,), TropVector(x))
+            assert not closure._certifies(a, loop, k)
+
+    def test_dominant_loop_stops_by_level_4(self, rules):
+        data = np.random.default_rng(25).uniform(-10, 10, (160, 160))
+        data[17, 17] = 50.0
+        res = max_cycle_mean(TropMatrix(data))
+        assert res.witness_cycle == (17,)
+        assert len(rules[-1][1]) - 1 <= 4
+
+    def test_ring_builds_all_n_levels(self, rules):
+        res = max_cycle_mean(large_graph(np.random.default_rng(26), 160, "ring"))
+        assert [len(walks) - 1 for _, walks in rules] == [2, 4, 8, 16, 32, 64, 128, 160]
+        assert len(res.witness_cycle) == 160
 
 
 class TestMaxCycleMean:

@@ -890,6 +890,20 @@ class TestCheckPasses:
             "-inf", None, None)
         assert passes(payload) == ([], (0, 0, 0))
 
+    @pytest.mark.parametrize("field, value, line", [
+        ("potential", [5.0, 7.0], "acyclic result must not carry a potential"),
+        ("witness_cycle", [0, 1], "acyclic result must not carry a witness cycle")])
+    def test_acyclic_mcm_carries_no_certificate(self, passes, tmp_path, capsys,
+                                                 field, value, line):
+        payload, _ = solve_to_payload(
+            parse_instance('{"problem":"mcm","A":[["-inf",1],["-inf","-inf"]]}'), 1e-9)
+        tampered = dict(payload, **{field: value})
+        assert passes(tampered) == ([line], (0, 0, 0))
+        path = tmp_path / "acyclic.json"
+        path.write_text(json.dumps(tampered))
+        assert main(["check", "--input", str(path)]) == EXIT_CERTIFICATE
+        assert capsys.readouterr().err == f"troplp: certificate violation: {line}\n"
+
     def test_lowered_lambda_runs_one_sweep(self, passes):
         inst = parse_instance('{"problem":"mcm","A":[[1,"-inf"],["-inf",2]]}')
         payload, _ = solve_to_payload(inst, 1e-9)
