@@ -102,7 +102,8 @@ def acyclic_claim(a: TropMatrix, cycle, x) -> list[str]:
     nor a potential is named."""
     return (([] if cycle is None else ["acyclic result must not carry a witness cycle"])
             + ([] if x is None else ["acyclic result must not carry a potential"])
-            + ([] if _acyclic(a) else ["lambda = -inf claimed but the digraph has a cycle"]))
+            + ([] if _acyclic(a.data > EPSILON)
+               else ["lambda = -inf claimed but the digraph has a cycle"]))
 
 
 def subeigenvector(a: TropMatrix, lam: float, x: TropVector, tol: float) -> bool:
@@ -149,13 +150,14 @@ def _cycle_mean(a: TropMatrix, cycle) -> float:
     return float(total / len(cycle))
 
 
-def _acyclic(a: TropMatrix) -> bool:
-    """True when the digraph of A has no cycle: peeling the nodes without an
-    incoming arc, layer by layer, removes them all (Kahn's algorithm, O(n^2)).
-    A node on a cycle, a self-loop included, is never peeled."""
-    arcs = a.data > EPSILON
+def _acyclic(arcs: np.ndarray) -> bool:
+    """True when the digraph of the boolean arc matrix has no cycle: peeling
+    the nodes without an incoming arc, layer by layer, removes them all
+    (Kahn's algorithm, O(n^2)).  A node on a cycle, a self-loop included, is
+    never peeled.  The arcs of A are a.data > EPSILON; kleene_star peels its
+    positive arcs, a.data > 0."""
     indegree = arcs.sum(axis=0)
-    left = np.ones(a.rows, dtype=bool)
+    left = np.ones(arcs.shape[0], dtype=bool)
     layer = np.flatnonzero(indegree == 0)
     while layer.size:
         left[layer] = False

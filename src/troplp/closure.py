@@ -21,12 +21,16 @@ Karp's table uses a super-source with a zero-weight arc to every node, so
 D_0 = 0 and D_k = max_u(D_{k-1}[u] + A[u, :]) is the heaviest walk of exactly
 k arcs ending at each node.  No strongly connected decomposition is needed:
 the source has no incoming arc and adds no cycle.  The star is finite iff
-lambda(A) <= 0, and a positive cycle through node i leaves a positive entry
-(i, i) after the sweep, so the sweep's own diagonal tells convergence and the
-cycle mean is computed only when it turns positive: to name the divergent
-cycle, or to re-sweep A - lambda when 0 < lambda <= tol, since a sweep of A
-is then inflated by about the cycle's length times lambda.  With lambda <= 0
-the positive diagonal was rounding, and the first sweep is the star.
+lambda(A) <= 0.  When the positive arcs of A alone close a cycle, which the
+same O(n^2) peel tells, lambda > 0 is certain, so the cycle mean comes first
+and no sweep of A is built for a star that diverges.  Otherwise the sweep
+comes first: a positive cycle through node i leaves a positive entry (i, i)
+after it, so the sweep's own diagonal tells convergence and the cycle mean
+is computed only when it turns positive.  Either way lambda names the
+divergent cycle when it exceeds tol, and with 0 < lambda <= tol the star is
+a sweep of A - lambda, since a sweep of A is then inflated by about the
+cycle's length times lambda.  With lambda <= 0 the sweep of A is the star,
+its positive diagonal being rounding.
 """
 
 from __future__ import annotations
@@ -168,7 +172,7 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     full table's in its last bits.
     """
     _require_square(a)
-    if _acyclic(a):
+    if _acyclic(a.data > EPSILON):
         return CycleMeanResult(EPSILON, None)
     n = a.rows
     for walks in _walk_table(a.data):
@@ -203,17 +207,29 @@ def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
 
     The series is finite only when the maximum cycle mean is nonpositive, in
     which case it equals the partial sum up to exponent n-1 and is computed
-    by a Floyd-Warshall sweep in O(n^3).  When the sweep's diagonal turns
-    positive, Karp's lambda decides: refuse when lambda > tol, re-sweep
-    A - lambda when 0 < lambda <= tol, else keep the sweep (rounding).
+    by a Floyd-Warshall sweep in O(n^3).  Karp's lambda decides when the
+    positive arcs of A close a cycle, before any sweep, or else when the
+    sweep's diagonal turns positive: refuse when lambda > tol, sweep
+    A - lambda when 0 < lambda <= tol, else the sweep of A is the star.
+
+    A cycle of positive arcs has a positive mean, and it leaves a positive
+    (or overflowed) diagonal entry in the sweep of A, whose sums only grow
+    under rounding; so both orders call on Karp for the same matrices and
+    return the same star.
     """
     _require_square(a)
-    swept = _star_sweep(a.data)
-    if not _diverges(swept):
-        return TropMatrix(swept)
+    swept = None
+    if _acyclic(a.data > 0.0):
+        swept = _star_sweep(a.data)
+        if not _diverges(swept):
+            return TropMatrix(swept)
     cm = max_cycle_mean(a)
     if cm.lambda_ > tol:
         raise DivergentStarError(
             f"star diverges: maximum cycle mean {cm.lambda_} exceeds tol {tol}",
             lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
-    return TropMatrix(swept if cm.lambda_ <= 0.0 else _star_sweep(a.data - cm.lambda_))
+    if cm.lambda_ > 0.0:
+        return TropMatrix(_star_sweep(a.data - cm.lambda_))
+    # lambda <= 0 under a cycle of positive arcs is Karp's rounding, as when
+    # the cycle's sums are absorbed by far larger arcs: sweep A all the same
+    return TropMatrix(_star_sweep(a.data) if swept is None else swept)

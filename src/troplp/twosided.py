@@ -13,11 +13,13 @@ So A* d is the least feasible point of both forms, and since c'y is isotone
 it is the optimum of both.  The star, O(n^3), does the work, with closure's
 divergence rule: it refuses a lambda above tol and re-sweeps A - lambda when
 0 < lambda <= tol.  So a lambda in (0, tol] counts as feasible, and A y + d
-stays within lambda of y.  Both forms run Karp's cycle mean when the sweep's
-diagonal turns positive, as kleene_star does.  The equation form's solution
-kind, lambda < -tol, is read from the star in O(n^2) where it can be, and
-Karp runs for it only where it cannot.  Each solver checks its answer by
-certificates.two_sided, the rule `check` applies.
+stays within lambda of y.  Both forms run Karp's cycle mean only on
+divergence, as kleene_star does: before any sweep when the positive arcs of
+A close a cycle, else when the sweep's diagonal turns positive.  The
+equation form's solution kind, lambda < -tol, is read from the star in
+O(n^2) where it can be, and Karp runs for it only where it cannot.  Each
+solver checks its answer by certificates.two_sided, the rule `check`
+applies.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ tiny instance's answer disagrees with a brute-force oracle.  This smoke test
 runs the same three tests on one seed of both pools: every tiny instance
 (the oracle-checked ones among them) and the first 12 generated ones.  It
 also records that every A of both pools is canonically spelled, so that
-parse_instance reads it from its bytes' test and never through _read_array.
-bench/workloads.py is imported as it is, and the pools are written under
+parse_instance reads it from its bytes' test and never through _read_array,
+and that a star-based solve of the graph pool sweeps A only when its positive
+arcs close no cycle.  bench/workloads.py is imported as it is, and the pools are written under
 the test's temporary directory.
 """
 
@@ -17,6 +18,7 @@ import sys
 import pytest
 
 import util
+from troplp import closure
 from troplp.cli import main
 from troplp.io import _read_array, parse_instance
 
@@ -68,3 +70,20 @@ def test_every_pool_a_takes_the_byte_read(name, tmp_path, monkeypatch):
               for inst in pool]
     assert copied.count(True) == len(pool)
     assert [args[3] for args in reads].count("A") == 0
+
+
+def test_graph_pool_sweeps_only_convergent_stars(tmp_path, monkeypatch, capsys):
+    # the planted cycles of positive arcs are the exit-1 instances: their
+    # divergence is told before any sweep, and every other star solve
+    # sweeps once
+    pool = workloads.build_pool("graph", SEED, tmp_path)
+    sweeps = util.count_calls(monkeypatch, closure._star_sweep)
+    swept = {0: [], 1: []}
+    for inst in pool:
+        if inst.kind == "mcm":
+            continue
+        sweeps.clear()
+        assert main(["solve", "--input", str(inst.path)]) == inst.expected_exit
+        swept[inst.expected_exit].append(len(sweeps))
+    capsys.readouterr()
+    assert swept == {0: [1] * 65, 1: [0] * 23}

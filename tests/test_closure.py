@@ -13,7 +13,7 @@ from troplp import (EPSILON, CycleMeanResult, DimensionMismatchError,
                     max_cycle_mean, solve_tslp, solve_tslp2, subeigen_member,
                     tadd, tmul, transpose)
 from troplp import certificates, closure
-from troplp.closure import _star_sweep
+from troplp.closure import _diverges, _star_sweep
 from troplp.io import parse_instance, solve_to_payload
 from troplp.oracles import brute_cycle_mean, brute_star
 
@@ -157,7 +157,7 @@ class TestAcyclicPeel:
                 # Karp's own verdict: no n-arc walk, so no cycle
                 *_, walks = closure._walk_table(data)
                 acyclic = not (walks[n] > E).any()
-                assert certificates._acyclic(a) == acyclic
+                assert certificates._acyclic(data > E) == acyclic
                 res = max_cycle_mean(a)
                 if acyclic:
                     assert res == CycleMeanResult(E, None, None)
@@ -209,7 +209,7 @@ class TestEarlyStop:
             rules.clear()
             res = max_cycle_mean(a)
             if res.lambda_ == E:  # a sparse draw can be acyclic
-                assert certificates._acyclic(a) and rules == []
+                assert certificates._acyclic(a.data > E) and rules == []
                 continue
             level = len(rules[-1][1]) - 1
             full = _full_table(a)
@@ -460,3 +460,85 @@ class TestKarpCallCount:
         assert len(sweeps) == 1
         kleene_star(tight)
         assert len(sweeps) == 3
+
+    def test_positive_arc_cycle_runs_karp_before_any_sweep(self, monkeypatch, karp_calls):
+        # a cycle of positive arcs certifies lambda > 0 in O(n^2), so Karp's
+        # lambda and witness come without a sweep of A; the other divergent
+        # draws sweep A first, as convergent ones do
+        sweeps = util.count_calls(monkeypatch, closure._star_sweep)
+        rng = np.random.default_rng(19)
+        draws = [TropMatrix([[1.0]])] + [util.positive_cycle_matrix(rng, n)
+                                         for n in (1, 2, 3, 6, 12, 30)]
+        closing = set()
+        for a in draws:
+            cm = max_cycle_mean(a)
+            sweeps.clear()
+            karp_calls.clear()
+            with pytest.raises(DivergentStarError) as exc:
+                kleene_star(a)
+            assert (exc.value.lambda_, exc.value.witness_cycle) == (cm.lambda_,
+                                                                    cm.witness_cycle)
+            closes = not certificates._acyclic(a.data > 0)
+            assert (len(sweeps), len(karp_calls)) == (0 if closes else 1, 1)
+            closing.add(closes)
+        assert closing == {True, False}
+
+    def test_positive_arc_cycle_within_tol_sweeps_a_minus_lambda_once(self, monkeypatch):
+        a = TropMatrix([[E, 4e-10], [4e-10, E]])
+        lam = max_cycle_mean(a).lambda_
+        assert 0 < lam <= 1e-9
+        sweeps = util.count_calls(monkeypatch, closure._star_sweep)
+        star = kleene_star(a)
+        assert len(sweeps) == 1
+        assert sweeps[0][0].tobytes() == (a.data - lam).tobytes()
+        assert star.data.tobytes() == _star_sweep(a.data - lam).tobytes()
+
+
+def _sweep_first(a: TropMatrix, tol: float = 1e-9):
+    """kleene_star's rule with the sweep always first: the star's bytes, or
+    the lambda and witness of the divergence it refuses."""
+    swept = _star_sweep(a.data)
+    if not _diverges(swept):
+        return swept.tobytes()
+    cm = max_cycle_mean(a)
+    if cm.lambda_ > tol:
+        return cm.lambda_, cm.witness_cycle
+    return (swept if cm.lambda_ <= 0.0 else _star_sweep(a.data - cm.lambda_)).tobytes()
+
+
+def _star_shapes(rng, n):
+    """Square matrices of each shape whose star order could matter: mixed
+    signs, dense, sparse and acyclic; planted cycles of positive or mixed
+    arcs; lambda = 0 after normalizing; entries near 1e17 and 1e300."""
+    mixed = rng.uniform(-10, 10, (n, n))
+    yield mixed
+    yield np.where(rng.random((n, n)) < 0.2, mixed, E)
+    yield np.where(np.triu(np.ones((n, n), dtype=bool), 1), mixed, E)
+    nodes = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+    for arcs in (rng.uniform(0.5, 3, nodes.size), rng.uniform(-3, 3, nodes.size)):
+        planted = rng.uniform(-10, -0.01, (n, n))
+        planted[nodes, np.roll(nodes, -1)] = arcs
+        yield planted
+    yield util.nonpositive_cycle_matrix(rng, n, sparse=bool(rng.integers(2))).data
+    for big in (1e17, 1e300):
+        scaled = np.where(rng.random((n, n)) < 0.5, mixed * big / 10, mixed)
+        yield np.where(rng.random((n, n)) < 0.3, E, scaled)
+
+
+def test_star_matches_the_sweep_first_rule():
+    # bit for bit, or the same refusal; the absorbed cycle of ROADMAP item
+    # 3, whose Karp lambda comes out 0.0, takes the sweep of A in both
+    rng = np.random.default_rng(73)
+    absorbed = np.array([[E, 1e17, E], [-1e17, E, 1.0], [E, 1.0, E]])
+    cases = [absorbed] + [data for _ in range(60)
+                          for data in _star_shapes(rng, int(rng.integers(1, 13)))]
+    outcomes = set()
+    for data in cases:
+        a = TropMatrix(data)
+        try:
+            got = kleene_star(a).data.tobytes()
+        except DivergentStarError as exc:
+            got = exc.lambda_, exc.witness_cycle
+        assert got == _sweep_first(a)
+        outcomes.add((isinstance(got, bytes), certificates._acyclic(data > 0)))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}

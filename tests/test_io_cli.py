@@ -1612,3 +1612,66 @@ class TestKindTable:
         failures = re.findall(r"The failure statuses \(.*?\) store `([a-z_ ]+)`\.",
                               " ".join(self.README.split()))
         assert failures == [_stored_names(_DIVERGENT)]
+
+
+def _solve_then_check(obj, tmp_path) -> tuple[int, int | None]:
+    """solve's exit for obj, and check's on the solution it wrote, if any."""
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst.write_text(json.dumps(obj))
+    sol.unlink(missing_ok=True)
+    solved = main(["solve", "--input", str(inst), "--output", str(sol)])
+    return solved, main(["check", "--input", str(sol)]) if sol.exists() else None
+
+
+# the cycle 1 -> 2 -> 1 has mean 1, and the arcs 0 -> 1 -> 0 weigh +-1e17
+_ABSORBED = {"A": [[E, 1e17, E], [-1e17, E, 1.0], [E, 1.0, E]],
+             "d": [0.0] * 3, "c": [0.0] * 3}
+_ABSORPTION = ("ROADMAP item 3: Karp's walk table sums the cycle of mean 1 under "
+               "the 1e17 arcs and returns lambda 0.0 with the witness (0, 1)")
+
+
+class TestAbsorbedCycle:
+    """A small positive cycle under large arcs, which max_cycle_mean misses.
+    Today mcm stores lambda 0.0 and its check exits 3, star stores a diverged
+    sweep that its check rejects, and tslp and tslp2 exit 3 on their own
+    certificate."""
+
+    @pytest.mark.xfail(strict=True, reason=_ABSORPTION)
+    def test_mcm_finds_the_cycle(self, tmp_path):
+        obj = {"problem": "mcm", "A": util.rows_obj(TropMatrix(_ABSORBED["A"]))}
+        assert _solve_then_check(obj, tmp_path) == (EXIT_OK, EXIT_OK)
+        assert json.loads((tmp_path / "sol.json").read_text())["lambda"] == 1.0
+
+    @pytest.mark.xfail(strict=True, reason=_ABSORPTION)
+    @pytest.mark.parametrize("kind", ["star", "tslp", "tslp2"])
+    def test_star_kinds_refuse(self, kind, tmp_path):
+        obj = {key: _ABSORBED[key] for key in _KINDS[kind].fields}
+        obj = dict(obj, problem=kind, A=util.rows_obj(TropMatrix(_ABSORBED["A"])))
+        assert _solve_then_check(obj, tmp_path) == (EXIT_INFEASIBLE, EXIT_OK)
+
+
+_EDGE_VALUES = (0.0, -0.0, 1e-10, -1e-10, 5e-10, 0.1, -0.1, 0.2, -0.3, 1.0, -1.0,
+                3.5, 1e15, 2.0 ** 52, 1e300, -1e300)
+
+
+def test_graph_kinds_never_raise(tmp_path, capsys):
+    # square, epsilon-heavy A with n <= 6 from values at the edges of tol,
+    # of the float spacing and of the input bound: every solve and check
+    # returns a documented exit code
+    rng = np.random.default_rng(75)
+    codes = set()
+    for i in range(600):
+        kind = ("star", "mcm", "tslp", "tslp2")[i % 4]
+        n = int(rng.integers(1, 7))
+        eps = rng.random((n, n)) < rng.uniform(0.3, 0.9)
+        a = np.where(eps, E, rng.choice(_EDGE_VALUES, (n, n)))
+        obj = {"problem": kind, "A": util.rows_obj(TropMatrix(a))}
+        if kind in ("tslp", "tslp2"):
+            obj.update(d=rng.choice(_EDGE_VALUES, n).tolist(),
+                       c=rng.choice(_EDGE_VALUES, n).tolist())
+        solved, checked = _solve_then_check(obj, tmp_path)
+        assert solved in (0, 1, 2, 3) and checked in (None, 0, 1, 2, 3), obj
+        codes.add((kind, solved, checked))
+    capsys.readouterr()
+    assert {(kind, 0, 0) for kind in ("star", "mcm", "tslp", "tslp2")} <= codes
+    assert {(kind, 1, 0) for kind in ("star", "tslp", "tslp2")} <= codes
