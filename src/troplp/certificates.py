@@ -22,20 +22,33 @@ def residuate(a: TropMatrix, b: TropVector) -> TropVector:
     return TropVector((b.data[:, np.newaxis] - a.data).min(axis=0))
 
 
+def _above_residuation(inst, x: TropVector, tol: float) -> float | None:
+    """A x <= b decided on the residuated differences, x <= A#b within tol:
+    x_j <= fl(b_i - a_ij) + tol over the finite a_ij.  The solvers build
+    their witnesses from these same floats, and fl(b - a) is within half a
+    spacing of b - a, so the rule proves a_ij + x_j <= b_i + tol +
+    spacing(b_i - a_ij) / 2 at every magnitude.  The excess is by how much
+    x tops it."""
+    return excess(x.data, residuate(inst.a, inst.b).data, tol)
+
+
 def primal(inst, x: TropVector, stored: float, tol: float, integral: bool = False,
            key: str = "objective") -> list[str]:
     """A x <= b, x integral if asked, and c'x is the value stored under key."""
-    return (_problem("primal witness infeasible by {}",
-                     excess(tmul(inst.a, x).data, inst.b.data, tol))
+    return (_problem("primal witness infeasible by {}", _above_residuation(inst, x, tol))
             + (_integral("x", x, tol) if integral else [])
             + value(key, stored, tdot(inst.c, x), tol))
 
 
 def dual(inst, pi: TropVector, stored: float, tol: float, integral: bool = False,
          key: str = "objective") -> list[str]:
-    """c' <= pi'A, pi integral if asked, and pi'b is the value stored under key."""
-    return (_problem("dual witness infeasible by {}",
-                     excess(inst.c.data, _row_product(pi, inst.a), tol))
+    """c' <= pi'A, pi integral if asked, and pi'b is the value stored under key.
+
+    Column j's constraint, max_i(pi_i + a_ij) >= c_j, is decided on the
+    residuated differences as primal's is: min over the finite a_ij of
+    fl(c_j - a_ij) - pi_i is at most tol."""
+    uncovered = (inst.c.data - inst.a.data - pi.data[:, np.newaxis]).min(axis=0)
+    return (_problem("dual witness infeasible by {}", excess(uncovered, 0.0, tol))
             + (_integral("pi", pi, tol) if integral else [])
             + value(key, stored, tdot(pi, inst.b), tol))
 
@@ -127,10 +140,10 @@ def shortfall(ax: np.ndarray, b: np.ndarray, tol: float) -> tuple[float, bool]:
 
 
 def one_sided(inst, p: TropVector, residual: float, solvable, tol: float) -> list[str]:
-    """A p <= b, and the stored residual and equality flag are those of p."""
-    ap = tmul(inst.a, p).data
-    recomputed, holds = shortfall(ap, inst.b.data, tol)
-    problems = _problem("principal exceeds b by {}", excess(ap, inst.b.data, tol))
+    """A p <= b, as primal decides it, and the stored residual and equality
+    flag are those of p."""
+    recomputed, holds = shortfall(tmul(inst.a, p).data, inst.b.data, tol)
+    problems = _problem("principal exceeds b by {}", _above_residuation(inst, p, tol))
     problems += value("residual", residual, recomputed, tol)
     if solvable is not holds:
         problems.append("solvable_as_equality flag disagrees with residual")

@@ -1,4 +1,4 @@
-"""Special two-sided tropical programs solved through the Kleene star.
+"""Special two-sided tropical programs: the least point y = A* d.
 
 Both programs minimize c'y over n-vectors y constrained against A y and a
 lower vector d:
@@ -10,14 +10,22 @@ Feasible points exist exactly when the maximum cycle mean lambda of A is
 nonpositive.  Every feasible y of either form has y >= d and y >= A y, hence
 y >= A^k d for every k and so y >= A* d; and A* d satisfies the equation.
 So A* d is the least feasible point of both forms, and since c'y is isotone
-it is the optimum of both.  The star, O(n^3), does the work, with closure's
+it is the optimum of both.
+
+The inequality form on an A with no positive arc (epsilon allowed) needs no
+star: A* d is also the least fixed point of y -> A y + d, reached from
+y = d by iterating it (Baccelli et al., Synchronization and Linearity, 1992,
+Thm 3.17).  With every a_ij <= 0 rounding is monotone, fl(a + s) <= s, so
+a walk's nested sum never gains from a cycle and the iteration settles, in
+at most n rounds, on a y with max(A y, d) = y exactly in the floats that
+`check` forms.  Every other solve takes the star, O(n^3), with closure's
 divergence rule: it refuses a lambda above tol and re-sweeps A - lambda when
 0 < lambda <= tol.  So a lambda in (0, tol] counts as feasible, and A y + d
-stays within lambda of y.  Both forms run Karp's cycle mean only on
-divergence, as kleene_star does: before any sweep when the positive arcs of
-A close a cycle, else when the sweep's diagonal turns positive.  The
-equation form's solution kind, lambda < -tol, is read from the star in
-O(n^2) where it can be, and Karp runs for it only where it cannot.  Each
+stays within lambda of y.  Karp's cycle mean runs only on divergence, as in
+kleene_star: before any sweep when the positive arcs of A close a cycle,
+else when the sweep's diagonal turns positive.  The equation form always
+takes the star, and its solution kind, lambda < -tol, is read from the star
+in O(n^2) where it can be; Karp runs for it only where it cannot.  Each
 solver checks its answer by certificates.two_sided, the rule `check`
 applies.
 """
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 
 from .certificates import _heaviest_cycle, _strictly_negative, two_sided
 from .closure import _require_square, kleene_star, max_cycle_mean
-from .core import DEFAULT_TOL, TropMatrix, TropVector, tdot, tmul
+from .core import DEFAULT_TOL, TropMatrix, TropVector, tadd, tdot, tmul
 from .errors import DimensionMismatchError, FiniteRequiredError, require
 
 FEASIBLE = "feasible"
@@ -71,10 +79,29 @@ def tslp_feasible(inst: TwoSidedInstance, y: TropVector,
     return not two_sided(inst, y, tol)
 
 
+def _least_fixed_point(a: TropMatrix, d: TropVector) -> TropVector:
+    """The least y with max(A y, d) = y for an A with no positive arc: the
+    rounds y <- max(A y, d) from y = d, each the product `check` forms,
+    until one changes nothing.  Round k gives the heaviest nested sum over
+    walks of at most k arcs ending in d; a cycle never raises one, as
+    fl(a + s) <= s for a <= 0, so a chain of n nodes takes n rounds and no
+    A takes more."""
+    y = d
+    while True:
+        nxt = tadd(tmul(a, y), d)
+        if nxt == y:
+            return y
+        y = nxt
+
+
 def solve_tslp(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedResult:
-    """Minimize c'y subject to A y + d <= y; the optimum is y = A* d.
+    """Minimize c'y subject to A y + d <= y; the optimum is y = A* d, by
+    iteration when A has no positive arc and by the star otherwise.
     DivergentStarError when lambda(A) > tol leaves no point feasible."""
-    y = tmul(kleene_star(inst.a, tol), inst.d)
+    if (inst.a.data > 0.0).any():
+        y = tmul(kleene_star(inst.a, tol), inst.d)
+    else:
+        y = _least_fixed_point(inst.a, inst.d)
     require(two_sided(inst, y, tol))
     return TwoSidedResult(y, tdot(inst.c, y), FEASIBLE)
 

@@ -8,8 +8,9 @@ runs the same three tests on one seed of both pools: every tiny instance
 also records that every A of both pools is canonically spelled, so that
 parse_instance reads it from its bytes' test and never through _read_array,
 and that a star-based solve of the graph pool sweeps A only when its positive
-arcs close no cycle.  bench/workloads.py is imported as it is, and the pools are written under
-the test's temporary directory.
+arcs close no cycle, and a tslp solve only when A has a positive arc.
+bench/workloads.py is imported as it is, and the pools are written under the
+test's temporary directory.
 """
 
 import importlib.util
@@ -74,16 +75,25 @@ def test_every_pool_a_takes_the_byte_read(name, tmp_path, monkeypatch):
 
 def test_graph_pool_sweeps_only_convergent_stars(tmp_path, monkeypatch, capsys):
     # the planted cycles of positive arcs are the exit-1 instances: their
-    # divergence is told before any sweep, and every other star solve
-    # sweeps once
+    # divergence is told before any sweep; a tslp solve on an A with no
+    # positive arc iterates to its least point without a star; every other
+    # star solve sweeps once
     pool = workloads.build_pool("graph", SEED, tmp_path)
     sweeps = util.count_calls(monkeypatch, closure._star_sweep)
-    swept = {0: [], 1: []}
+    swept = {"swept": [], "tslp without a positive arc": [], "exit 1": []}
     for inst in pool:
         if inst.kind == "mcm":
             continue
         sweeps.clear()
         assert main(["solve", "--input", str(inst.path)]) == inst.expected_exit
-        swept[inst.expected_exit].append(len(sweeps))
+        a = parse_instance(inst.path.read_text(encoding="utf-8")).a
+        if inst.expected_exit == 1:
+            route = "exit 1"
+        elif inst.kind == "tslp" and not (a.data > 0).any():
+            route = "tslp without a positive arc"
+        else:
+            route = "swept"
+        swept[route].append(len(sweeps))
     capsys.readouterr()
-    assert swept == {0: [1] * 65, 1: [0] * 23}
+    assert swept == {"swept": [1] * 48, "tslp without a positive arc": [0] * 17,
+                     "exit 1": [0] * 23}

@@ -1377,29 +1377,19 @@ class TestTolRule:
         assert "tol must be" in capsys.readouterr().err
 
 
-_EXACT_FEASIBILITY = ("ROADMAP item 9: feasibility is decided with the absolute tol, which "
-                      "does not cover the rounding of sums of large entries")
-# item 9 leaves the integer kinds out, and item 3's bound of about 2^50 is far
-# above 2^24, where their witnesses start to fail their own check
-_INTEGER_ROUNDING = ("ROADMAP item 3: from about 2^24 the rounding of an integer witness's "
-                     "sums exceeds the absolute tol, and no planned bound or rule covers it")
-
-
 class TestAbsoluteTolAtLargeEntries:
-    """An answer whose entries are large fails its own check, because tol is
-    absolute: past about 1e7 the rounding of a residual's sums exceeds 1e-9,
-    and past 2^52 the integer lattice cannot be represented at all."""
+    """Answers whose entries are large check, as the A-b-c kinds decide
+    feasibility on the residuated differences the solvers take; past 2^52
+    the integer lattice cannot be represented at all."""
 
     @pytest.mark.parametrize("obj", [
         pytest.param({"problem": "primal",
                       "A": [[47699910.1, 60537069.1], [-50629076.5, 9539710.1],
                             [-40342746.8, 39560781.1]],
                       "b": [1.6, 2.2, 3.1], "c": [3.0, 1.0]},
-                     marks=pytest.mark.xfail(strict=True, reason=_EXACT_FEASIBILITY),
                      id="primal-5e7"),
         pytest.param({"problem": "dual", "A": [[-937663.17], [-51128151.35], [64801275.73]],
                       "b": [4.0, 2.0, 0.0], "c": [-1.6]},
-                     marks=pytest.mark.xfail(strict=True, reason=_EXACT_FEASIBILITY),
                      id="dual-6e7"),
         pytest.param({"problem": "dual-integer", "A": [[-4503599627370496, 0]], "b": [0.5],
                       "c": [0, -3]},
@@ -1409,14 +1399,11 @@ class TestAbsoluteTolAtLargeEntries:
                      id="dual-integer-2^52"),
         pytest.param({"problem": "primal-integer", "A": [[35958365.6]], "b": [-0.4],
                       "c": [-1.3]},
-                     marks=pytest.mark.xfail(strict=True, reason=_INTEGER_ROUNDING),
                      id="primal-integer-3.6e7"),
         pytest.param({"problem": "dual-integer", "A": [[41269077.9]], "b": [-4.0],
                       "c": [-0.1]},
-                     marks=pytest.mark.xfail(strict=True, reason=_INTEGER_ROUNDING),
                      id="dual-integer-4.1e7"),
         pytest.param({"problem": "gap", "A": [[45126766.2]], "b": [2.2], "c": [-4.6]},
-                     marks=pytest.mark.xfail(strict=True, reason=_INTEGER_ROUNDING),
                      id="gap-4.5e7"),
     ])
     def test_fresh_answer_checks(self, obj, tmp_path):

@@ -99,10 +99,12 @@ class TestCertify:
             assert abs(cert.f_max - cert.phi_min) <= 1e-9
 
     def test_runs_the_residuation_once(self, monkeypatch):
-        # pi = f_max - b needs only the primal value, not a second x
+        # pi = f_max - b needs only the primal value, not a second x; the
+        # primal rule residuates once more, as check does
         calls = util.count_calls(monkeypatch, certificates.residuate)
+        rules = util.count_calls(monkeypatch, certificates._above_residuation)
         cert = certify(WORKED)
-        assert len(calls) == 1
+        assert (len(calls), len(rules)) == (2, 1)
         assert cert.pi_opt == solve_dual(WORKED)[0]
 
 

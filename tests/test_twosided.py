@@ -1,15 +1,22 @@
-"""Two-sided programs: inequality and equation forms through the star."""
+"""Two-sided programs: inequality and equation forms, through the star or,
+for tslp on an A with no positive arc, by iteration."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 import util
-from troplp import (DimensionMismatchError, DivergentStarError, LpInstance, TropMatrix,
-                    TropVector, TwoSidedInstance, closure, kleene_star, leq,
-                    max_cycle_mean, solve_dual, solve_tslp, solve_tslp2, tdot, tmul,
-                    transpose, tslp_feasible)
+from troplp import (EPSILON, DimensionMismatchError, DivergentStarError, LpInstance,
+                    TropMatrix, TropVector, TwoSidedInstance, approx_equal, certificates,
+                    closure, core, kleene_star, leq, max_cycle_mean, solve_dual,
+                    solve_tslp, solve_tslp2, tdot, tmul, transpose, tslp_feasible,
+                    twosided)
+from troplp.io import parse_instance, solve_to_payload, verify_payload
+from troplp.oracles import brute_star
 
 TS1 = TwoSidedInstance(TropMatrix([[-1, -2], [-3, -1]]), TropVector([0, 0]),
                        TropVector([0, 0]))
@@ -161,15 +168,21 @@ def test_tslp2_kind_matches_karp(monkeypatch):
        margin=st.sampled_from([0.0, 0.5, 1.0]))
 def test_both_forms_return_the_least_feasible_point(seed, n, margin):
     # every feasible y is A* u for some u >= d (u = y itself, as y >= Ay), so
-    # a y_opt below every such A* u is the least feasible point
+    # a y_opt below every such A* u is the least feasible point; tslp takes
+    # the star only when A has a positive arc, and its iterated y may differ
+    # from tslp2's star in the last bits
     rng = np.random.default_rng(seed)
     inst = util.tslp_instance(rng, n, margin=margin)
-    y = solve_tslp(inst).y_opt
-    assert y == solve_tslp2(inst).y_opt
+    y, y2 = solve_tslp(inst).y_opt, solve_tslp2(inst).y_opt
+    if (inst.a.data > 0).any():
+        assert y == y2
+    else:
+        assert approx_equal(y, y2)
     star = kleene_star(inst.a)
     us = np.vstack([inst.d.data, np.maximum(inst.d.data, rng.uniform(-15, 15, (50, n)))])
     for u in us:
-        assert leq(y, tmul(star, TropVector(u)))
+        image = tmul(star, TropVector(u))
+        assert leq(y, image) and leq(y2, image)
 
 
 class TestFeasibility:
@@ -193,3 +206,102 @@ class TestFeasibility:
             base = tmul(kleene_star(inst.a), util.finite_vector(rng, n))
             kappa = float(np.max(inst.d.data - base.data)) + 1.0
             assert tslp_feasible(inst, TropVector(base.data + kappa))
+
+
+# magnitudes of the entries of A and d, 10^0 to 10^300
+MAGNITUDES = (1.0, 1e4, 1e8, 1e12, 1e16, 1e50, 1e100, 1e200, 1e300)
+
+
+def _no_positive_arc(rng, family: str, n: int, scale: float) -> TropMatrix:
+    """A square A whose finite entries are all <= 0, of one family."""
+    arcs = -rng.uniform(0, scale, (n, n))
+    if family == "sparse":
+        arcs[rng.random((n, n)) < 0.8] = EPSILON
+    elif family == "epsilon-heavy":
+        arcs[rng.random((n, n)) < 0.97] = EPSILON
+    elif family == "zero arcs":
+        arcs = rng.choice([0.0, -0.0, EPSILON], (n, n))
+    elif family == "zero diagonal":
+        np.fill_diagonal(arcs, 0.0)
+    elif family == "dag":
+        arcs[np.tril_indices(n)] = EPSILON
+    return TropMatrix(arcs)
+
+
+def _within_rounding(y: TropVector, a: TropMatrix, d: TropVector) -> bool:
+    """y and A* d agree within the rounding of sums of at most n arcs and d,
+    (n + 1) spacings at (n + 1) times the largest finite magnitude."""
+    n = a.rows
+    scale = certificates._scale(a.data, d.data)
+    slack = (n + 1) * np.spacing((n + 1) * scale)
+    return approx_equal(y, tmul(kleene_star(a), d), slack)
+
+
+class TestLeastFixedPoint:
+    """tslp on an A with no positive arc: the least point by iteration."""
+
+    @pytest.mark.parametrize("scale", MAGNITUDES, ids=lambda m: f"{m:.0e}")
+    def test_fresh_answers_check_at_every_magnitude(self, scale):
+        rng = np.random.default_rng([83, int(np.log10(scale))])
+        for family in ("dense", "sparse", "epsilon-heavy", "zero arcs", "zero diagonal",
+                       "dag"):
+            for _ in range(5):
+                n = int(rng.integers(1, 61))
+                a = _no_positive_arc(rng, family, n, scale)
+                d = TropVector(rng.uniform(-scale, scale, n))
+                obj = {"problem": "tslp", "A": util.rows_obj(a), "d": d.data.tolist(),
+                       "c": rng.uniform(-5, 5, n).tolist()}
+                payload, code = solve_to_payload(parse_instance(json.dumps(obj)), 1e-9)
+                assert code == 0
+                assert verify_payload(json.loads(json.dumps(payload))) == []
+                y = TropVector(payload["y"])
+                inst = TwoSidedInstance(a, d, TropVector(obj["c"]))
+                assert certificates.two_sided(inst, y, 0.0) == []
+                assert _within_rounding(y, a, d)
+                # fl(a + y_j) <= y_i, so the exact a + y_j - y_i is at most
+                # half a spacing of that sum
+                arcs = a.data > EPSILON
+                sums = np.abs(a.data + y.data)[arcs]
+                assert (exact.arcs(a.data, y.data)[arcs] <= np.spacing(sums) / 2).all()
+                assert (exact.lower(d.data, y.data) <= 0).all()
+
+    def test_agrees_with_the_power_sum_within_n_rounds(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        products = util.count_calls(monkeypatch, core.tmul)
+        for family in ("dense", "sparse", "zero arcs", "zero diagonal", "dag"):
+            for _ in range(20):
+                n = int(rng.integers(1, 9))
+                a = _no_positive_arc(rng, family, n, 10.0)
+                d = util.finite_vector(rng, n)
+                products.clear()
+                y = solve_tslp(TwoSidedInstance(a, d, d)).y_opt
+                assert approx_equal(y, tmul(brute_star(a), d))
+                # the rounds and the self-check's product
+                assert len(products) <= n + 1
+
+    def test_builds_no_star_without_a_positive_arc(self, monkeypatch):
+        sweeps = util.count_calls(monkeypatch, closure._star_sweep)
+        karp = util.count_calls(monkeypatch, closure.max_cycle_mean)
+        rng = np.random.default_rng(85)
+        for family in ("dense", "sparse", "zero arcs", "zero diagonal", "dag"):
+            a = _no_positive_arc(rng, family, 12, 10.0)
+            solve_tslp(TwoSidedInstance(a, util.finite_vector(rng, 12),
+                                        util.finite_vector(rng, 12)))
+        assert (sweeps, karp) == ([], [])
+        # one positive arc on a cycle of mean -2 takes the star
+        solve_tslp(TwoSidedInstance(TropMatrix([[-5, 1], [-5, -5]]), TropVector([0, 0]),
+                                    TropVector([0, 0])))
+        assert (len(sweeps), karp) == (1, [])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_chain_takes_n_rounds(self, n, monkeypatch):
+        # y_i >= y_{i+1} - 1 and d lifts only the last node: round k reaches
+        # node n - 1 - k, and round n changes nothing
+        a = np.full((n, n), EPSILON)
+        a[np.arange(n - 1), np.arange(1, n)] = -1.0
+        d = np.zeros(n)
+        d[-1] = 2.0 * n
+        products = util.count_calls(monkeypatch, core.tmul)
+        y = twosided._least_fixed_point(TropMatrix(a), TropVector(d))
+        assert len(products) == n
+        assert y == TropVector(np.maximum(2.0 * n - np.arange(n)[::-1], 0.0))
