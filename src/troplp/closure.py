@@ -70,15 +70,13 @@ def _walk_table(data: np.ndarray):
     """Rows D_0..D_k of Karp's walk table, yielded at the levels k = 2, 4,
     8, ... below n and at k = n; row k holds the heaviest weight of a k-arc
     walk ending at each node.  Each yield is a view of one table that grows
-    in place, so every level is built once."""
+    in place, so every level is built once, from one n x n temporary."""
     n = data.shape[0]
     walks = np.empty((n + 1, n))
     walks[0] = 0.0
-    buf = np.empty_like(data)
     level = 2
     for k in range(1, n + 1):
-        np.add(walks[k - 1][:, np.newaxis], data, out=buf)
-        buf.max(axis=0, out=walks[k])
+        walks[k] = (walks[k - 1][:, np.newaxis] + data).max(axis=0)
         if k == level or k == n:
             level *= 2
             yield walks[:k + 1]

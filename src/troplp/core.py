@@ -123,8 +123,8 @@ def tmul(a: TropMatrix, b):
     """Max-plus product: matrix x matrix -> matrix, matrix x vector -> vector.
 
     The matrix product makes one rank-one update per inner index, which keeps
-    the working set at one m x n buffer instead of the m x k x n broadcast
-    temporary.
+    the working set at one m x n temporary per step instead of the
+    m x k x n broadcast temporary.
     """
     if isinstance(b, TropVector):
         if a.cols != len(b):
@@ -136,10 +136,8 @@ def tmul(a: TropMatrix, b):
             f"inner dimensions disagree: {a.shape} x {b.shape}")
     x, y = a.data, b.data
     out = x[:, 0:1] + y[0:1, :]
-    term = np.empty_like(out)
     for k in range(1, a.cols):
-        np.add(x[:, k:k + 1], y[k:k + 1, :], out=term)
-        np.maximum(out, term, out=out)
+        np.maximum(out, x[:, k:k + 1] + y[k:k + 1, :], out=out)
     return TropMatrix(out)
 
 

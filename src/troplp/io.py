@@ -255,18 +255,15 @@ def _row_texts(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
 
     The text is trusted only with no backslash in it, so that "A" is spelled
     plainly, and with one "A", so that it is the key parsed.  The test runs
-    in C-level passes: counts over the region's bytes, and comparisons on the
-    index arrays of its commas and tokens.
+    in C-level passes over the whole region: counts over its bytes, and
+    comparisons on the index arrays of its commas and tokens.  An integer
+    anywhere in A fails the count of dots, one per number.
     """
     key = text.find('"A"')
     first = key + 6  # the '[' of row 0; the region runs to the ']' of the last row
     if key < 0 or not text.startswith('"A": [[', key) or "\\" in text:
         return None
-    # row 0 alone refuses an integer-spelled A: its numbers need one '.' each
-    row = text[first:text.find("]", first)]
-    n = row.count(",") + 1
-    if row.count(".") != n - row.count('"') // 2:
-        return None
+    n = text.count(",", first, text.find("]", first)) + 1  # row 0's width
     last = text.rfind("]]") + 1
     # a second "A" inside the region would fail the byte counts below
     if last <= first or text.find('"A"', last) >= 0:

@@ -6,7 +6,8 @@ math.fsum returns the correctly rounded value of the exact sum of its terms
 geometric predicates", DCG 18, 1997), so the sign of each excess below is
 exact and its size is off by at most half a spacing of itself.  An epsilon
 entry of A gives the excess of an absent arc: -inf where A's entry adds,
-+inf where it is subtracted, as a minimum over rows then skips it.
++inf where it is subtracted, as a minimum over rows then skips it.  The
+rules with lambda take it finite, as a cyclic A's cycle mean is.
 """
 
 from __future__ import annotations
@@ -43,3 +44,31 @@ def arcs(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 def lower(d: np.ndarray, y: np.ndarray) -> np.ndarray:
     """d_i - y_i for d <= y."""
     return _sums(d, -y)
+
+
+def potential(a: np.ndarray, lam: float, x: np.ndarray) -> np.ndarray:
+    """x_u + a_uv - lam - x_v for x_u + a_uv <= lam + x_v, the mcm
+    potential's rule on every arc u -> v."""
+    return _sums(x[:, np.newaxis], a, -lam, -x[np.newaxis, :])
+
+
+def cycle(a: np.ndarray, nodes, lam: float) -> float:
+    """A cycle's excess over lam: the sum of its k arcs minus k copies of
+    lam, positive exactly when its mean is above lam."""
+    weights = [a[u, v] for u, v in zip(nodes, [*nodes[1:], nodes[0]])]
+    return math.fsum(weights + [-lam] * len(nodes))
+
+
+def fixed_point(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """max(A S, I) - S, the star's fixed-point rule: max_k(a_ik + S_kj) - S_ij,
+    with 0 - S_ii as one more term on the diagonal.  A term whose arc or
+    star entry is epsilon is absent from the maximum, and an epsilon S_ij
+    under a present term gives +inf."""
+    n = len(s)
+    left = np.broadcast_to(a[:, :, np.newaxis], (n, n, n))  # [i, k, j]
+    right = np.broadcast_to(s[np.newaxis, :, :], (n, n, n))
+    present = (left > -np.inf) & (right > -np.inf)
+    sums = _sums(np.where(present, left, 0.0), np.where(present, right, 0.0), -s[:, np.newaxis, :])
+    out = np.where(present, sums, -np.inf).max(axis=1)
+    np.fill_diagonal(out, np.maximum(out.diagonal(), -s.diagonal()))
+    return out

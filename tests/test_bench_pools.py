@@ -5,23 +5,28 @@ the one its generator expects, when check rejects the solution, or when a
 tiny instance's answer disagrees with a brute-force oracle.  This smoke test
 runs the same three tests on one seed of both pools: every tiny instance
 (the oracle-checked ones among them) and the first 12 generated ones.  It
-also records that every A of both pools is canonically spelled, so that
-parse_instance reads it from its bytes' test and never through _read_array,
-and that a star-based solve of the graph pool sweeps A only when its positive
-arcs close no cycle, and a tslp solve only when A has a positive arc.
-bench/workloads.py is imported as it is, and the pools are written under the
-test's temporary directory.
+also counts the instances that take each fast path the code keeps, so that
+a path whose traffic falls to zero fails here (ROADMAP's traffic table gives
+each path's share of the pools and its measured gain): every A of both pools
+is canonically spelled, so that parse_instance reads it from its bytes' test
+and never through _read_array; a star-based solve of the graph pool sweeps A
+only when its positive arcs close no cycle, and a tslp solve only when A has
+a positive arc; and the graph pool's solves and checks take the acyclic
+peel, Karp's early stop, the star writer's distinct values and the
+strictly-negative exits.  bench/workloads.py is imported as it is, and the
+pools are written under the test's temporary directory.
 """
 
 import importlib.util
 import sys
+from collections import Counter
 
 import pytest
 
 import util
-from troplp import closure
+from troplp import EPSILON, certificates, closure, twosided
 from troplp.cli import main
-from troplp.io import _read_array, parse_instance
+from troplp.io import _distinct_value_rows, _read_array, _read_canonical, parse_instance
 
 SEED = 11
 FIRST = 12
@@ -67,10 +72,16 @@ def test_pool_solves_checks_and_matches_the_oracles(name, tmp_path, capsys):
 def test_every_pool_a_takes_the_byte_read(name, tmp_path, monkeypatch):
     pool = workloads.build_pool(name, SEED, tmp_path)
     reads = util.count_calls(monkeypatch, _read_array)
+    canonical = util.count_calls(monkeypatch, _read_canonical)
     copied = [parse_instance(inst.path.read_text(encoding="utf-8")).a_rows is not None
               for inst in pool]
     assert copied.count(True) == len(pool)
     assert [args[3] for args in reads].count("A") == 0
+    # an A with epsilon fills an array from the rows' floats alone, and the
+    # vectors, all floats, are settled by _read_array's one count
+    assert sum(args[1].any() for args in canonical) == {"graph": 35, "lp": 4}[name]
+    assert [all(type(v) is float for v in args[0]) for args in reads].count(False) == 0
+    assert len(reads) == {"graph": 100, "lp": 208}[name]
 
 
 def test_graph_pool_sweeps_only_convergent_stars(tmp_path, monkeypatch, capsys):
@@ -80,6 +91,7 @@ def test_graph_pool_sweeps_only_convergent_stars(tmp_path, monkeypatch, capsys):
     # star solve sweeps once
     pool = workloads.build_pool("graph", SEED, tmp_path)
     sweeps = util.count_calls(monkeypatch, closure._star_sweep)
+    iterations = util.count_calls(monkeypatch, twosided._least_fixed_point)
     swept = {"swept": [], "tslp without a positive arc": [], "exit 1": []}
     for inst in pool:
         if inst.kind == "mcm":
@@ -97,3 +109,38 @@ def test_graph_pool_sweeps_only_convergent_stars(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert swept == {"swept": [1] * 48, "tslp without a positive arc": [0] * 17,
                      "exit 1": [0] * 23}
+    assert len(iterations) == 17
+
+
+def test_graph_pool_takes_the_kept_kernel_and_check_paths(tmp_path, monkeypatch, capsys):
+    # the instances that take each kept route of the solves and checks, as
+    # ROADMAP's traffic table counts them; none may fall to zero
+    pool = workloads.build_pool("graph", SEED, tmp_path)
+    strictly_negative = certificates._strictly_negative  # before the counter replaces it
+    calls = {fn.__name__: util.count_calls(monkeypatch, fn) for fn in (
+        closure.max_cycle_mean, closure._karp, closure._critical_cycle,
+        certificates._strictly_negative, _distinct_value_rows)}
+    out = tmp_path / "solution.json"
+    taken = Counter()
+    for inst in pool:
+        for step in ("solve", "check"):
+            for recorded in calls.values():
+                recorded.clear()
+            args = ["--input", str(inst.path), "--output", str(out)] if step == "solve" else [
+                "--input", str(out)]
+            assert main([step, *args]) == (inst.expected_exit if step == "solve" else 0)
+            karps = calls["_karp"]
+            taken.update({
+                "acyclic peel": any(certificates._acyclic(a.data > EPSILON)
+                                    for a, in calls["max_cycle_mean"]),
+                "Karp stopped early": bool(karps) and len(karps[-1][1]) - 1 < karps[-1][0].rows,
+                "Karp traced a cycle": bool(calls["_critical_cycle"]),
+                f"strictly negative in {step}": any(
+                    strictly_negative(*a) for a in calls["_strictly_negative"]),
+                "star written from distinct values": bool(calls["_distinct_value_rows"]),
+            })
+    capsys.readouterr()
+    # the strictly-negative solves are tslp2's kind, the checks the stars'
+    assert taken == {"acyclic peel": 6, "Karp stopped early": 41, "Karp traced a cycle": 45,
+                     "strictly negative in solve": 17, "strictly negative in check": 31,
+                     "star written from distinct values": 31}

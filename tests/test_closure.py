@@ -212,6 +212,16 @@ class TestEarlyStop:
                 assert certificates._acyclic(a.data > E) and rules == []
                 continue
             level = len(rules[-1][1]) - 1
+            # the table's rows, as each level yields them, are the products
+            # D_k = A^T D_(k-1) from D_0 = 0, bit for bit
+            reference = [np.zeros(n)]
+            for _ in range(n):
+                reference.append(tmul(transpose(a), TropVector(reference[-1])).data)
+            levels = []
+            for walks in closure._walk_table(a.data):
+                levels.append(len(walks) - 1)
+                assert walks.tobytes() == np.array(reference[:len(walks)]).tobytes()
+            assert levels == [2 ** p for p in range(1, n.bit_length()) if 2 ** p < n] + [n]
             full = _full_table(a)
             # each potential bounds every cycle mean, the other's witness too
             assert full.lambda_ <= res.lambda_ + (level + 3) * _spacing(a, res)

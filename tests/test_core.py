@@ -107,6 +107,14 @@ class TestTmul:
             y = np.where(rng.random((k, n)) < 0.3, E, rng.uniform(-9, 9, (k, n)))
             expected = (x[:, :, np.newaxis] + y[np.newaxis, :, :]).max(axis=1)
             assert np.array_equal(tmul(TropMatrix(x), TropMatrix(y)).data, expected)
+        # epsilon, signed zeros and entries at the instance bound: sums of
+        # -0.0, of +-2e300 and of opposite bounds, compared bit for bit
+        specials = np.array([E, -0.0, 0.0, 1e300, -1e300, 1.5])
+        for _ in range(40):
+            m, k, n = (int(v) for v in rng.integers(1, 7, 3))
+            x, y = rng.choice(specials, (m, k)), rng.choice(specials, (k, n))
+            expected = (x[:, :, np.newaxis] + y[np.newaxis, :, :]).max(axis=1)
+            assert tmul(TropMatrix(x), TropMatrix(y)).data.tobytes() == expected.tobytes()
 
 
 class TestLeq:

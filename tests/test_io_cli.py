@@ -441,6 +441,7 @@ class TestRowCopy:
 
     @pytest.mark.parametrize("text, reads, copied", [
         ('{"problem": "mcm", "A": [[1, 2], [3, 4]]}', 1, False),
+        ('{"problem": "mcm", "A": [[1, 2.5], [3.5, 4.0]]}', 1, False),
         ('{"problem": "onesided", "A": [[1e2, 1.5]], "b": [1.0]}', 1, False),
         ('{"problem": "onesided", "A": [[1.50, 2.0]], "b": [1.0]}', 1, False),
         ('{"problem": "onesided", "A": [[-0.0, 0.0, 0.0001, 2.5]], "b": [1.0]}', 0, True),
@@ -462,7 +463,7 @@ class TestRowCopy:
         ('{"problem": "onesided", "A": [[1.5], [0.25], [-3.0]], "b": [1.0, 2.0, 3.0]}', 0, True),
         ('{"problem": "onesided", "A": [[-0.0, "-inf"], ["-inf", -3.0]], "b": [1.0, 2.0]}',
          0, True),
-    ], ids=["int", "exponent", "trailing-zero", "zeros-and-1e-4", "below-1e-4",
+    ], ids=["int", "int-in-row-0", "exponent", "trailing-zero", "zeros-and-1e-4", "below-1e-4",
             "17-digits", "16-digits", "15-digits", "eps", "compact", "indent",
             "A-last", "comma-without-space", "rows-without-space", "escaped-A",
             "escaped-A-duplicate", "single-row", "single-column", "negative-zero-and-eps"])
@@ -493,9 +494,10 @@ class TestRowCopy:
         ("[[0.5, 2.5], [-1.5, true]]", "A[1][1]: booleans are not numbers"),
         ("[[0.5, 2.5], [-1.5, null]]", "A[1][1]: expected a number, got None"),
         ("[[0.5, 2.5], [-1.5]]", "A: row 1 has length 1, expected 2"),
+        ("[[1, 2], [-1.5]]", "A: row 1 has length 1, expected 2"),
         ('[[0.5, 2.5], [-1.5, 1.0]], "A": [1.5, 2.5]', "A: row 0 is not a non-empty list"),
     ], ids=["eps-in-primal", "string", "eps-misspelled", "string-trailing-zero", "true",
-            "null", "ragged", "duplicate-A"])
+            "null", "ragged", "integer-ragged", "duplicate-A"])
     def test_other_input_falls_back_with_the_message(self, a, message, monkeypatch):
         # canonical bytes around one thing the byte read does not take, or,
         # for primal, an all-epsilon column it takes in any kind and the
