@@ -29,13 +29,11 @@ optimum, with pi_i = phi_int - b_i.  The paper's candidate descent for
 general real b reaches the same value; it is kept as a test reference in
 oracles.descent_dual_integer.
 
-Past 2^52 in magnitude the float64 spacing is at least 1, so every float
-there is an integer.  fr returns 0.  With phase 0, ceil_frac and floor_frac
-return x itself: x - tol and x + tol round back to x for any tol below half
-the spacing, so tol is absorbed.  A nonzero phase (from a small b_i) cannot
-be represented there: x - phase rounds to a float, the result rounds again,
-and it can miss x by one spacing in either direction; for instance
-ceil_frac(2^52 + 1, 0.5) is 2^52.
+Past 2^52 the float64 spacing is at least 1: fr returns 0, tol is absorbed,
+and a nonzero phase cannot be represented (ceil_frac(2^52 + 1, 0.5) is 2^52).
+So the integer kinds of the file format take an instance only if
+integer_instance bounds every level |b_i + c_j - a_ij| by 2^50, where its
+spacing is at most 1/4; the solvers leave that bound to their caller.
 """
 
 from __future__ import annotations
@@ -45,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import certificates
-from .core import DEFAULT_TOL, TropVector, tdot
+from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, tdot
+from .errors import InstanceFormatError
 from .lp import LpInstance
 
 
@@ -66,6 +65,17 @@ def ceil_frac(x, phase, tol: float = DEFAULT_TOL):
 def floor_frac(x, phase, tol: float = DEFAULT_TOL):
     """Greatest u <= x (within tol) whose fractional part equals phase; elementwise."""
     return np.floor(x - phase + tol) + phase
+
+
+def integer_instance(a: TropMatrix, b: TropVector, c: TropVector) -> LpInstance:
+    """LpInstance's guard plus the integer kinds' bound (module docstring)."""
+    inst = LpInstance(a, b, c)
+    level = (np.max(np.abs(b.data[:, np.newaxis] - a.data), where=a.data > EPSILON, initial=0)
+             + np.abs(c.data).max())
+    if level > 2.0**50:
+        raise InstanceFormatError("the integer kinds need the largest finite |b_i - a_ij| "
+                                  f"plus the largest |c_j| at most 2^50, got {float(level)!r}")
+    return inst
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,14 @@ Solutions embed the instance they were computed from, so a solution file
 alone is enough to re-check its certificate.  A solution payload is the JSON
 document itself, epsilon spelled "-inf" in memory as on disk: one reader
 (_read_array) turns its arrays into floats and one writer (_json) back.  The
-reader lists its entries' types once, which settles an all-float array
-(every epsilon-free array troplp writes) in one count, and converts only the
-numbers of an array with epsilon; it reads a valid array in C-level passes
-and walks entries only to name a bad one.  An input's A is the exception
-both ways.  parse_instance tests A's bytes first (_row_texts): a canonically
-spelled A holds only floats and "-inf", is converted from its decoded rows
-without _read_array, and keeps those rows with their texts, so the payload
-embeds them instead of a second list from _json and the layout copies the
-texts instead of formatting every float again.  Any other spelling takes
-_read_array with its messages.  A star's rows are written from its distinct
-values, each formatted once (_distinct_value_rows).  The bytes are the same
-either way.
+reader fills an epsilon array with the numbers alone in C-level passes,
+walking entries only to name a bad one.  It takes the epsilon mask from the
+entries' types, or from a test of the bytes (_row_texts) for an input's A
+that the test proves canonically spelled, floats and "-inf" alone.  Such an
+A also keeps its decoded rows with their texts: the payload embeds them, and
+the layout copies the texts instead of formatting every float again.  A
+star's rows are written from its distinct values, each formatted once
+(_distinct_value_rows).  The bytes are the same either way.
 
 A problem kind is one entry of the `_KINDS` table: its instance fields, the
 guard of its domain, its solver, its certificate check, the fields its
@@ -55,7 +51,8 @@ from .closure import (_diverges, _require_square, _star_sweep, kleene_star,
                       max_cycle_mean)
 from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, tdot
 from .errors import DivergentStarError, InstanceFormatError
-from .intlp import duality_gap, solve_dual_integer, solve_primal_integer
+from .intlp import (duality_gap, integer_instance, solve_dual_integer,
+                    solve_primal_integer)
 from .lp import LpInstance, solve_dual, solve_primal
 from .onesided import _check_system, solve_equality
 from .twosided import (FEASIBLE, UNIQUE_FIXED_POINT, TwoSidedInstance,
@@ -121,18 +118,19 @@ def _number(value, allow_eps: bool, where: str) -> float:
 _INT_OVERFLOW = 2**1024 - 2**970  # the least integer float() cannot convert
 
 
-def _read_array(value, ndim: int, allow_eps: bool, where: str, bound: float) -> np.ndarray:
+def _read_array(value, ndim: int, allow_eps: bool, where: str, bound: float,
+                eps: np.ndarray | None = None) -> np.ndarray:
     """A list of numbers (ndim 1) or of equal-length rows (ndim 2) as a float
     array, its finite entries at most bound in magnitude: _MAX_ENTRY in an
     instance, _MAX_STORED in a solution.  The error is the one _number gives
     for the first bad entry, or the malformed row before it; with no such
-    error, _check_magnitude's.  A valid array is read in C-level
-    passes: a list of its entries' exact types, which settles an all-float
-    array by one count (only other arrays build the set of their types) and
-    an epsilon array's strings by another; one float conversion, of the
-    numbers alone into an epsilon-filled array when there is epsilon; and a
-    count of the values within bound, which fails on epsilon, +inf and nan,
-    so the rest must be epsilon.  Only a failed pass walks the entries."""
+    error, _check_magnitude's.  eps flags the epsilon entries, row by row:
+    _row_texts gives it for a canonically spelled A, whose entries its byte
+    test proved floats below 1e15 in magnitude or "-inf", and the entries'
+    types give it otherwise.  A valid array is read in C-level passes: one
+    float conversion, of the numbers alone, and a count of the values within
+    bound, which fails on epsilon, +inf and nan.  Only a failed pass walks
+    the entries."""
     if not isinstance(value, list) or not value:
         raise InstanceFormatError(
             f"{where}: expected a non-empty list of {'numbers' if ndim == 1 else 'rows'}")
@@ -145,27 +143,33 @@ def _read_array(value, ndim: int, allow_eps: bool, where: str, bound: float) -> 
             raise InstanceFormatError(f"{where}: row {i} " + (
                 f"has length {len(row)}, expected {width}" if isinstance(row, list) and row
                 else "is not a non-empty list"))
-    cells = list(chain.from_iterable(rows))
-    types = list(map(type, cells))
-    kinds = {float} if types.count(float) == len(cells) else set(types)
-    values, eps = None, 0
-    try:
+    cells = chain.from_iterable(rows)
+    if eps is None:  # a list of the entries' exact types; one count settles all-float
+        cells = list(cells)
+        types = list(map(type, cells))
+        kinds = {float} if types.count(float) == len(cells) else set(types)
         if kinds <= {int, float}:
-            values = np.fromiter(cells, float, len(cells))
+            eps = np.zeros(len(cells), dtype=bool)
         elif allow_eps and kinds <= {int, float, str}:
-            objects = np.fromiter(cells, object, len(cells))
-            is_eps = objects == "-inf"
-            eps = np.count_nonzero(is_eps)
-            if types.count(str) == eps:  # every string is "-inf"
-                numbers = ~is_eps  # converted alone: sparse graphs are mostly epsilon
-                values = np.full(len(cells), EPSILON)
-                values[numbers] = objects[numbers].astype(float)
-    except OverflowError:  # an integer past float range, which the walk names
-        pass
-    if values is None or np.count_nonzero(np.abs(values) <= bound) != len(cells) - eps:
+            eps = np.fromiter(cells, object, len(cells)) == "-inf"
+            if types.count(str) != np.count_nonzero(eps):  # a string other than "-inf"
+                eps = None
+    values = None
+    if eps is not None:
+        numbers = ~eps
+        count = np.count_nonzero(numbers)
+        try:
+            if count == eps.size:
+                values = np.fromiter(cells, float, count)
+            else:  # the numbers alone: sparse graphs are mostly epsilon
+                values = np.full(eps.size, EPSILON)
+                values[numbers] = np.fromiter(compress(cells, numbers.tobytes()), float, count)
+        except OverflowError:  # an integer past float range, which the walk names
+            values = None
+    if values is None or np.count_nonzero(np.abs(values) <= bound) != count:
         values = np.array([_number(cell, allow_eps, f"{where}[{k}]" if ndim == 1
                                    else f"{where}[{k // width}][{k % width}]")
-                           for k, cell in enumerate(cells)])
+                           for k, cell in enumerate(chain.from_iterable(rows))])
         _check_magnitude(where, values, bound)
     return values if ndim == 1 else values.reshape(len(rows), width)
 
@@ -204,7 +208,7 @@ def _instance_from_obj(obj, default_problem: str | None = None,
                        eps: np.ndarray | None = None) -> InstanceFile:
     """The instance in a decoded JSON object, read for its format alone: its
     fields, their JSON types and their magnitudes, "-inf" allowed in every
-    array.  eps is A's mask from _row_texts, which spares A _read_array."""
+    array.  eps is A's epsilon mask from _row_texts, if it gave one."""
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance must be a JSON object")
     problem = obj.get("problem", default_problem)
@@ -221,17 +225,21 @@ def _instance_from_obj(obj, default_problem: str | None = None,
         if key not in obj:
             raise InstanceFormatError(f'missing required field "{key}" for kind {problem!r}')
 
-    a = TropMatrix(_read_array(obj["A"], 2, True, "A", _MAX_ENTRY) if eps is None
-                   else _read_canonical(obj["A"], eps))
+    a = TropMatrix(_read_array(obj["A"], 2, True, "A", _MAX_ENTRY, eps))
     vectors = {key: TropVector(_read_array(obj[key], 1, True, key, _MAX_ENTRY))
                for key in required[1:]}
     tol = check_tol(obj["tol"]) if "tol" in obj else None
     return InstanceFile(problem, a, tol=tol, **vectors)
 
 
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode  # built once, as _encode
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        if text.startswith("\ufeff"):  # json.loads' one test before it decodes
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _decode(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
@@ -244,8 +252,8 @@ def _load_json(text: str):
 def _row_texts(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
     """A's row texts and epsilon mask (a flag per entry, row by row) cut from
     the instance text, or None.  The test reads bytes alone, runs before A is
-    read, and decides both how A is read and whether the writer copies these
-    texts.  It passes when the text spells A as the canonical layout writes
+    read, and decides both whether A is read with this mask and whether the
+    writer copies these texts.  It passes when the text spells A as the canonical layout writes
     it: ', ' between entries, '], [' between rows, and each entry "-inf" or a
     number with one '.', no exponent, at most 15 digits (which round-trip
     through float64, so no shorter spelling does) and no trailing zero but
@@ -306,24 +314,13 @@ def _row_texts(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
 _EPS_BYTES = np.frombuffer(b'"-inf"', np.uint8)
 
 
-def _read_canonical(rows: list, eps: np.ndarray) -> np.ndarray | list:
-    """A canonically spelled A from its decoded rows: the rows themselves, or
-    with epsilon an epsilon-filled array that takes the rows' floats."""
-    if not eps.any():
-        return rows
-    values = np.full(eps.size, EPSILON)
-    values[~eps] = np.fromiter(compress(chain.from_iterable(rows), (~eps).tobytes()),
-                               float, eps.size - np.count_nonzero(eps))
-    return values.reshape(len(rows), -1)
-
-
 def parse_instance(text: str, default_problem: str | None = None) -> InstanceFile:
     """Parse one instance from JSON text and check its format: the fields,
     their JSON types and their magnitudes.  The kind's domain is left to
-    solve_to_payload.  A canonically spelled A (_row_texts) is read from its
-    decoded rows, floats and "-inf" as _json would build them, and kept with
-    their texts for the writer unless repr spells an entry below 1e-4 with an
-    exponent."""
+    solve_to_payload.  A canonically spelled A (_row_texts) is read with its
+    epsilon mask, and its decoded rows, floats and "-inf" as _json would
+    build them, are kept with their texts for the writer unless repr spells
+    an entry below 1e-4 with an exponent."""
     obj = _load_json(text)
     texts, eps = _row_texts(text) or (None, None)
     inst = _instance_from_obj(obj, default_problem, eps)
@@ -531,15 +528,16 @@ class _Kind(NamedTuple):
     immutable and takes less import time, which every CLI start pays.
 
     domain is the library guard that states the kind's rule on its instance
-    (where epsilon may stand, whether A is square, the vectors' lengths),
-    called as domain(A, *vectors in field order); it raises
-    FiniteRequiredError or DimensionMismatchError.  stored lists the fields a
-    solution stores, in the order solve_to_payload writes them, each with
-    its reader.  solve(inst, tol) returns their values in that order, and
-    check(inst, tol, *values) applies the rules of certificates to the values
-    read back.  statuses[0] is the status of a solved instance; statuses[1],
-    present only for kinds whose solver can raise DivergentStarError, is
-    written when it does, with the fields of _DIVERGENT.
+    (where epsilon may stand, whether A is square, the vectors' lengths, the
+    integer kinds' bound), called as domain(A, *vectors in field order); it
+    raises FiniteRequiredError, DimensionMismatchError or InstanceFormatError.
+    stored lists the fields a solution stores, in the order solve_to_payload
+    writes them, each with its reader.  solve(inst, tol) returns their values
+    in that order, and check(inst, tol, *values) applies the rules of
+    certificates to the values read back.  statuses[0] is the status of a
+    solved instance; statuses[1], present only for kinds whose solver can
+    raise DivergentStarError, is written when it does, with the fields of
+    _DIVERGENT.
     """
 
     fields: tuple[str, ...]
@@ -563,17 +561,17 @@ _KINDS = {
                   lambda inst, tol, phi, pi: certificates.dual(inst, pi, phi, tol),
                   (("objective", _read_number), ("pi", _read_m_vector))),
     "primal-integer": _Kind(
-        _ABC, LpInstance,
+        _ABC, integer_instance,
         lambda inst, tol: attrgetter("f_max_int", "x_opt")(solve_primal_integer(inst, tol)),
         lambda inst, tol, f, x: certificates.primal(inst, x, f, tol, integral=True),
         (("objective", _read_number), ("x", _read_n_vector))),
     "dual-integer": _Kind(
-        _ABC, LpInstance,
+        _ABC, integer_instance,
         lambda inst, tol: attrgetter("phi_min_int", "pi_opt")(solve_dual_integer(inst, tol)),
         lambda inst, tol, phi, pi: certificates.dual(inst, pi, phi, tol, integral=True),
         (("objective", _read_number), ("pi", _read_m_vector))),
     "gap": _Kind(
-        _ABC, LpInstance,
+        _ABC, integer_instance,
         lambda inst, tol: attrgetter("lower", "real_optimum", "upper", "primal.x_opt",
                                      "dual.pi_opt")(duality_gap(inst, tol)),
         lambda inst, tol, lower, real, upper, x, pi: (
@@ -631,8 +629,8 @@ def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
     """Dispatch on the instance kind; returns (solution payload, exit code).
 
     The kind's domain guard runs first: an instance outside the domain raises
-    its FiniteRequiredError or DimensionMismatchError, which the CLI reports
-    as an input error (exit 2)."""
+    its FiniteRequiredError, DimensionMismatchError or InstanceFormatError,
+    which the CLI reports as an input error (exit 2)."""
     spec = _spec(inst.problem)
     spec.domain(inst.a, *(getattr(inst, key) for key in spec.fields[1:]))
     try:
@@ -651,18 +649,17 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
     """Re-validate a solution payload against its embedded instance.
 
     Returns a list of human-readable violations, a missing or malformed
-    stored field among them; empty means the certificate holds.  A missing problem or
-    instance field, an unknown kind, a malformed instance or a bad tolerance
-    raises InstanceFormatError instead, and an instance outside the kind's
-    domain the guard's FiniteRequiredError or DimensionMismatchError, the
-    same error solve_to_payload raises: the CLI exits 2 on each.  A
-    missing status reads as the kind's solved status.  Every field the status
-    stores (_Kind.stored, or _DIVERGENT) is required and read in order, and
-    the first one missing or malformed is the one problem (so an mcm file
-    without a potential is one); the check then recomputes every residual
-    from the stored witnesses and the instance.  Fields it
-    does not read are ignored: tool, version, and the certificate block,
-    method, iterations and u that older files carry.
+    stored field among them; empty means the certificate holds.  A missing
+    problem or instance field, an unknown kind, a malformed instance or a bad
+    tolerance raises InstanceFormatError instead, and an instance outside the
+    kind's domain the guard's error, the same error solve_to_payload raises:
+    the CLI exits 2 on each.  A missing status reads as the kind's solved
+    status.  Every field the status stores (_Kind.stored, or _DIVERGENT) is
+    required and read in order, and the first one missing or malformed is the
+    one problem (so an mcm file without a potential is one); the check then
+    recomputes every residual from the stored witnesses and the instance.
+    Fields it does not read are ignored: tool, version, and the certificate
+    block, method, iterations and u that older files carry.
     """
     for key in ("problem", "instance"):
         if key not in payload:

@@ -8,10 +8,10 @@ runs the same three tests on one seed of both pools: every tiny instance
 also counts the instances that take each fast path the code keeps, so that
 a path whose traffic falls to zero fails here (ROADMAP's traffic table gives
 each path's share of the pools and its measured gain): every A of both pools
-is canonically spelled, so that parse_instance reads it from its bytes' test
-and never through _read_array; a star-based solve of the graph pool sweeps A
-only when its positive arcs close no cycle, and a tslp solve only when A has
-a positive arc; and the graph pool's solves and checks take the acyclic
+is canonically spelled, so that _read_array reads it with its bytes' test's
+epsilon mask and never takes its type census; a star-based solve of the
+graph pool sweeps A only when its positive arcs close no cycle, and a tslp
+solve only when A has a positive arc; and the graph pool's solves and checks take the acyclic
 peel, Karp's early stop, the star writer's distinct values and the
 strictly-negative exits.  bench/workloads.py is imported as it is, and the
 pools are written under the test's temporary directory.
@@ -26,7 +26,7 @@ import pytest
 import util
 from troplp import EPSILON, certificates, closure, twosided
 from troplp.cli import main
-from troplp.io import _distinct_value_rows, _read_array, _read_canonical, parse_instance
+from troplp.io import _distinct_value_rows, _read_array, parse_instance
 
 SEED = 11
 FIRST = 12
@@ -72,16 +72,18 @@ def test_pool_solves_checks_and_matches_the_oracles(name, tmp_path, capsys):
 def test_every_pool_a_takes_the_byte_read(name, tmp_path, monkeypatch):
     pool = workloads.build_pool(name, SEED, tmp_path)
     reads = util.count_calls(monkeypatch, _read_array)
-    canonical = util.count_calls(monkeypatch, _read_canonical)
     copied = [parse_instance(inst.path.read_text(encoding="utf-8")).a_rows is not None
               for inst in pool]
     assert copied.count(True) == len(pool)
-    assert [args[3] for args in reads].count("A") == 0
-    # an A with epsilon fills an array from the rows' floats alone, and the
-    # vectors, all floats, are settled by _read_array's one count
-    assert sum(args[1].any() for args in canonical) == {"graph": 35, "lp": 4}[name]
-    assert [all(type(v) is float for v in args[0]) for args in reads].count(False) == 0
-    assert len(reads) == {"graph": 100, "lp": 208}[name]
+    # every A is read with its mask, which with epsilon fills an array from
+    # the rows' floats alone, and the vectors, all floats, are settled by
+    # _read_array's one count
+    masks = [args[5] for args in reads if args[3] == "A" and args[5] is not None]
+    assert len(masks) == [args[3] for args in reads].count("A") == len(pool)
+    assert sum(mask.any() for mask in masks) == {"graph": 35, "lp": 4}[name]
+    vectors = [args[0] for args in reads if args[3] != "A"]
+    assert [all(type(v) is float for v in vector) for vector in vectors].count(False) == 0
+    assert len(vectors) == {"graph": 100, "lp": 208}[name]
 
 
 def test_graph_pool_sweeps_only_convergent_stars(tmp_path, monkeypatch, capsys):

@@ -17,6 +17,7 @@ from troplp import (CertificateViolationError, TropMatrix, TropVector, certifica
                     solve_primal, solve_primal_integer, solve_tslp, solve_tslp2,
                     twosided)
 from troplp.cli import main
+from troplp.errors import InstanceFormatError
 from troplp.io import (EXIT_CERTIFICATE, KINDS, parse_instance, solve_to_payload,
                        verify_payload)
 
@@ -100,8 +101,8 @@ _WITNESSES = {"primal": ("x",), "primal-integer": ("x",), "gap": ("x", "pi"),
 # b and c are partly absorbed by A's entries there, and the three roundings
 # that build pi = fl(fl(c + fl(b - a)) - b) put it off by up to a spacing
 _ABSORBED_DUAL = pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: between 2^52 and 2^62 the dual kinds' witnesses exceed the "
-    "residuated rule, and its exact bound, by up to a spacing of A's entries"))
+    "ROADMAP item 3: between 2^52 and 2^62 the dual witness exceeds the residuated "
+    "rule, and its exact bound, by up to a spacing of A's entries"))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4, 2.0**24, 2.0**26, 1e8, 2.0**40, 1e15,
@@ -111,7 +112,8 @@ _ABSORBED_DUAL = pytest.mark.xfail(strict=True, reason=(
 def test_fresh_abc_answers_check_at_every_magnitude(scale):
     # each witness exceeds its rule, computed exactly, by at most tol plus
     # half a spacing of the residuated difference; at small magnitude a real
-    # witness, tight at some row, moved by 2 tol against its rule fails
+    # witness, tight at some row, moved by 2 tol against its rule fails; past
+    # 2^50 the integer kinds refuse the instance
     rng = np.random.default_rng([2026, int(np.log2(scale))])
     tol = 1e-9
     for _ in range(30):
@@ -122,7 +124,12 @@ def test_fresh_abc_answers_check_at_every_magnitude(scale):
             obj = {"problem": kind, "A": a.tolist(), "b": b.tolist(), "c": c.tolist()}
             if kind == "onesided":
                 del obj["c"]
-            payload, code = solve_to_payload(parse_instance(json.dumps(obj)), tol)
+            inst = parse_instance(json.dumps(obj))
+            if scale > 2.0**50 and kind in ("primal-integer", "dual-integer", "gap"):
+                with pytest.raises(InstanceFormatError, match=r"at most 2\^50, got "):
+                    solve_to_payload(inst, tol)
+                continue
+            payload, code = solve_to_payload(inst, tol)
             assert code == 0
             assert verify_payload(json.loads(json.dumps(payload))) == []
             for key in witnesses:

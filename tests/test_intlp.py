@@ -12,6 +12,8 @@ from troplp import (IntDualResult, LpInstance, TropMatrix, TropVector,
                     certificates, ceil_frac, duality_gap, estimate_via_floor_b, floor_frac,
                     fr, greatest_subsolution, leq, solve_dual_integer,
                     solve_primal_integer, tdot, tmul, transpose)
+from troplp.errors import FiniteRequiredError, InstanceFormatError
+from troplp.intlp import integer_instance
 from troplp.oracles import (Box, IntDualState, advance, brute_dual_integer,
                             brute_primal_integer, coverage,
                             descent_dual_integer, dual_box, initial_state,
@@ -404,3 +406,22 @@ class TestFloorBEstimate:
         estimate = estimate_via_floor_b(REGRESSION)
         assert estimate == 3.0
         assert abs(solve_dual_integer(REGRESSION).phi_min_int - estimate) <= 1.0
+
+
+class TestIntegerBound:
+    """The integer kinds' domain: LpInstance's plus the largest finite
+    |b_i - a_ij| plus the largest |c_j| at most 2^50."""
+
+    A = TropMatrix([[0.0, float("-inf")], [float("-inf"), 0.0]])
+
+    def test_bound_is_inclusive_and_skips_epsilon(self):
+        b = TropVector([2.0**50 - 1, 0.0])
+        assert integer_instance(self.A, b, TropVector([1.0, 0.0])) == LpInstance(
+            self.A, b, TropVector([1.0, 0.0]))
+        with pytest.raises(InstanceFormatError, match=r"at most 2\^50, got 1125899906842624.2"):
+            integer_instance(self.A, b, TropVector([1.25, 0.0]))
+
+    def test_lp_guard_comes_first(self):
+        with pytest.raises(FiniteRequiredError, match="column 1 is all -inf"):
+            integer_instance(TropMatrix([[2.0**60, float("-inf")]]), TropVector([0.0]),
+                             TropVector([0.0, 0.0]))

@@ -20,7 +20,7 @@ from troplp.cli import main
 from troplp.io import (_DIVERGENT, _INT_OVERFLOW, _KINDS, _MAX_ENTRY, _MAX_STORED,
                        EXIT_CERTIFICATE, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS,
                        _distinct_value_rows, _encode, _json, _number, _read_array,
-                       check_tol, parse_instance, parse_solution, render_text,
+                       _row_texts, check_tol, parse_instance, parse_solution, render_text,
                        serialize_solution, solve_to_payload, verify_payload)
 from troplp.oracles import (brute_dual_integer, brute_primal_integer, brute_star, dual_box,
                             primal_box)
@@ -195,6 +195,28 @@ class TestReadArray:
         ints = rng.integers(-10**6, 10**6, 64)
         read = _read_array(ints.tolist(), 1, False, "b", _MAX_ENTRY)
         assert read.tobytes() == ints.astype(float).tobytes()
+
+    @pytest.mark.parametrize("finite", [1.0, 0.5, 0.05])
+    def test_mask_read_matches_the_census(self, finite):
+        # canonical A texts, mixed-sign, with tokens of up to 15 digits,
+        # integer-valued floats such as 3.0 and -0.0: the byte test's mask
+        # gives the bits the type census gives
+        rng = np.random.default_rng([28, round(100 * finite)])
+        for _ in range(25):
+            m, n = (int(v) for v in rng.integers(1, 40, 2))
+            values = np.array([round(x, d) for x, d in zip(rng.uniform(-1000, 1000, m * n),
+                                                           rng.integers(0, 13, m * n).tolist())])
+            values = values.reshape(m, n)
+            values[rng.random((m, n)) < 0.05] = -0.0
+            values[rng.random((m, n)) >= finite] = E
+            text = json.dumps({"problem": "mcm", "A": _json(values)})
+            _, eps = _row_texts(text)
+            rows = json.loads(text)["A"]
+            masked = _read_array(rows, 2, True, "A", _MAX_ENTRY, eps)
+            census = _read_array(rows, 2, True, "A", _MAX_ENTRY)
+            assert (masked.view(np.int64).tolist() == census.view(np.int64).tolist()
+                    == values.view(np.int64).tolist())
+        assert any(len(repr(v).lstrip("-")) == 16 for v in values.ravel().tolist())
 
     @pytest.mark.parametrize("value,ndim,message", [
         ([[1, "x"]], 2, "A[0][1]: expected a number, got 'x'"),
@@ -439,7 +461,7 @@ class TestRowCopy:
     texts; any other spelling goes through _read_array and is formatted from
     the floats.  Either way A and the solution bytes are the same."""
 
-    @pytest.mark.parametrize("text, reads, copied", [
+    @pytest.mark.parametrize("text, census, copied", [
         ('{"problem": "mcm", "A": [[1, 2], [3, 4]]}', 1, False),
         ('{"problem": "mcm", "A": [[1, 2.5], [3.5, 4.0]]}', 1, False),
         ('{"problem": "onesided", "A": [[1e2, 1.5]], "b": [1.0]}', 1, False),
@@ -467,10 +489,11 @@ class TestRowCopy:
             "17-digits", "16-digits", "15-digits", "eps", "compact", "indent",
             "A-last", "comma-without-space", "rows-without-space", "escaped-A",
             "escaped-A-duplicate", "single-row", "single-column", "negative-zero-and-eps"])
-    def test_copy_writes_the_formatter_bytes(self, text, reads, copied, monkeypatch):
+    def test_copy_writes_the_formatter_bytes(self, text, census, copied, monkeypatch):
         calls = util.count_calls(monkeypatch, _read_array)
         inst = parse_instance(text)
-        assert [args[3] for args in calls].count("A") == reads
+        # A's one read takes the type census unless the byte test gave its mask
+        assert [args[5] is None for args in calls if args[3] == "A"] == [bool(census)]
         assert (inst.a_rows is not None) == copied
         # the byte read gives the floats _read_array gives, -0.0 included
         obj = json.loads(text)
@@ -508,7 +531,9 @@ class TestRowCopy:
         with pytest.raises((InstanceFormatError, FiniteRequiredError)) as info:
             solve_to_payload(parse_instance(text), 1e-9)
         assert str(info.value) == message
-        assert [args[3] for args in calls][:1] == ["b" if problem == "primal" else "A"]
+        # A is read first, with the byte test's mask only where it is canonical
+        assert [(args[3], args[5] is not None) for args in calls[:1]] == [
+            ("A", problem == "primal")]
 
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
@@ -1139,6 +1164,19 @@ class TestCliMain(object):
         inst.write_text("{")
         assert main(["solve", "--input", str(inst)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("text, message", [
+        ('\ufeff{"problem": "mcm", "A": [[1]]}',
+         "invalid JSON at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ('{"problem": "mcm", "A": [[NaN]]}', "literal NaN is not allowed"),
+        ('{"problem": "mcm", "A": [[1]]} x', "invalid JSON at line 1 column 32: Extra data"),
+    ], ids=["bom", "nan", "extra-data"])
+    def test_json_messages(self, text, message, tmp_path, capsys):
+        # the one decoder built at import words each error as json.loads does
+        inst = tmp_path / "inst.json"
+        inst.write_text(text, encoding="utf-8")
+        assert main(["solve", "--input", str(inst)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"troplp: input error: {message}\n"
+
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_deeply_nested_json(self, command, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -1381,38 +1419,41 @@ class TestTolRule:
 
 class TestAbsoluteTolAtLargeEntries:
     """Answers whose entries are large check, as the A-b-c kinds decide
-    feasibility on the residuated differences the solvers take; past 2^52
-    the integer lattice cannot be represented at all."""
+    feasibility on the residuated differences the solvers take.  The integer
+    kinds refuse an instance past 2^50 (exit 2): past 2^52 the integer
+    lattice cannot be represented at all."""
 
-    @pytest.mark.parametrize("obj", [
+    @pytest.mark.parametrize("obj, code", [
         pytest.param({"problem": "primal",
                       "A": [[47699910.1, 60537069.1], [-50629076.5, 9539710.1],
                             [-40342746.8, 39560781.1]],
-                      "b": [1.6, 2.2, 3.1], "c": [3.0, 1.0]},
+                      "b": [1.6, 2.2, 3.1], "c": [3.0, 1.0]}, EXIT_OK,
                      id="primal-5e7"),
         pytest.param({"problem": "dual", "A": [[-937663.17], [-51128151.35], [64801275.73]],
-                      "b": [4.0, 2.0, 0.0], "c": [-1.6]},
+                      "b": [4.0, 2.0, 0.0], "c": [-1.6]}, EXIT_OK,
                      id="dual-6e7"),
         pytest.param({"problem": "dual-integer", "A": [[-4503599627370496, 0]], "b": [0.5],
-                      "c": [0, -3]},
-                     marks=pytest.mark.xfail(strict=True, reason=(
-                         "ROADMAP item 3's input bound: past 2^52 the float spacing "
-                         "reaches 1 and the integer lattice cannot be represented")),
+                      "c": [0, -3]}, EXIT_INPUT,
                      id="dual-integer-2^52"),
         pytest.param({"problem": "primal-integer", "A": [[35958365.6]], "b": [-0.4],
-                      "c": [-1.3]},
+                      "c": [-1.3]}, EXIT_OK,
                      id="primal-integer-3.6e7"),
         pytest.param({"problem": "dual-integer", "A": [[41269077.9]], "b": [-4.0],
-                      "c": [-0.1]},
+                      "c": [-0.1]}, EXIT_OK,
                      id="dual-integer-4.1e7"),
         pytest.param({"problem": "gap", "A": [[45126766.2]], "b": [2.2], "c": [-4.6]},
-                     id="gap-4.5e7"),
+                     EXIT_OK, id="gap-4.5e7"),
     ])
-    def test_fresh_answer_checks(self, obj, tmp_path):
+    def test_fresh_answer_checks(self, obj, code, tmp_path, capsys):
         inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
         inst.write_text(json.dumps(obj))
-        assert main(["solve", "--input", str(inst), "--output", str(sol)]) == EXIT_OK
-        assert main(["check", "--input", str(sol)]) == EXIT_OK
+        assert main(["solve", "--input", str(inst), "--output", str(sol)]) == code
+        if code == EXIT_INPUT:
+            assert capsys.readouterr().err == (
+                "troplp: input error: the integer kinds need the largest finite "
+                "|b_i - a_ij| plus the largest |c_j| at most 2^50, got 4503599627370499.0\n")
+        else:
+            assert main(["check", "--input", str(sol)]) == EXIT_OK
 
 
 class TestCheckMalformedFields:
