@@ -163,12 +163,13 @@ def _cycle_mean(a: TropMatrix, cycle) -> float:
     return float(total / len(cycle))
 
 
-def _acyclic(arcs: np.ndarray) -> bool:
-    """True when the digraph of the boolean arc matrix has no cycle: peeling
-    the nodes without an incoming arc, layer by layer, removes them all
-    (Kahn's algorithm, O(n^2)).  A node on a cycle, a self-loop included, is
-    never peeled.  The arcs of A are a.data > EPSILON; kleene_star peels its
-    positive arcs, a.data > 0."""
+def _peel(arcs: np.ndarray) -> np.ndarray:
+    """The mask of the nodes that Kahn's algorithm leaves in the digraph of
+    the boolean arc matrix, in O(n^2): layer by layer, it peels every node
+    without an incoming arc from a node still left.  A node on a cycle, a
+    self-loop included, is never peeled, and each node left has an
+    incoming arc from a node left.  The arcs of A are a.data > EPSILON;
+    kleene_star peels its positive arcs, a.data > 0."""
     indegree = arcs.sum(axis=0)
     left = np.ones(arcs.shape[0], dtype=bool)
     layer = np.flatnonzero(indegree == 0)
@@ -176,7 +177,29 @@ def _acyclic(arcs: np.ndarray) -> bool:
         left[layer] = False
         indegree -= arcs[layer].sum(axis=0)
         layer = np.flatnonzero(left & (indegree == 0))
-    return not left.any()
+    return left
+
+
+def _acyclic(arcs: np.ndarray) -> bool:
+    """True when the digraph of the boolean arc matrix has no cycle: the
+    peel leaves no node."""
+    return not _peel(arcs).any()
+
+
+def _closed_cycle(arcs: np.ndarray) -> tuple[int, ...] | None:
+    """An elementary cycle of the digraph of the boolean arc matrix, as a
+    node sequence without the closing repeat; None when it is acyclic.
+    From a node the peel leaves, step back along an incoming arc from a
+    node left until a node repeats: the steps since its first visit,
+    reversed, close the cycle.  O(n^2)."""
+    left = _peel(arcs)
+    if not left.any():
+        return None
+    back = (arcs & left[:, np.newaxis]).argmax(axis=0).tolist()
+    path = [int(left.argmax())]
+    while path[-1] not in path[:-1]:
+        path.append(back[path[-1]])
+    return tuple(reversed(path[path.index(path[-1]):-1]))
 
 
 def _resolves(tol: float, *parts) -> bool:

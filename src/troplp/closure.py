@@ -20,26 +20,20 @@ within (k + 3) spacing(scale).  Otherwise the full table of n levels decides.
 Karp's table uses a super-source with a zero-weight arc to every node, so
 D_0 = 0 and D_k = max_u(D_{k-1}[u] + A[u, :]) is the heaviest walk of exactly
 k arcs ending at each node.  No strongly connected decomposition is needed:
-the source has no incoming arc and adds no cycle.  The star is finite iff
-lambda(A) <= 0.  When the positive arcs of A alone close a cycle, which the
-same O(n^2) peel tells, lambda > 0 is certain, so the cycle mean comes first
-and no sweep of A is built for a star that diverges.  Otherwise the sweep
-comes first: a positive cycle through node i leaves a positive entry (i, i)
-after it, so the sweep's own diagonal tells convergence and the cycle mean
-is computed only when it turns positive.  Either way lambda names the
-divergent cycle when it exceeds tol, and with 0 < lambda <= tol the star is
-a sweep of A - lambda, since a sweep of A is then inflated by about the
-cycle's length times lambda.  With lambda <= 0 the sweep of A is the star,
-its positive diagonal being rounding.
+the source has no incoming arc and adds no cycle.  Two cycles that need no
+table bound lambda from below, the heaviest self-loop and a cycle of
+positive arcs, which the same O(n^2) peel finds; a table whose sums absorb a
+small cycle beside far larger arcs can miss either.  The star is finite iff
+lambda(A) <= 0; kleene_star states when it calls on Karp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certificates import _acyclic, _cycle_mean, _scale, potential
+from .certificates import _acyclic, _closed_cycle, _cycle_mean, _scale, potential
 from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector
 from .errors import DimensionMismatchError, DivergentStarError
 
@@ -168,6 +162,13 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     ratios.  Without an early stop, as on a ring of n arcs, the full table
     gives the answer above.  A stopped table's potential can differ from the
     full table's in its last bits.
+
+    Two exact lower bounds follow the table, as its sums can absorb a small
+    cycle beside far larger arcs.  A self-loop heavier than lambda becomes
+    the witness, and so, when lambda is still at most 0, does a cycle of
+    positive arcs, whose summed mean is positive.  Each raises lambda to a
+    real cycle's mean, so the potential still bounds every cycle mean by
+    the new lambda wherever it bounded it by the old.
     """
     _require_square(a)
     if _acyclic(a.data > EPSILON):
@@ -177,6 +178,13 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
         found = _karp(a, walks)
         if len(walks) <= n and found is not None and _certifies(a, found, len(walks) - 1):
             break
+    loop = int(np.diagonal(a.data).argmax())
+    if a.data[loop, loop] > found.lambda_:
+        found = replace(found, lambda_=_cycle_mean(a, (loop,)), witness_cycle=(loop,))
+    if found.lambda_ <= 0.0:
+        cycle = _closed_cycle(a.data > 0.0)
+        if cycle is not None:
+            found = replace(found, lambda_=_cycle_mean(a, cycle), witness_cycle=cycle)
     return found
 
 
@@ -205,10 +213,15 @@ def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
 
     The series is finite only when the maximum cycle mean is nonpositive, in
     which case it equals the partial sum up to exponent n-1 and is computed
-    by a Floyd-Warshall sweep in O(n^3).  Karp's lambda decides when the
-    positive arcs of A close a cycle, before any sweep, or else when the
-    sweep's diagonal turns positive: refuse when lambda > tol, sweep
-    A - lambda when 0 < lambda <= tol, else the sweep of A is the star.
+    by a Floyd-Warshall sweep in O(n^3).  The sweep of A comes first unless
+    the positive arcs of A close a cycle, which the O(n^2) peel tells, and
+    it is the star when its diagonal stays nonpositive.  Otherwise Karp's
+    lambda decides, by one rule: refuse when lambda > tol, else return the
+    sweep of A - max(lambda, 0).  A sweep of A is inflated by about a
+    positive cycle's length times its mean, so a lambda in (0, tol] is taken
+    off first.  With lambda <= 0 the diagonal that the first sweep turned
+    positive is rounding, and the sweep of A - 0.0, which is A bit for bit,
+    is the star.
 
     A cycle of positive arcs has a positive mean, and it leaves a positive
     (or overflowed) diagonal entry in the sweep of A, whose sums only grow
@@ -216,7 +229,6 @@ def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
     return the same star.
     """
     _require_square(a)
-    swept = None
     if _acyclic(a.data > 0.0):
         swept = _star_sweep(a.data)
         if not _diverges(swept):
@@ -226,8 +238,4 @@ def kleene_star(a: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
         raise DivergentStarError(
             f"star diverges: maximum cycle mean {cm.lambda_} exceeds tol {tol}",
             lambda_=cm.lambda_, witness_cycle=cm.witness_cycle)
-    if cm.lambda_ > 0.0:
-        return TropMatrix(_star_sweep(a.data - cm.lambda_))
-    # lambda <= 0 under a cycle of positive arcs is Karp's rounding, as when
-    # the cycle's sums are absorbed by far larger arcs: sweep A all the same
-    return TropMatrix(_star_sweep(a.data) if swept is None else swept)
+    return TropMatrix(_star_sweep(a.data - max(cm.lambda_, 0.0)))

@@ -18,23 +18,19 @@ y = d by iterating it (Baccelli et al., Synchronization and Linearity, 1992,
 Thm 3.17).  With every a_ij <= 0 rounding is monotone, fl(a + s) <= s, so
 a walk's nested sum never gains from a cycle and the iteration settles, in
 at most n rounds, on a y with max(A y, d) = y exactly in the floats that
-`check` forms.  Every other solve takes the star, O(n^3), with closure's
-divergence rule: it refuses a lambda above tol and re-sweeps A - lambda when
-0 < lambda <= tol.  So a lambda in (0, tol] counts as feasible, and A y + d
-stays within lambda of y.  Karp's cycle mean runs only on divergence, as in
-kleene_star: before any sweep when the positive arcs of A close a cycle,
-else when the sweep's diagonal turns positive.  The equation form always
-takes the star, and its solution kind, lambda < -tol, is read from the star
-in O(n^2) where it can be; Karp runs for it only where it cannot.  Each
-solver checks its answer by certificates.two_sided, the rule `check`
-applies.
+`check` forms.  Every other solve takes the star, O(n^3), and is refused
+or accepted by kleene_star's rule, so a lambda it accepts counts as
+feasible.  The equation form always takes the star, and its solution kind,
+lambda < -tol, is read from the star in O(n^2) where it can be; Karp runs
+for it only where it cannot.  Each solver checks its answer by
+certificates.two_sided, the rule `check` applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificates import _heaviest_cycle, _strictly_negative, two_sided
+from .certificates import _heaviest_cycle, _resolves, _strictly_negative, two_sided
 from .closure import _require_square, kleene_star, max_cycle_mean
 from .core import DEFAULT_TOL, TropMatrix, TropVector, tadd, tdot, tmul
 from .errors import DimensionMismatchError, FiniteRequiredError, require
@@ -112,10 +108,11 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
     When the maximum cycle mean is below -tol the feasible set is the single
     point A* d, reported as the unique-fixed-point kind.  The star S tells
     the kind in O(n^2) on either side of a band: _strictly_negative proves
-    lambda < -tol, and the heaviest diagonal entry of A S, at least -tol, is
-    the weight of a closed walk of A (S holds weights of walks of A, or of
-    the lighter A - lambda), so one of its cycles has a mean of at least
-    -tol.  Karp decides inside the band.
+    lambda < -tol, and the heaviest diagonal entry of A S, at least -tol
+    under the same rounding gate, is the weight of a closed walk of A (S
+    holds weights of walks of A, or of the lighter A - lambda), so one of
+    its cycles has a mean of at least -tol.  Karp decides inside the band
+    and past the gate.
     """
     star = kleene_star(inst.a, tol)
     y = tmul(star, inst.d)
@@ -123,7 +120,7 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
     heaviest = _heaviest_cycle(inst.a, star.data)
     if _strictly_negative(inst.a, star.data, heaviest, tol):
         unique = True
-    elif heaviest >= -tol:
+    elif heaviest >= -tol and _resolves(tol, inst.a.data, star.data):
         unique = False
     else:
         unique = max_cycle_mean(inst.a).lambda_ < -tol

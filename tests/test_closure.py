@@ -1,5 +1,8 @@
 """Cycle means and Kleene stars."""
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,8 @@ from troplp import (EPSILON, CycleMeanResult, DimensionMismatchError,
                     tadd, tmul, transpose)
 from troplp import certificates, closure
 from troplp.closure import _diverges, _star_sweep
-from troplp.io import parse_instance, solve_to_payload
+from troplp.io import (EXIT_OK, check_solution_text, parse_instance,
+                       serialize_solution, solve_to_payload)
 from troplp.oracles import brute_cycle_mean, brute_star
 
 E = EPSILON
@@ -158,6 +162,12 @@ class TestAcyclicPeel:
                 *_, walks = closure._walk_table(data)
                 acyclic = not (walks[n] > E).any()
                 assert certificates._acyclic(data > E) == acyclic
+                # the peel's cycle: none when acyclic, else elementary, on arcs of A
+                cycle = certificates._closed_cycle(data > E)
+                assert (cycle is None) == acyclic
+                if cycle is not None:
+                    assert len(set(cycle)) == len(cycle)
+                    assert cycle_mean_of(a, cycle) > E
                 res = max_cycle_mean(a)
                 if acyclic:
                     assert res == CycleMeanResult(E, None, None)
@@ -266,6 +276,63 @@ class TestEarlyStop:
         res = max_cycle_mean(large_graph(np.random.default_rng(26), 160, "ring"))
         assert [len(walks) - 1 for _, walks in rules] == [2, 4, 8, 16, 32, 64, 128, 160]
         assert len(res.witness_cycle) == 160
+
+
+def _mixed_magnitudes(rng, count: int):
+    """Square matrices with n from 2 to 7 and half their entries epsilon;
+    40 % of the others in [-10, 10], the rest up to +-10^k, one k < 300 per
+    matrix: small cycles beside arcs whose sums can absorb them."""
+    for _ in range(count):
+        n = int(rng.integers(2, 8))
+        k = int(rng.integers(0, 300))
+        big = rng.uniform(-1, 1, (n, n)) * 10.0 ** k
+        data = np.where(rng.random((n, n)) < 0.4, rng.uniform(-10, 10, (n, n)), big)
+        yield np.where(rng.random((n, n)) < 0.5, E, data)
+
+
+# Karp's lambda under the heaviest cycle, which neither bound names: the arc
+# 0 -> 2 of 2.7e218, on no cycle, absorbs the cycle 1 -> 2 -> 1 of mean
+# -0.72; the arc 2 -> 1 of 9.3e187, out of the self-loop at 2 of -3.06,
+# absorbs the cycle 0 -> 1 -> 0 of mean -0.60
+_ABSORBED_OFF_BOTH_BOUNDS = [
+    [[E, -7.59578178904595, 2.7446303542739914e+218],
+     [E, -9.424817658228612, 4.80687032119333], [E, -6.2545515933706675, E]],
+    [[E, 2.4631305023708663, E], [-3.671169623858499, E, E],
+     [E, 9.296547407400336e+187, -3.0591645806769296]],
+]
+
+
+class TestLowerBounds:
+    """After the walk table, max_cycle_mean raises lambda to the heaviest
+    self-loop and, while lambda <= 0, to a cycle of positive arcs: two
+    cycles that the table's sums can absorb beside far larger arcs.
+    test_io_cli's TestAbsorbedCycle runs one of each through the CLI."""
+
+    def test_mixed_magnitudes_reach_the_brute_maximum(self):
+        # 1500 draws, 1444 of them cyclic: the walk table alone falls below
+        # brute_cycle_mean on 16, the bounds leave the 2 pinned below
+        rng = np.random.default_rng(2026)
+        cyclic, below = 0, []
+        for data in _mixed_magnitudes(rng, 1500):
+            a = TropMatrix(data)
+            brute = brute_cycle_mean(a)
+            if brute == E:
+                continue
+            cyclic += 1
+            lam = max_cycle_mean(a).lambda_
+            if lam < brute - 1e-9 * max(1.0, abs(lam)):
+                below.append(data.tolist())
+        assert cyclic == 1444
+        assert below == _ABSORBED_OFF_BOTH_BOUNDS
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 13: a negative cycle absorbed beside a far larger arc, "
+        "which no self-loop and no cycle of positive arcs names, waits for "
+        "the successor sweep"))
+    @pytest.mark.parametrize("data", _ABSORBED_OFF_BOTH_BOUNDS, ids=["2.7e218", "9.3e187"])
+    def test_absorbed_off_both_bounds(self, data):
+        a = TropMatrix(data)
+        assert max_cycle_mean(a).lambda_ == brute_cycle_mean(a)
 
 
 class TestMaxCycleMean:
@@ -455,21 +522,25 @@ class TestKarpCallCount:
         assert solve_tslp2(inst).feasibility_kind == "feasible"
         assert len(weighed) == 1
 
-    def test_star_resweeps_only_when_lambda_is_positive(self, monkeypatch):
+    def test_star_sweeps_again_after_karp(self, monkeypatch):
         # a zero-mean cycle whose sweep rounds the diagonal up to 3.3e-16:
-        # Karp's lambda is 0, so the first sweep is the star
+        # Karp's lambda is 0, so A - 0.0, which is A, is swept again and
+        # gives the first sweep's bytes
         zero = TropMatrix([[-2.4, -0.4, 2.5], [-2.3, -1.6, -2.6], [-4.9, -0.2, -2.6]])
         first = _star_sweep(zero.data)
         assert np.diagonal(first).max() > 0 and max_cycle_mean(zero).lambda_ == 0.0
         # 0.1 + 0.2 - 0.3: lambda is 1.85e-17, within tol, so A - lambda is
         # swept again
         tight = TropMatrix([[-5, 0.1, -5], [-5, -5, 0.2], [-0.3, -5, -5]])
-        assert 0 < max_cycle_mean(tight).lambda_ <= 1e-9
+        lam = max_cycle_mean(tight).lambda_
+        assert 0 < lam <= 1e-9
         sweeps = util.count_calls(monkeypatch, closure._star_sweep)
         assert kleene_star(zero).data.tobytes() == first.tobytes()
-        assert len(sweeps) == 1
-        kleene_star(tight)
-        assert len(sweeps) == 3
+        assert [args[0].tobytes() for args in sweeps] == [zero.data.tobytes()] * 2
+        sweeps.clear()
+        assert kleene_star(tight).data.tobytes() == _star_sweep(tight.data - lam).tobytes()
+        assert [args[0].tobytes() for args in sweeps] == [tight.data.tobytes(),
+                                                          (tight.data - lam).tobytes()]
 
     def test_positive_arc_cycle_runs_karp_before_any_sweep(self, monkeypatch, karp_calls):
         # a cycle of positive arcs certifies lambda > 0 in O(n^2), so Karp's
@@ -513,19 +584,21 @@ def _sweep_first(a: TropMatrix, tol: float = 1e-9):
     cm = max_cycle_mean(a)
     if cm.lambda_ > tol:
         return cm.lambda_, cm.witness_cycle
-    return (swept if cm.lambda_ <= 0.0 else _star_sweep(a.data - cm.lambda_)).tobytes()
+    return _star_sweep(a.data - max(cm.lambda_, 0.0)).tobytes()
 
 
 def _star_shapes(rng, n):
     """Square matrices of each shape whose star order could matter: mixed
-    signs, dense, sparse and acyclic; planted cycles of positive or mixed
-    arcs; lambda = 0 after normalizing; entries near 1e17 and 1e300."""
+    signs, dense, sparse and acyclic; planted cycles of positive arcs, of
+    arcs of 1e-10 (a mean inside tol) or of mixed arcs; lambda = 0 after
+    normalizing; entries near 1e17 and 1e300."""
     mixed = rng.uniform(-10, 10, (n, n))
     yield mixed
     yield np.where(rng.random((n, n)) < 0.2, mixed, E)
     yield np.where(np.triu(np.ones((n, n), dtype=bool), 1), mixed, E)
     nodes = rng.permutation(n)[:int(rng.integers(1, n + 1))]
-    for arcs in (rng.uniform(0.5, 3, nodes.size), rng.uniform(-3, 3, nodes.size)):
+    for arcs in (rng.uniform(0.5, 3, nodes.size), np.full(nodes.size, 1e-10),
+                 rng.uniform(-3, 3, nodes.size)):
         planted = rng.uniform(-10, -0.01, (n, n))
         planted[nodes, np.roll(nodes, -1)] = arcs
         yield planted
@@ -536,8 +609,8 @@ def _star_shapes(rng, n):
 
 
 def test_star_matches_the_sweep_first_rule():
-    # bit for bit, or the same refusal; the absorbed cycle of ROADMAP item
-    # 3, whose Karp lambda comes out 0.0, takes the sweep of A in both
+    # bit for bit, or the same refusal; the absorbed cycle, whose walk
+    # table's lambda comes out 0.0, is refused by its cycle of positive arcs
     rng = np.random.default_rng(73)
     absorbed = np.array([[E, 1e17, E], [-1e17, E, 1.0], [E, 1.0, E]])
     cases = [absorbed] + [data for _ in range(60)
@@ -552,3 +625,29 @@ def test_star_matches_the_sweep_first_rule():
         assert got == _sweep_first(a)
         outcomes.add((isinstance(got, bytes), certificates._acyclic(data > 0)))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_normalized_star_is_one_sweep_of_a_minus_lambda():
+    # A - lambda(A), half its entries epsilon, leaves a normalized lambda
+    # near 0: its first sweep converges, or Karp's lambda comes out in
+    # (0, tol], or at most 0 beside a diagonal that rounding turned
+    # positive.  Each star is the sweep of A - max(lambda, 0), and solve and
+    # check agree on it.
+    rng = np.random.default_rng(5)
+    routes = Counter()
+    for _ in range(600):
+        n = int(rng.integers(3, 40))
+        data = np.where(rng.random((n, n)) < 0.5, E, rng.uniform(-10, 10, (n, n)))
+        lam = max_cycle_mean(TropMatrix(data)).lambda_
+        if lam == E:
+            continue
+        a = TropMatrix(data - lam)
+        lam = max_cycle_mean(a).lambda_
+        star = kleene_star(a)
+        assert star.data.tobytes() == _star_sweep(a.data - max(lam, 0.0)).tobytes()
+        payload, code = solve_to_payload(
+            parse_instance(json.dumps({"problem": "star", "A": util.rows_obj(a)})), 1e-9)
+        assert code == EXIT_OK
+        assert check_solution_text(serialize_solution(payload)) == []
+        routes[_diverges(_star_sweep(a.data)), lam > 0.0] += 1
+    assert routes == {(False, False): 518, (True, True): 81, (True, False): 1}

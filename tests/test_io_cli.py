@@ -1656,28 +1656,53 @@ def _solve_then_check(obj, tmp_path) -> tuple[int, int | None]:
 # the cycle 1 -> 2 -> 1 has mean 1, and the arcs 0 -> 1 -> 0 weigh +-1e17
 _ABSORBED = {"A": [[E, 1e17, E], [-1e17, E, 1.0], [E, 1.0, E]],
              "d": [0.0] * 3, "c": [0.0] * 3}
-_ABSORPTION = ("ROADMAP item 3: Karp's walk table sums the cycle of mean 1 under "
-               "the 1e17 arcs and returns lambda 0.0 with the witness (0, 1)")
+# the self-loops are the only cycles, node 2's of weight 9.37 the heaviest,
+# and the arcs 1 -> 2 and 2 -> 0 weigh about 5e240
+_HEAVY_LOOP = {"A": [[-5.575147500136568, E, E],
+                     [-7.001624713688663, -6.501019054290809, 5.245235341413295e+240],
+                     [5.402802652180068e+240, E, 9.373040652953213]],
+               "d": [0.0] * 3, "c": [0.0] * 3}
+_UNDER_LARGE_ARCS = pytest.mark.parametrize("case, lam, cycle", [
+    (_ABSORBED, 1.0, [2, 1]), (_HEAVY_LOOP, 9.373040652953213, [2])],
+    ids=["positive-arc-cycle", "self-loop"])
 
 
 class TestAbsorbedCycle:
-    """A small positive cycle under large arcs, which max_cycle_mean misses.
-    Today mcm stores lambda 0.0 and its check exits 3, star stores a diverged
-    sweep that its check rejects, and tslp and tslp2 exit 3 on their own
-    certificate."""
+    """A small cycle beside far larger arcs, whose sums absorb it in Karp's
+    walk table: the table's lambda is 0.0 beside the cycle of positive arcs
+    1 -> 2 -> 1, and below the self-loop of weight 9.37.  max_cycle_mean's
+    lower bounds name both cycles, so mcm stores their mean and the other
+    graph kinds refuse, and every check passes."""
 
-    @pytest.mark.xfail(strict=True, reason=_ABSORPTION)
-    def test_mcm_finds_the_cycle(self, tmp_path):
-        obj = {"problem": "mcm", "A": util.rows_obj(TropMatrix(_ABSORBED["A"]))}
+    @_UNDER_LARGE_ARCS
+    def test_mcm_finds_the_cycle(self, case, lam, cycle, tmp_path):
+        obj = {"problem": "mcm", "A": util.rows_obj(TropMatrix(case["A"]))}
         assert _solve_then_check(obj, tmp_path) == (EXIT_OK, EXIT_OK)
-        assert json.loads((tmp_path / "sol.json").read_text())["lambda"] == 1.0
+        solved = json.loads((tmp_path / "sol.json").read_text())
+        assert (solved["lambda"], solved["witness_cycle"]) == (lam, cycle)
 
-    @pytest.mark.xfail(strict=True, reason=_ABSORPTION)
+    @_UNDER_LARGE_ARCS
     @pytest.mark.parametrize("kind", ["star", "tslp", "tslp2"])
-    def test_star_kinds_refuse(self, kind, tmp_path):
-        obj = {key: _ABSORBED[key] for key in _KINDS[kind].fields}
-        obj = dict(obj, problem=kind, A=util.rows_obj(TropMatrix(_ABSORBED["A"])))
+    def test_star_kinds_refuse(self, kind, case, lam, cycle, tmp_path):
+        obj = {key: case[key] for key in _KINDS[kind].fields}
+        obj = dict(obj, problem=kind, A=util.rows_obj(TropMatrix(case["A"])))
         assert _solve_then_check(obj, tmp_path) == (EXIT_INFEASIBLE, EXIT_OK)
+        solved = json.loads((tmp_path / "sol.json").read_text())
+        assert (solved["lambda"], solved["witness_cycle"]) == (lam, cycle)
+
+
+def test_tslp2_kind_past_the_rounding_gate(tmp_path):
+    # the exact lambda is -1.8e272, on the cycle 0 -> 2 -> 1 -> 0, yet the
+    # heaviest diagonal entry of A A*, at 1e288, rounds to -tol or above;
+    # past the rounding gate Karp decides the kind
+    a = [[E, -3.679596494418056e+288, 6.043005560881908e+288],
+         [-3.679596494418056e+288, E, -3.679596494418056e+288],
+         [E, -2.3634090664638527e+288, E]]
+    obj = {"problem": "tslp2", "A": util.rows_obj(TropMatrix(a)), "d": [0.0] * 3,
+           "c": [0.0] * 3}
+    assert _solve_then_check(obj, tmp_path) == (EXIT_OK, EXIT_OK)
+    solved = json.loads((tmp_path / "sol.json").read_text())
+    assert solved["solution_kind"] == "unique-fixed-point"
 
 
 _EDGE_VALUES = (0.0, -0.0, 1e-10, -1e-10, 5e-10, 0.1, -0.1, 0.2, -0.3, 1.0, -1.0,
