@@ -20,11 +20,11 @@ within (k + 3) spacing(scale).  Otherwise the full table of n levels decides.
 Karp's table uses a super-source with a zero-weight arc to every node, so
 D_0 = 0 and D_k = max_u(D_{k-1}[u] + A[u, :]) is the heaviest walk of exactly
 k arcs ending at each node.  No strongly connected decomposition is needed:
-the source has no incoming arc and adds no cycle.  Two cycles that need no
-table bound lambda from below, the heaviest self-loop and a cycle of
-positive arcs, which the same O(n^2) peel finds; a table whose sums absorb a
-small cycle beside far larger arcs can miss either.  The star is finite iff
-lambda(A) <= 0; kleene_star states when it calls on Karp.
+the source has no incoming arc and adds no cycle.  A table whose sums absorb
+a small cycle beside far larger arcs can return lambda below that cycle's
+mean, so one rule follows the table: lambda rises to a cycle's mean until no
+cycle's arcs all exceed it, which the same O(n^2) peel tells.  The star is
+finite iff lambda(A) <= 0; kleene_star states when it calls on Karp.
 """
 
 from __future__ import annotations
@@ -163,12 +163,18 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
     gives the answer above.  A stopped table's potential can differ from the
     full table's in its last bits.
 
-    Two exact lower bounds follow the table, as its sums can absorb a small
-    cycle beside far larger arcs.  A self-loop heavier than lambda becomes
-    the witness, and so, when lambda is still at most 0, does a cycle of
-    positive arcs, whose summed mean is positive.  Each raises lambda to a
-    real cycle's mean, so the potential still bounds every cycle mean by
-    the new lambda wherever it bounded it by the old.
+    One lower-bound rule follows the table, as its sums can absorb a small
+    cycle beside far larger arcs: a cycle's mean is at least its lightest
+    arc.  While the arcs above a threshold, at first lambda, close a cycle
+    (_closed_cycle's peel), lambda and the witness rise to that cycle's
+    summed mean if it is higher, and the threshold to the cycle's lightest
+    arc, so each round drops an arc and the rounds end.  The last cycle's
+    lightest arc is the largest of any cycle's, and lambda is at least that
+    cycle's mean, so every cycle has an arc at or below the final lambda: no
+    self-loop exceeds it, and a cycle of positive arcs leaves it > 0.  Each
+    round raises lambda to a real cycle's mean, so the potential still
+    bounds every cycle mean by the new lambda wherever it bounded it by the
+    old.
     """
     _require_square(a)
     if _acyclic(a.data > EPSILON):
@@ -178,13 +184,12 @@ def max_cycle_mean(a: TropMatrix) -> CycleMeanResult:
         found = _karp(a, walks)
         if len(walks) <= n and found is not None and _certifies(a, found, len(walks) - 1):
             break
-    loop = int(np.diagonal(a.data).argmax())
-    if a.data[loop, loop] > found.lambda_:
-        found = replace(found, lambda_=_cycle_mean(a, (loop,)), witness_cycle=(loop,))
-    if found.lambda_ <= 0.0:
-        cycle = _closed_cycle(a.data > 0.0)
-        if cycle is not None:
-            found = replace(found, lambda_=_cycle_mean(a, cycle), witness_cycle=cycle)
+    threshold = found.lambda_
+    while (cycle := _closed_cycle(a.data > threshold)) is not None:
+        mean = _cycle_mean(a, cycle)
+        if mean > found.lambda_:
+            found = replace(found, lambda_=mean, witness_cycle=cycle)
+        threshold = a.data[cycle, cycle[1:] + cycle[:1]].min()
     return found
 
 

@@ -839,6 +839,76 @@ class TestVerifyPayload:
             verify_payload({"problem": "mcm"})
 
 
+_ABC_OPTIMUM = {"A": [[0, 1], [2, -1]], "b": [3, 4.5], "c": [0.5, 0]}
+
+
+def _shifted(field, by, objective):
+    """A fresh payload with every entry of `field` moved by `by` and the
+    objective the moved witness attains."""
+    return lambda p: dict(p, **{field: [v + by for v in p[field]], "objective": objective})
+
+
+def _lowered_principal(p):
+    """onesided's principal - 1, a smaller subsolution, with its residual and
+    equality flag recomputed."""
+    x = TropVector([v - 1.0 for v in p["principal"]])
+    ax = core.tmul(TropMatrix(_ABC_OPTIMUM["A"]), x).data
+    residual, solvable = certificates.shortfall(ax, np.array(_ABC_OPTIMUM["b"]), 1e-9)
+    return dict(p, principal=x.data.tolist(), residual=residual,
+                solvable_as_equality=solvable)
+
+
+def _optimality(item, what):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"ROADMAP item {item}: check proves {what}")
+
+
+_ITEM_1 = _optimality(1, "the witness feasible, not optimal")
+_ITEM_2 = _optimality(2, "y feasible, not optimal")
+_ONESIDED = {"problem": "onesided", "A": _ABC_OPTIMUM["A"], "b": _ABC_OPTIMUM["b"]}
+
+# (instance, field, fresh value, tamper): each tamper stores a feasible but
+# worse witness with a consistent objective
+_WORSE_WITNESSES = [
+    pytest.param(dict(_ABC_OPTIMUM, problem="primal"), "objective", 3.0,
+                 _shifted("x", -1.0, 2.0), marks=_ITEM_1, id="primal"),
+    pytest.param(dict(_ABC_OPTIMUM, problem="primal-integer"), "objective", 2.5,
+                 _shifted("x", -1.0, 1.5), marks=_ITEM_1, id="primal-integer"),
+    pytest.param(dict(_ABC_OPTIMUM, problem="dual"), "objective", 3.0,
+                 _shifted("pi", 1.0, 4.0), marks=_ITEM_1, id="dual"),
+    pytest.param(dict(_ABC_OPTIMUM, problem="dual-integer"), "objective", 3.5,
+                 _shifted("pi", 1.0, 4.5), marks=_ITEM_1, id="dual-integer"),
+    pytest.param(_ONESIDED, "residual", 0.0, _lowered_principal,
+                 marks=_optimality(1, "principal a subsolution, not the greatest"),
+                 id="onesided"),
+    pytest.param({"problem": "tslp", "A": [[-1, -2], [-3, -1]], "d": [0, 0], "c": [0, 0]},
+                 "objective", 0.0, _shifted("y", 1.0, 1.0), marks=_ITEM_2, id="tslp"),
+    pytest.param({"problem": "tslp2", "A": [[0, -5], [-5, -1]], "d": [0, 0], "c": [0, 0]},
+                 "objective", 0.0, lambda p: dict(p, y=[3.0, 0.0], objective=3.0),
+                 marks=_ITEM_2, id="tslp2"),
+]
+
+
+class TestWorseWitness:
+    """Optimality is not certified yet: a feasible but worse witness, stored
+    with an objective (or residual) that matches it, passes verify_payload.
+    Each reproducer is a strict xfail that names the ROADMAP item whose
+    certificate will reject it; test_fresh_answer pins the optimum that the
+    tamper moves away from."""
+
+    @pytest.mark.parametrize("obj, field, fresh, tamper", [
+        pytest.param(*case.values, id=case.id) for case in _WORSE_WITNESSES])
+    def test_fresh_answer(self, obj, field, fresh, tamper):
+        payload, code = solve_to_payload(parse_instance(json.dumps(obj)), 1e-9)
+        assert (code, payload[field], verify_payload(payload)) == (EXIT_OK, fresh, [])
+        assert tamper(payload)[field] != fresh
+
+    @pytest.mark.parametrize("obj, field, fresh, tamper", _WORSE_WITNESSES)
+    def test_worse_witness_detected(self, obj, field, fresh, tamper):
+        payload, _ = solve_to_payload(parse_instance(json.dumps(obj)), 1e-9)
+        assert verify_payload(tamper(payload)) != []
+
+
 # tests/golden/mcm.solution.json as solve wrote it before solutions carried
 # a potential
 _MCM_WITHOUT_POTENTIAL = """{
@@ -1662,26 +1732,33 @@ _HEAVY_LOOP = {"A": [[-5.575147500136568, E, E],
                      [-7.001624713688663, -6.501019054290809, 5.245235341413295e+240],
                      [5.402802652180068e+240, E, 9.373040652953213]],
                "d": [0.0] * 3, "c": [0.0] * 3}
-_UNDER_LARGE_ARCS = pytest.mark.parametrize("case, lam, cycle", [
-    (_ABSORBED, 1.0, [2, 1]), (_HEAVY_LOOP, 9.373040652953213, [2])],
-    ids=["positive-arc-cycle", "self-loop"])
+# the cycle 1 -> 2 -> 1 has mean -0.72, and the arc 0 -> 2, on no cycle,
+# weighs 2.7e218
+_NEGATIVE_CYCLE = {"A": [[E, -7.59578178904595, 2.7446303542739914e+218],
+                         [E, -9.424817658228612, 4.80687032119333],
+                         [E, -6.2545515933706675, E]]}
+_DIVERGENT_CASES = [(_ABSORBED, 1.0, [2, 1]), (_HEAVY_LOOP, 9.373040652953213, [2])]
+_DIVERGENT_IDS = ["positive-arc-cycle", "self-loop"]
 
 
 class TestAbsorbedCycle:
     """A small cycle beside far larger arcs, whose sums absorb it in Karp's
     walk table: the table's lambda is 0.0 beside the cycle of positive arcs
-    1 -> 2 -> 1, and below the self-loop of weight 9.37.  max_cycle_mean's
-    lower bounds name both cycles, so mcm stores their mean and the other
-    graph kinds refuse, and every check passes."""
+    1 -> 2 -> 1, below the self-loop of weight 9.37, and, at -9.42, below
+    the cycle 1 -> 2 -> 1 of mean -0.72.  max_cycle_mean's lower-bound rule
+    names each cycle, so mcm stores its mean and the other graph kinds
+    refuse the first two, and every check passes."""
 
-    @_UNDER_LARGE_ARCS
+    @pytest.mark.parametrize("case, lam, cycle", _DIVERGENT_CASES + [
+        (_NEGATIVE_CYCLE, -0.7238406360886689, [2, 1])],
+        ids=_DIVERGENT_IDS + ["negative-cycle"])
     def test_mcm_finds_the_cycle(self, case, lam, cycle, tmp_path):
         obj = {"problem": "mcm", "A": util.rows_obj(TropMatrix(case["A"]))}
         assert _solve_then_check(obj, tmp_path) == (EXIT_OK, EXIT_OK)
         solved = json.loads((tmp_path / "sol.json").read_text())
         assert (solved["lambda"], solved["witness_cycle"]) == (lam, cycle)
 
-    @_UNDER_LARGE_ARCS
+    @pytest.mark.parametrize("case, lam, cycle", _DIVERGENT_CASES, ids=_DIVERGENT_IDS)
     @pytest.mark.parametrize("kind", ["star", "tslp", "tslp2"])
     def test_star_kinds_refuse(self, kind, case, lam, cycle, tmp_path):
         obj = {key: case[key] for key in _KINDS[kind].fields}
