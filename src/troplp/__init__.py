@@ -4,8 +4,8 @@ The building blocks are immutable TropMatrix / TropVector values over the
 semiring (R + {-inf}, max, +), and every public operation is max-plus.  On
 top of them sit closed-form solvers for one-sided systems and the primal/dual
 tropical LP pair, integer variants with their duality-gap report, and the
-special two-sided programs.  The brute-force reference oracles of the test
-suite live in troplp.oracles, which this package does not import.
+special two-sided programs.  The brute-force oracles of the tests and the
+benchmark live in troplp.oracles, which this package does not import.
 """
 
 from ._version import __version__

@@ -3,9 +3,11 @@
 Commands: solve (dispatch on the instance's problem kind), check
 (re-validate a solution file's certificate without re-solving), and the star
 and mcm utilities which accept instance files whose "problem" field may be
-omitted.  Exit codes: 0 success, 1 infeasible or divergent, 2 input or
-output error, 3 certificate violation.  Results go to stdout unless --output
-is given; diagnostics go to stderr.
+omitted.  Each writes one JSON document in io.serialize_solution's layout:
+the solution, which check reads back, or check's verdict.  Exit codes: 0
+success, 1 infeasible or divergent, 2 input or output error, 3 certificate
+violation.  Results go to stdout unless --output is given; diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from .core import DEFAULT_TOL
 from .errors import (CertificateViolationError, DimensionMismatchError,
                      FiniteRequiredError, InstanceFormatError)
 from .io import (EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, check_solution_text,
-                 check_tol, parse_instance, render_text, serialize_solution,
-                 solve_to_payload)
+                 parse_instance, serialize_solution, solve_to_payload)
 
 
 _PARSER = argparse.ArgumentParser(
@@ -34,9 +35,7 @@ _PARSER.add_argument("--input", required=True, help="input file path")
 _PARSER.add_argument("--output", default=None,
                      help="output file path (default: stdout)")
 _PARSER.add_argument("--tol", type=float, default=None,
-                     help=f"absolute tolerance (default {DEFAULT_TOL})")
-_PARSER.add_argument("--format", dest="fmt", choices=("json", "text"),
-                     default="json", help="output format")
+                     help=f"absolute tolerance (default: the file's tol, else {DEFAULT_TOL})")
 
 
 def _write(text: str, path: str | None):
@@ -70,9 +69,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"troplp: {args.command} expects a {default_kind!r} instance, "
                       f"got {inst.problem!r}", file=sys.stderr)
                 return EXIT_INPUT
-            tol = check_tol(args.tol) if args.tol is not None else (
-                inst.tol if inst.tol is not None else DEFAULT_TOL)
-            payload, code = solve_to_payload(inst, tol)
+            payload, code = solve_to_payload(inst, args.tol)
     except (InstanceFormatError, FiniteRequiredError, DimensionMismatchError) as exc:
         print(f"troplp: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -80,10 +77,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"troplp: internal certificate violation: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
 
-    rendered = (serialize_solution(payload) if args.fmt == "json"
-                else render_text(payload))
     try:
-        _write(rendered, args.output)
+        _write(serialize_solution(payload), args.output)
     except OSError as exc:
         where = "stdout" if args.output is None else args.output
         print(f"troplp: cannot write {where}: {exc}", file=sys.stderr)

@@ -31,9 +31,11 @@ oracles.descent_dual_integer.
 
 Past 2^52 the float64 spacing is at least 1: fr returns 0, tol is absorbed,
 and a nonzero phase cannot be represented (ceil_frac(2^52 + 1, 0.5) is 2^52).
-So the integer kinds of the file format take an instance only if
-integer_instance bounds every level |b_i + c_j - a_ij| by 2^50, where its
-spacing is at most 1/4; the solvers leave that bound to their caller.
+The real dual's witness pi = fl(fl(c + fl(b - a)) - b) then also exceeds its
+residuated rule by up to a spacing.  So the integer kinds and dual of the
+file format take an instance only if bounded_instance bounds every level
+|b_i + c_j - a_ij| by 2^50, where its spacing is at most 1/4; the solvers
+leave that bound to their caller.
 """
 
 from __future__ import annotations
@@ -67,14 +69,14 @@ def floor_frac(x, phase, tol: float = DEFAULT_TOL):
     return np.floor(x - phase + tol) + phase
 
 
-def integer_instance(a: TropMatrix, b: TropVector, c: TropVector) -> LpInstance:
-    """LpInstance's guard plus the integer kinds' bound (module docstring)."""
+def bounded_instance(a: TropMatrix, b: TropVector, c: TropVector) -> LpInstance:
+    """LpInstance's guard plus the 2^50 bound (module docstring)."""
     inst = LpInstance(a, b, c)
     level = (np.max(np.abs(b.data[:, np.newaxis] - a.data), where=a.data > EPSILON, initial=0)
              + np.abs(c.data).max())
     if level > 2.0**50:
-        raise InstanceFormatError("the integer kinds need the largest finite |b_i - a_ij| "
-                                  f"plus the largest |c_j| at most 2^50, got {float(level)!r}")
+        raise InstanceFormatError("the largest finite |b_i - a_ij| plus the largest |c_j| "
+                                  f"must be at most 2^50, got {float(level)!r}")
     return inst
 
 

@@ -51,7 +51,7 @@ from .closure import (_diverges, _require_square, _star_sweep, kleene_star,
                       max_cycle_mean)
 from .core import DEFAULT_TOL, EPSILON, TropMatrix, TropVector, tdot
 from .errors import DivergentStarError, InstanceFormatError
-from .intlp import (duality_gap, integer_instance, solve_dual_integer,
+from .intlp import (bounded_instance, duality_gap, solve_dual_integer,
                     solve_primal_integer)
 from .lp import LpInstance, solve_dual, solve_primal
 from .onesided import _check_system, solve_equality
@@ -411,30 +411,6 @@ def parse_solution(text: str) -> dict:
     return obj
 
 
-def render_text(payload: dict) -> str:
-    """Human-oriented plain-text rendering; not round-trip safe."""
-    lines: list[str] = []
-
-    def emit(key, value, indent):
-        pad = "  " * indent
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            for k, v in value.items():
-                emit(k, v, indent + 1)
-        elif isinstance(value, list) and value and isinstance(value[0], list):
-            lines.append(f"{pad}{key}:")
-            for row in value:
-                lines.append(f"{pad}  " + "  ".join(str(v) for v in row))
-        elif isinstance(value, list):
-            lines.append(f"{pad}{key}: " + "  ".join(str(v) for v in value))
-        else:
-            lines.append(f"{pad}{key}: {value}")
-
-    for k, v in payload.items():
-        emit(k, v, 0)
-    return "\n".join(lines) + "\n"
-
-
 # Readers of the stored fields that _Kind.stored lists.  Each takes the
 # field's JSON value, its key and the instance, and returns what the kind's
 # check takes; a malformed value raises InstanceFormatError naming the key,
@@ -529,8 +505,8 @@ class _Kind(NamedTuple):
 
     domain is the library guard that states the kind's rule on its instance
     (where epsilon may stand, whether A is square, the vectors' lengths, the
-    integer kinds' bound), called as domain(A, *vectors in field order); it
-    raises FiniteRequiredError, DimensionMismatchError or InstanceFormatError.
+    2^50 bound), called as domain(A, *vectors in field order); it raises
+    FiniteRequiredError, DimensionMismatchError or InstanceFormatError.
     stored lists the fields a solution stores, in the order solve_to_payload
     writes them, each with its reader.  solve(inst, tol) returns their values
     in that order, and check(inst, tol, *values) applies the rules of
@@ -557,21 +533,21 @@ _KINDS = {
     "primal": _Kind(_ABC, LpInstance, lambda inst, tol: solve_primal(inst)[::-1],
                     lambda inst, tol, f, x: certificates.primal(inst, x, f, tol),
                     (("objective", _read_number), ("x", _read_n_vector))),
-    "dual": _Kind(_ABC, LpInstance, lambda inst, tol: solve_dual(inst)[::-1],
+    "dual": _Kind(_ABC, bounded_instance, lambda inst, tol: solve_dual(inst)[::-1],
                   lambda inst, tol, phi, pi: certificates.dual(inst, pi, phi, tol),
                   (("objective", _read_number), ("pi", _read_m_vector))),
     "primal-integer": _Kind(
-        _ABC, integer_instance,
+        _ABC, bounded_instance,
         lambda inst, tol: attrgetter("f_max_int", "x_opt")(solve_primal_integer(inst, tol)),
         lambda inst, tol, f, x: certificates.primal(inst, x, f, tol, integral=True),
         (("objective", _read_number), ("x", _read_n_vector))),
     "dual-integer": _Kind(
-        _ABC, integer_instance,
+        _ABC, bounded_instance,
         lambda inst, tol: attrgetter("phi_min_int", "pi_opt")(solve_dual_integer(inst, tol)),
         lambda inst, tol, phi, pi: certificates.dual(inst, pi, phi, tol, integral=True),
         (("objective", _read_number), ("pi", _read_m_vector))),
     "gap": _Kind(
-        _ABC, integer_instance,
+        _ABC, bounded_instance,
         lambda inst, tol: attrgetter("lower", "real_optimum", "upper", "primal.x_opt",
                                      "dual.pi_opt")(duality_gap(inst, tol)),
         lambda inst, tol, lower, real, upper, x, pi: (
@@ -620,17 +596,15 @@ _DIVERGENT = (("lambda", _read_number), ("witness_cycle", _read_cycle))
 KINDS = tuple(_KINDS)
 
 
-def _head(problem: str, tol: float, status: str) -> dict:
-    return {"tool": "troplp", "version": __version__,
-            "problem": problem, "tol": tol, "status": status}
-
-
-def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
+def solve_to_payload(inst: InstanceFile, tol_override: float | None = None) -> tuple[dict, int]:
     """Dispatch on the instance kind; returns (solution payload, exit code).
 
-    The kind's domain guard runs first: an instance outside the domain raises
-    its FiniteRequiredError, DimensionMismatchError or InstanceFormatError,
-    which the CLI reports as an input error (exit 2)."""
+    The tolerance, checked first, is tol_override (the CLI's --tol), else the
+    instance's tol, else DEFAULT_TOL.  Then the kind's domain guard runs: an
+    instance outside it raises FiniteRequiredError, DimensionMismatchError or
+    InstanceFormatError, which the CLI reports as an input error (exit 2)."""
+    tol = check_tol(tol_override if tol_override is not None
+                    else DEFAULT_TOL if inst.tol is None else inst.tol)
     spec = _spec(inst.problem)
     spec.domain(inst.a, *(getattr(inst, key) for key in spec.fields[1:]))
     try:
@@ -639,7 +613,8 @@ def solve_to_payload(inst: InstanceFile, tol: float) -> tuple[dict, int]:
     except DivergentStarError as exc:
         stored, values = _DIVERGENT, (exc.lambda_, exc.witness_cycle)
         status, code = spec.statuses[1], EXIT_INFEASIBLE
-    payload = _head(inst.problem, tol, status)
+    payload = {"tool": "troplp", "version": __version__,
+               "problem": inst.problem, "tol": tol, "status": status}
     payload.update((key, _stored_json(value)) for (key, _), value in zip(stored, values))
     payload["instance"] = instance_to_obj(inst)
     return payload, code
@@ -657,7 +632,8 @@ def verify_payload(payload: dict, tol_override: float | None = None) -> list[str
     status.  Every field the status stores (_Kind.stored, or _DIVERGENT) is
     required and read in order, and the first one missing or malformed is the
     one problem (so an mcm file without a potential is one); the check then
-    recomputes every residual from the stored witnesses and the instance.
+    recomputes every residual from the stored witnesses and the instance, at
+    tol_override (the CLI's --tol), else the stored tol, else DEFAULT_TOL.
     Fields it does not read are ignored: tool, version, and the certificate
     block, method, iterations and u that older files carry.
     """
@@ -695,7 +671,7 @@ def check_solution_text(text: str, tol_override: float | None = None) -> list[st
 
 __all__ = [
     "KINDS", "InstanceFile", "parse_instance", "instance_to_obj",
-    "serialize_solution", "parse_solution", "render_text", "solve_to_payload",
+    "serialize_solution", "parse_solution", "solve_to_payload",
     "verify_payload", "check_solution_text", "check_tol",
     "EXIT_OK", "EXIT_INFEASIBLE", "EXIT_INPUT", "EXIT_CERTIFICATE",
 ]

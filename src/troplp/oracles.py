@@ -1,4 +1,5 @@
-"""Slow reference implementations for tests and acceptance runs.
+"""Slow reference implementations for the tests and for the tiny-instance
+checks of bench/workloads.py, which keep this module in the package.
 
 The brute-force searches are plain-Python enumeration.  Nothing is shared
 with the production solvers beyond scalar max/+ arithmetic, so they serve as

@@ -14,7 +14,8 @@ graph pool sweeps A only when its positive arcs close no cycle, and a tslp
 solve only when A has a positive arc; and the graph pool's solves and checks take the acyclic
 peel, Karp's early stop, the star writer's distinct values and the
 strictly-negative exits.  bench/workloads.py is imported as it is, and the
-pools are written under the test's temporary directory.
+pools are written under the test's temporary directory.  The io stages that
+bench/tracing.py times must all be names that troplp.cli binds.
 """
 
 import importlib.util
@@ -24,7 +25,7 @@ from collections import Counter
 import pytest
 
 import util
-from troplp import EPSILON, certificates, closure, twosided
+from troplp import EPSILON, certificates, cli, closure, twosided
 from troplp.cli import main
 from troplp.io import _distinct_value_rows, _read_array, parse_instance
 
@@ -32,16 +33,23 @@ SEED = 11
 FIRST = 12
 
 
-def _workloads():
-    path = util.TESTS.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _bench_module(name):
+    path = util.TESTS.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _workloads()
+workloads = _bench_module("workloads")
+
+
+def test_cli_binds_every_traced_io_stage():
+    # the traced run times the io stages through the names troplp.cli binds,
+    # and lists a name it cannot find as untraced
+    tracing = _bench_module("tracing")
+    assert [name for name in tracing.IO_STAGES if not hasattr(cli, name)] == []
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

@@ -98,22 +98,20 @@ def test_self_check_raises_the_rule_line(kind, a, solver, line, monkeypatch, tmp
 
 _WITNESSES = {"primal": ("x",), "primal-integer": ("x",), "gap": ("x", "pi"),
               "dual": ("pi",), "dual-integer": ("pi",), "onesided": ("principal",)}
-# b and c are partly absorbed by A's entries there, and the three roundings
-# that build pi = fl(fl(c + fl(b - a)) - b) put it off by up to a spacing
-_ABSORBED_DUAL = pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: between 2^52 and 2^62 the dual witness exceeds the residuated "
-    "rule, and its exact bound, by up to a spacing of A's entries"))
+# the kinds that write a dual or an integer witness: past 2^52 the three
+# roundings that build pi = fl(fl(c + fl(b - a)) - b) put it off its rule by
+# up to a spacing, and the integer lattice cannot be represented
+_BOUNDED = ("dual", "primal-integer", "dual-integer", "gap")
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4, 2.0**24, 2.0**26, 1e8, 2.0**40, 1e15,
-                                   pytest.param(2.0**56, marks=_ABSORBED_DUAL),
-                                   1e20, 1e50, 1e100, 1e200, 1e300],
+                                   2.0**56, 1e20, 1e50, 1e100, 1e200, 1e300],
                          ids=lambda m: f"{m:.2e}")
 def test_fresh_abc_answers_check_at_every_magnitude(scale):
     # each witness exceeds its rule, computed exactly, by at most tol plus
     # half a spacing of the residuated difference; at small magnitude a real
     # witness, tight at some row, moved by 2 tol against its rule fails; past
-    # 2^50 the integer kinds refuse the instance
+    # 2^50 the kinds of _BOUNDED refuse the instance (exit 2)
     rng = np.random.default_rng([2026, int(np.log2(scale))])
     tol = 1e-9
     for _ in range(30):
@@ -125,7 +123,7 @@ def test_fresh_abc_answers_check_at_every_magnitude(scale):
             if kind == "onesided":
                 del obj["c"]
             inst = parse_instance(json.dumps(obj))
-            if scale > 2.0**50 and kind in ("primal-integer", "dual-integer", "gap"):
+            if scale > 2.0**50 and kind in _BOUNDED:
                 with pytest.raises(InstanceFormatError, match=r"at most 2\^50, got "):
                     solve_to_payload(inst, tol)
                 continue

@@ -13,7 +13,7 @@ from troplp import (IntDualResult, LpInstance, TropMatrix, TropVector,
                     fr, greatest_subsolution, leq, solve_dual_integer,
                     solve_primal_integer, tdot, tmul, transpose)
 from troplp.errors import FiniteRequiredError, InstanceFormatError
-from troplp.intlp import integer_instance
+from troplp.intlp import bounded_instance
 from troplp.oracles import (Box, IntDualState, advance, brute_dual_integer,
                             brute_primal_integer, coverage,
                             descent_dual_integer, dual_box, initial_state,
@@ -409,19 +409,19 @@ class TestFloorBEstimate:
 
 
 class TestIntegerBound:
-    """The integer kinds' domain: LpInstance's plus the largest finite
-    |b_i - a_ij| plus the largest |c_j| at most 2^50."""
+    """The domain of dual and the integer kinds: LpInstance's plus the
+    largest finite |b_i - a_ij| plus the largest |c_j| at most 2^50."""
 
     A = TropMatrix([[0.0, float("-inf")], [float("-inf"), 0.0]])
 
     def test_bound_is_inclusive_and_skips_epsilon(self):
         b = TropVector([2.0**50 - 1, 0.0])
-        assert integer_instance(self.A, b, TropVector([1.0, 0.0])) == LpInstance(
+        assert bounded_instance(self.A, b, TropVector([1.0, 0.0])) == LpInstance(
             self.A, b, TropVector([1.0, 0.0]))
         with pytest.raises(InstanceFormatError, match=r"at most 2\^50, got 1125899906842624.2"):
-            integer_instance(self.A, b, TropVector([1.25, 0.0]))
+            bounded_instance(self.A, b, TropVector([1.25, 0.0]))
 
     def test_lp_guard_comes_first(self):
         with pytest.raises(FiniteRequiredError, match="column 1 is all -inf"):
-            integer_instance(TropMatrix([[2.0**60, float("-inf")]]), TropVector([0.0]),
+            bounded_instance(TropMatrix([[2.0**60, float("-inf")]]), TropVector([0.0]),
                              TropVector([0.0, 0.0]))

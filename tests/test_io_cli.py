@@ -20,7 +20,7 @@ from troplp.cli import main
 from troplp.io import (_DIVERGENT, _INT_OVERFLOW, _KINDS, _MAX_ENTRY, _MAX_STORED,
                        EXIT_CERTIFICATE, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS,
                        _distinct_value_rows, _encode, _json, _number, _read_array,
-                       _row_texts, check_tol, parse_instance, parse_solution, render_text,
+                       _row_texts, check_tol, parse_instance, parse_solution,
                        serialize_solution, solve_to_payload, verify_payload)
 from troplp.oracles import (brute_dual_integer, brute_primal_integer, brute_star, dual_box,
                             primal_box)
@@ -429,13 +429,6 @@ class TestRoundTrip:
             assert code == EXIT_OK
             assert parse_solution(serialize_solution(payload)) == payload
 
-    def test_render_text_smoke(self):
-        rng = np.random.default_rng(62)
-        inst = parse_instance(json.dumps(util.golden_instance_obj(rng, "mcm")))
-        payload, _ = solve_to_payload(inst, 1e-9)
-        text = render_text(payload)
-        assert "lambda" in text and "problem: mcm" in text
-
 
 def _plain_a(payload):
     """payload with the embedded A as plain lists, which the writer formats."""
@@ -587,7 +580,6 @@ class TestRowCopy:
         text = serialize_solution(payload)
         assert json.loads(text) == payload
         assert json.loads(json.dumps(payload)) == payload
-        assert render_text(payload) == render_text(_plain_a(payload))
 
 
 class TestSolveToPayload:
@@ -1184,16 +1176,16 @@ class TestCliMain(object):
         self._write(paths["matrix"], {"A": [[-1, 0], [-3, -2]]})
         self._write(paths["divergent"], {"problem": "star", "A": [[1]]})
         forms = [  # in order: check and the tampered copy read the solution
-            ("solve --input {inst} --output {sol} --tol 1e-9 --format json", EXIT_OK),
-            ("solve --input {inst} --format text", EXIT_OK),
+            ("solve --input {inst} --output {sol} --tol 1e-9", EXIT_OK),
+            ("solve --input {inst}", EXIT_OK),
             ("check --input {sol}", EXIT_OK),
-            ("check --input {sol} --format text", EXIT_OK),
             ("star --input {matrix}", EXIT_OK),
-            ("mcm --input {matrix} --format text", EXIT_OK),
+            ("mcm --input {matrix}", EXIT_OK),
             ("solve --input {divergent}", EXIT_INFEASIBLE),
             ("check --input {tampered}", EXIT_CERTIFICATE),
             ("solve --input {missing}", EXIT_INPUT),
         ]
+        printed = {}
         for form, code in forms:
             if "{tampered}" in form:
                 doc = json.loads(paths["sol"].read_text())
@@ -1201,12 +1193,16 @@ class TestCliMain(object):
                 paths["tampered"].write_text(json.dumps(doc))
             argv = form.format(**{k: str(v) for k, v in paths.items()}).split()
             assert main(argv) == code, form
-        out = capsys.readouterr().out
-        assert "objective: 0.0" in out and "status: passed" in out
-        assert "lambda: -1.0" in out
+            out = capsys.readouterr().out
+            if out:  # every printed answer is one JSON document
+                printed[form] = json.loads(out)
+        assert printed["solve --input {inst}"]["objective"] == 0.0
+        assert printed["check --input {sol}"] == {"status": "passed", "problems": []}
+        assert printed["mcm --input {matrix}"]["lambda"] == -1.0
 
     @pytest.mark.parametrize("argv", [["frobnicate", "--input", "inst.json"],
-                                      ["solve"], ["check", "--output", "out.json"], []])
+                                      ["solve"], ["check", "--output", "out.json"], [],
+                                      ["mcm", "--input", "inst.json", "--format", "text"]])
     def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -1301,12 +1297,6 @@ class TestCliMain(object):
         calls = util.count_calls(monkeypatch, closure.max_cycle_mean)
         solve_to_payload(inst, 1e-9)
         assert len(calls) <= 1
-
-    def test_text_format(self, tmp_path, capsys):
-        inst = tmp_path / "inst.json"
-        self._write(inst, {"problem": "mcm", "A": [[1]]})
-        assert main(["solve", "--input", str(inst), "--format", "text"]) == EXIT_OK
-        assert "lambda: 1.0" in capsys.readouterr().out
 
     def test_tol_flag_loosens_divergence(self, tmp_path):
         inst = tmp_path / "inst.json"
@@ -1475,6 +1465,33 @@ class TestTolRule:
             assert _check(doc, tmp_path, f"--tol={flag}") == EXIT_INPUT
         assert "tol must be" in capsys.readouterr().err
 
+    def test_solve_tol_precedence(self):
+        # --tol, else the instance's tol, else the default, as check's order
+        inst = parse_instance('{"problem":"mcm","A":[[1]],"tol":0.5}')
+        assert solve_to_payload(inst)[0]["tol"] == 0.5
+        assert solve_to_payload(inst, 0.25)[0]["tol"] == 0.25
+        assert solve_to_payload(parse_instance('{"problem":"mcm","A":[[1]]}'))[0]["tol"] == 1e-9
+
+    def test_solve_checks_tol_after_parsing_and_before_the_domain(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        for text, message in [('{"problem": "star", "A": [[1, 2]', "invalid JSON"),
+                              ('{"problem": "star", "A": [[1, 2]]}', "tol must be")]:
+            inst.write_text(text)
+            assert main(["solve", "--input", str(inst), "--tol=nan"]) == EXIT_INPUT
+            assert message in capsys.readouterr().err
+
+    def test_stored_tol_decides_unless_overridden(self, tmp_path, capsys):
+        # a file's tol is part of what it claims: check decides at it unless
+        # --tol is given
+        doc = json.loads((GOLDEN / "mcm.solution.json").read_text())
+        doc["lambda"] += 5
+        doc["tol"] = 1e300
+        assert _check(doc, tmp_path) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert _check(doc, tmp_path, "--tol", "1e-9") == EXIT_CERTIFICATE
+        assert capsys.readouterr().err == (
+            "troplp: certificate violation: witness cycle mean 1.0 != lambda 6.0\n")
+
     @pytest.mark.parametrize("obj", [
         {"problem": "star", "A": [[1]]},
         {"problem": "gap", "A": [[0.5]], "b": [1.5], "c": [0]},
@@ -1489,9 +1506,10 @@ class TestTolRule:
 
 class TestAbsoluteTolAtLargeEntries:
     """Answers whose entries are large check, as the A-b-c kinds decide
-    feasibility on the residuated differences the solvers take.  The integer
-    kinds refuse an instance past 2^50 (exit 2): past 2^52 the integer
-    lattice cannot be represented at all."""
+    feasibility on the residuated differences the solvers take.  dual and
+    the integer kinds refuse an instance past 2^50 (exit 2): past 2^52 the
+    integer lattice cannot be represented at all, and the roundings of the
+    dual witness put it off its rule."""
 
     @pytest.mark.parametrize("obj, code", [
         pytest.param({"problem": "primal",
@@ -1505,6 +1523,9 @@ class TestAbsoluteTolAtLargeEntries:
         pytest.param({"problem": "dual-integer", "A": [[-4503599627370496, 0]], "b": [0.5],
                       "c": [0, -3]}, EXIT_INPUT,
                      id="dual-integer-2^52"),
+        pytest.param({"problem": "dual", "A": [[-4503599627370496, 0]], "b": [0.5],
+                      "c": [0, -3]}, EXIT_INPUT,
+                     id="dual-2^52"),
         pytest.param({"problem": "primal-integer", "A": [[35958365.6]], "b": [-0.4],
                       "c": [-1.3]}, EXIT_OK,
                      id="primal-integer-3.6e7"),
@@ -1520,8 +1541,8 @@ class TestAbsoluteTolAtLargeEntries:
         assert main(["solve", "--input", str(inst), "--output", str(sol)]) == code
         if code == EXIT_INPUT:
             assert capsys.readouterr().err == (
-                "troplp: input error: the integer kinds need the largest finite "
-                "|b_i - a_ij| plus the largest |c_j| at most 2^50, got 4503599627370499.0\n")
+                "troplp: input error: the largest finite |b_i - a_ij| plus the largest "
+                "|c_j| must be at most 2^50, got 4503599627370499.0\n")
         else:
             assert main(["check", "--input", str(sol)]) == EXIT_OK
 
