@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Commands: solve (dispatch on the instance's problem kind), check
-(re-validate a solution file's certificate without re-solving), and the star
-and mcm utilities which accept instance files whose "problem" field may be
-omitted.  Each writes one JSON document in io.serialize_solution's layout:
-the solution, which check reads back, or check's verdict.  Exit codes: 0
+Commands: solve (dispatch on the instance's problem kind) and check
+(re-validate a solution file's certificate without re-solving).  Each writes
+one JSON document in io.serialize_solution's layout: the solution, which
+check reads back, or check's verdict.  Exit codes: 0
 success, 1 infeasible or divergent, 2 input or output error, 3 certificate
 violation.  Results go to stdout unless --output is given; diagnostics go to
 stderr.
@@ -26,11 +25,9 @@ _PARSER = argparse.ArgumentParser(
     prog="troplp",
     description="Max-plus linear algebra and tropical LP/ILP solvers.")
 _PARSER.add_argument(
-    "command", choices=("solve", "check", "star", "mcm"),
+    "command", choices=("solve", "check"),
     help="solve: solve the instance according to its problem kind; "
-         "check: re-validate a solution file's certificate; "
-         "star: Kleene star of a square matrix instance; "
-         "mcm: maximum cycle mean of a square matrix instance")
+         "check: re-validate a solution file's certificate")
 _PARSER.add_argument("--input", required=True, help="input file path")
 _PARSER.add_argument("--output", default=None,
                      help="output file path (default: stdout)")
@@ -63,13 +60,7 @@ def main(argv: list[str] | None = None) -> int:
                        "problems": problems}
             code = EXIT_CERTIFICATE if problems else EXIT_OK
         else:
-            default_kind = args.command if args.command in ("star", "mcm") else None
-            inst = parse_instance(text, default_problem=default_kind)
-            if default_kind is not None and inst.problem != default_kind:
-                print(f"troplp: {args.command} expects a {default_kind!r} instance, "
-                      f"got {inst.problem!r}", file=sys.stderr)
-                return EXIT_INPUT
-            payload, code = solve_to_payload(inst, args.tol)
+            payload, code = solve_to_payload(parse_instance(text), args.tol)
     except (InstanceFormatError, FiniteRequiredError, DimensionMismatchError) as exc:
         print(f"troplp: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

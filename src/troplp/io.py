@@ -204,14 +204,13 @@ def _check_magnitude(key: str, values: np.ndarray, bound: float):
                                   f"in magnitude, got {float(values[big][0])!r}")
 
 
-def _instance_from_obj(obj, default_problem: str | None = None,
-                       eps: np.ndarray | None = None) -> InstanceFile:
+def _instance_from_obj(obj, eps: np.ndarray | None = None) -> InstanceFile:
     """The instance in a decoded JSON object, read for its format alone: its
     fields, their JSON types and their magnitudes, "-inf" allowed in every
     array.  eps is A's epsilon mask from _row_texts, if it gave one."""
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance must be a JSON object")
-    problem = obj.get("problem", default_problem)
+    problem = obj.get("problem")
     if problem is None:
         raise InstanceFormatError('missing required field "problem"')
     spec = _spec(problem)
@@ -314,7 +313,7 @@ def _row_texts(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
 _EPS_BYTES = np.frombuffer(b'"-inf"', np.uint8)
 
 
-def parse_instance(text: str, default_problem: str | None = None) -> InstanceFile:
+def parse_instance(text: str) -> InstanceFile:
     """Parse one instance from JSON text and check its format: the fields,
     their JSON types and their magnitudes.  The kind's domain is left to
     solve_to_payload.  A canonically spelled A (_row_texts) is read with its
@@ -323,7 +322,7 @@ def parse_instance(text: str, default_problem: str | None = None) -> InstanceFil
     an entry below 1e-4 with an exponent."""
     obj = _load_json(text)
     texts, eps = _row_texts(text) or (None, None)
-    inst = _instance_from_obj(obj, default_problem, eps)
+    inst = _instance_from_obj(obj, eps)
     if texts is not None and not ((inst.a.data != 0) & (np.abs(inst.a.data) < 1e-4)).any():
         object.__setattr__(inst, "a_rows", _Rows(obj["A"], texts))
     return inst
@@ -623,31 +622,31 @@ def solve_to_payload(inst: InstanceFile, tol_override: float | None = None) -> t
 def verify_payload(payload: dict, tol_override: float | None = None) -> list[str]:
     """Re-validate a solution payload against its embedded instance.
 
-    Returns a list of human-readable violations, a missing or malformed
-    stored field among them; empty means the certificate holds.  A missing
-    problem or instance field, an unknown kind, a malformed instance or a bad
-    tolerance raises InstanceFormatError instead, and an instance outside the
-    kind's domain the guard's error, the same error solve_to_payload raises:
-    the CLI exits 2 on each.  A missing status reads as the kind's solved
-    status.  Every field the status stores (_Kind.stored, or _DIVERGENT) is
-    required and read in order, and the first one missing or malformed is the
-    one problem (so an mcm file without a potential is one); the check then
-    recomputes every residual from the stored witnesses and the instance, at
-    tol_override (the CLI's --tol), else the stored tol, else DEFAULT_TOL.
-    Fields it does not read are ignored: tool, version, and the certificate
-    block, method, iterations and u that older files carry.
+    Returns a list of human-readable violations, a missing or malformed stored
+    field among them; empty means the certificate holds.  A missing problem or
+    instance field, an unknown kind, a malformed instance or a bad tolerance,
+    stored or tol_override, raises InstanceFormatError instead, and an
+    instance outside the kind's domain the guard's error, the same error
+    solve_to_payload raises: the CLI exits 2 on each.  A missing status reads
+    as the kind's solved status.  Every field the status stores (_Kind.stored,
+    or _DIVERGENT) is required and read in order, and the first one missing or
+    malformed is the one problem (so an mcm file without a potential is one);
+    the check then recomputes every residual from the stored witnesses and the
+    instance, at tol_override (the CLI's --tol), else the stored tol, else
+    DEFAULT_TOL.  Fields it does not read are ignored: tool, version, and the
+    certificate block, method, iterations and u that older files carry.
     """
     for key in ("problem", "instance"):
         if key not in payload:
             raise InstanceFormatError(f'solution is missing the "{key}" field')
     kind = payload["problem"]
     spec = _spec(kind)
-    inst = _instance_from_obj(payload["instance"], default_problem=kind)
+    inst = _instance_from_obj(payload["instance"])
     if inst.problem != kind:
         raise InstanceFormatError("instance kind disagrees with solution kind")
     spec.domain(inst.a, *(getattr(inst, key) for key in spec.fields[1:]))
-    tol = check_tol(tol_override if tol_override is not None
-                    else payload.get("tol", DEFAULT_TOL))
+    tol = check_tol(payload.get("tol", DEFAULT_TOL))  # checked even when overridden
+    tol = tol if tol_override is None else check_tol(tol_override)
     status = payload.get("status", spec.statuses[0])
     if status not in spec.statuses:
         return [f"status {status!r} is not one that kind {kind!r} writes"]

@@ -2,22 +2,25 @@
 
 The benchmark counts an instance as failed when solve's exit differs from
 the one its generator expects, when check rejects the solution, or when a
-tiny instance's answer disagrees with a brute-force oracle.  This smoke test
-runs the same three tests on one seed of both pools: every tiny instance
-(the oracle-checked ones among them) and the first 12 generated ones.  It
-also counts the instances that take each fast path the code keeps, so that
-a path whose traffic falls to zero fails here (ROADMAP's traffic table gives
-each path's share of the pools and its measured gain): every A of both pools
-is canonically spelled, so that _read_array reads it with its bytes' test's
-epsilon mask and never takes its type census; a star-based solve of the
-graph pool sweeps A only when its positive arcs close no cycle, and a tslp
-solve only when A has a positive arc; and the graph pool's solves and checks take the acyclic
-peel, Karp's early stop, the star writer's distinct values and the
+tiny instance's answer disagrees with a brute-force oracle.  This test runs
+the same three tests on every instance of one seed of both pools, and pins a
+sha256 per pool over each file's name, solve and check exit codes and solve
+stdout, so that a change to any answer's bytes shows here; a change that
+alters them on purpose updates POOL_DIGEST.  It also counts the instances
+that take each fast path the code keeps, so that a path whose traffic falls
+to zero fails here (ROADMAP's traffic table gives each path's share of the
+pools and its measured gain): every A of both pools is canonically spelled,
+so that _read_array reads it with its bytes' test's epsilon mask and never
+takes its type census; a star-based solve of the graph pool sweeps A only
+when its positive arcs close no cycle, and a tslp solve only when A has a
+positive arc; and the graph pool's solves and checks take the acyclic peel,
+Karp's early stop, the star writer's distinct values and the
 strictly-negative exits.  bench/workloads.py is imported as it is, and the
 pools are written under the test's temporary directory.  The io stages that
 bench/tracing.py times must all be names that troplp.cli binds.
 """
 
+import hashlib
 import importlib.util
 import sys
 from collections import Counter
@@ -30,7 +33,12 @@ from troplp.cli import main
 from troplp.io import _distinct_value_rows, _read_array, parse_instance
 
 SEED = 11
-FIRST = 12
+# each pool's size and the sha256 over each file's name, solve and check exit
+# codes and solve stdout
+POOL_DIGEST = {
+    "graph": (116, "fec71c0b13d9f2850c1b9f29b5ad1d6732369c1e0c30f18acce5ffe5ce41c376"),
+    "lp": (112, "a0c49056aafeb5322e241f58d9e2380cdbbba86c4d5415cd77e9fcba2f31c10c"),
+}
 
 
 def _bench_module(name):
@@ -55,25 +63,25 @@ def test_cli_binds_every_traced_io_stage():
 @pytest.mark.parametrize("name", workloads.WORKLOADS)
 def test_pool_solves_checks_and_matches_the_oracles(name, tmp_path, capsys):
     pool = workloads.build_pool(name, SEED, tmp_path)
-    size = workloads.POOL_SIZE[name]
-    chosen = pool[:FIRST] + pool[size:]
-    assert any(inst.oracle for inst in chosen)
+    assert any(inst.oracle for inst in pool)
     out = tmp_path / "solution.json"
     failures = []
-    for inst in chosen:
-        code = main(["solve", "--input", str(inst.path), "--output", str(out)])
-        if code != inst.expected_exit:
-            failures.append(f"{inst.label}: solve exit {code}, expected {inst.expected_exit}")
-            continue
-        code = main(["check", "--input", str(out)])
-        if code != 0:
-            failures.append(f"{inst.label}: check exit {code}")
-            continue
-        mismatch = workloads.oracle_mismatch(inst, out.read_text(encoding="utf-8"))
-        if mismatch is not None:
+    digest = hashlib.sha256()
+    for inst in pool:
+        solved = main(["solve", "--input", str(inst.path)])
+        text = capsys.readouterr().out
+        out.write_text(text, encoding="utf-8")
+        checked = main(["check", "--input", str(out)])
+        capsys.readouterr()
+        digest.update(f"{inst.path.name} {solved} {checked}\n{text}".encode())
+        if solved != inst.expected_exit:
+            failures.append(f"{inst.label}: solve exit {solved}, expected {inst.expected_exit}")
+        elif checked != 0:
+            failures.append(f"{inst.label}: check exit {checked}")
+        elif (mismatch := workloads.oracle_mismatch(inst, text)) is not None:
             failures.append(f"{inst.label}: {mismatch}")
-    capsys.readouterr()
     assert failures == []
+    assert (len(pool), digest.hexdigest()) == POOL_DIGEST[name]
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

@@ -4,7 +4,10 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 import util
 from troplp import (EPSILON, CertificateViolationError, DimensionMismatchError,
                     FiniteRequiredError, InstanceFormatError, TropMatrix, TropVector,
-                    certificates, closure, core, intlp, lp, onesided, twosided)
+                    certificates, cli, closure, core, intlp, lp, onesided, twosided)
 from troplp.cli import main
 from troplp.io import (_DIVERGENT, _INT_OVERFLOW, _KINDS, _MAX_ENTRY, _MAX_STORED,
                        EXIT_CERTIFICATE, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, KINDS,
@@ -97,10 +100,6 @@ class TestParseInstance:
     def test_boolean_entry_rejected(self):
         with pytest.raises(InstanceFormatError, match="boolean"):
             parse_instance('{"problem":"mcm","A":[[true]]}')
-
-    def test_default_problem_for_utility_commands(self):
-        inst = parse_instance('{"A":[[1]]}', default_problem="star")
-        assert inst.problem == "star"
 
     def test_missing_problem_without_default(self):
         with pytest.raises(InstanceFormatError, match='missing required field "problem"'):
@@ -1132,17 +1131,18 @@ class TestCliMain(object):
         out = capsys.readouterr().out
         assert json.loads(out)["lambda"] == 1.0
 
-    def test_star_command_defaults_problem(self, tmp_path, capsys):
+    def test_problem_is_required_in_solve_and_check(self, tmp_path, capsys):
+        # a bare matrix names no kind: solve refuses it, and so does check
+        # when a solution's embedded instance omits its problem
         inst = tmp_path / "inst.json"
         self._write(inst, {"A": [[-1, 0], [-3, -2]]})
-        assert main(["star", "--input", str(inst)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert json.loads(out)["star"] == [[0.0, 0.0], [-3.0, 0.0]]
-
-    def test_mcm_command_rejects_other_kind(self, tmp_path):
-        inst = tmp_path / "inst.json"
-        self._write(inst, {"problem": "star", "A": [[0]]})
-        assert main(["mcm", "--input", str(inst)]) == EXIT_INPUT
+        assert main(["solve", "--input", str(inst)]) == EXIT_INPUT
+        message = 'troplp: input error: missing required field "problem"\n'
+        assert capsys.readouterr().err == message
+        doc = json.loads((GOLDEN / "star.solution.json").read_text())
+        del doc["instance"]["problem"]
+        assert _check(doc, tmp_path) == EXIT_INPUT
+        assert capsys.readouterr().err == message
 
     def test_infeasible_exit_code(self, tmp_path):
         inst = tmp_path / "inst.json"
@@ -1173,14 +1173,13 @@ class TestCliMain(object):
                  ("inst", "sol", "matrix", "divergent", "tampered", "missing")}
         self._write(paths["inst"], {"problem": "tslp", "A": [[-1, -2], [-3, -1]],
                                     "d": [0, 0], "c": [0, 0]})
-        self._write(paths["matrix"], {"A": [[-1, 0], [-3, -2]]})
+        self._write(paths["matrix"], {"problem": "mcm", "A": [[-1, 0], [-3, -2]]})
         self._write(paths["divergent"], {"problem": "star", "A": [[1]]})
         forms = [  # in order: check and the tampered copy read the solution
             ("solve --input {inst} --output {sol} --tol 1e-9", EXIT_OK),
             ("solve --input {inst}", EXIT_OK),
             ("check --input {sol}", EXIT_OK),
-            ("star --input {matrix}", EXIT_OK),
-            ("mcm --input {matrix}", EXIT_OK),
+            ("solve --input {matrix}", EXIT_OK),
             ("solve --input {divergent}", EXIT_INFEASIBLE),
             ("check --input {tampered}", EXIT_CERTIFICATE),
             ("solve --input {missing}", EXIT_INPUT),
@@ -1198,11 +1197,13 @@ class TestCliMain(object):
                 printed[form] = json.loads(out)
         assert printed["solve --input {inst}"]["objective"] == 0.0
         assert printed["check --input {sol}"] == {"status": "passed", "problems": []}
-        assert printed["mcm --input {matrix}"]["lambda"] == -1.0
+        assert printed["solve --input {matrix}"]["lambda"] == -1.0
 
     @pytest.mark.parametrize("argv", [["frobnicate", "--input", "inst.json"],
                                       ["solve"], ["check", "--output", "out.json"], [],
-                                      ["mcm", "--input", "inst.json", "--format", "text"]])
+                                      ["solve", "--input", "inst.json", "--format", "text"],
+                                      ["star", "--input", "inst.json"],
+                                      ["mcm", "--input", "inst.json"]])
     def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -1210,6 +1211,25 @@ class TestCliMain(object):
         err = capsys.readouterr().err
         assert err.startswith("usage: troplp")
         assert "error: " in err
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m troplp.cli hands main's exit code to the shell
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "troplp.cli", *argv],
+                                  capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+        solved = run("solve", "--input", str(GOLDEN / "mcm.instance.json"))
+        assert (solved.returncode, solved.stdout) == (
+            EXIT_OK, (GOLDEN / "mcm.solution.json").read_bytes())
+        divergent = run("solve", "--input", str(GOLDEN / "divergent-star.instance.json"))
+        assert divergent.returncode == EXIT_INFEASIBLE
+        doc = json.loads(solved.stdout)
+        doc["lambda"] += 1.0
+        raised = tmp_path / "raised.json"
+        self._write(raised, doc)
+        assert run("check", "--input", str(raised)).returncode == EXIT_CERTIFICATE
+        bare = run()
+        assert bare.returncode == EXIT_INPUT and bare.stderr.startswith(b"usage: troplp")
 
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_input_not_utf8(self, command, tmp_path, capsys):
@@ -1415,6 +1435,7 @@ def test_divergent_payloads_near_tol_check():
 
 
 GOLDEN = util.TESTS / "golden"
+SRC = util.TESTS.parent / "src"
 # the golden files of the two failure statuses
 FAILURES = ("infeasible-lambda-positive", "divergent-star")
 
@@ -1451,8 +1472,10 @@ class TestTolRule:
     def test_payload_tol_and_override_use_the_rule(self):
         inst = parse_instance('{"problem":"mcm","A":[[1]]}')
         payload, _ = solve_to_payload(inst, 1e-9)
+        # a stored tol is checked whether or not --tol overrides it
         for tol, override in ((float("inf"), None), (1e-9, float("inf")),
-                              (1e-9, float("nan")), (1e-9, -1.0)):
+                              (1e-9, float("nan")), (1e-9, -1.0),
+                              ("abc", 1e-9), (-1, 1e-9), (None, 1e-9), (True, 1e-9)):
             with pytest.raises(InstanceFormatError, match="tol must be"):
                 verify_payload(dict(payload, tol=tol), override)
 
@@ -1491,6 +1514,16 @@ class TestTolRule:
         assert _check(doc, tmp_path, "--tol", "1e-9") == EXIT_CERTIFICATE
         assert capsys.readouterr().err == (
             "troplp: certificate violation: witness cycle mean 1.0 != lambda 6.0\n")
+
+    @pytest.mark.parametrize("tol", ["abc", -1, None, True])
+    def test_malformed_stored_tol_is_input_error_with_and_without_flag(
+            self, tol, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "primal.solution.json").read_text())
+        doc["tol"] = tol
+        for flags in ((), ("--tol", "1e-9")):
+            assert _check(doc, tmp_path, *flags) == EXIT_INPUT
+            assert capsys.readouterr().err == (
+                f"troplp: input error: tol must be a finite nonnegative number, got {tol!r}\n")
 
     @pytest.mark.parametrize("obj", [
         {"problem": "star", "A": [[1]]},
@@ -1733,6 +1766,34 @@ class TestKindTable:
         failures = re.findall(r"The failure statuses \(.*?\) store `([a-z_ ]+)`\.",
                               " ".join(self.README.split()))
         assert failures == [_stored_names(_DIVERGENT)]
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first fenced block of `language` in README's section `heading`."""
+    section = TestKindTable.README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S)[1]
+
+
+class TestReadmeExamples:
+    def test_command_line_block_names_the_parsers_commands_and_options(self):
+        block = _readme_block("Command line", "sh")
+        lines = [line.split() for line in block.splitlines()]
+        assert all(words[0] == "troplp" for words in lines)
+        commands = {words[1] for words in lines if not words[1].startswith("-")}
+        options = set(re.findall(r"--[a-z]+", block)) - {"--help"}
+        actions = cli._PARSER._actions
+        assert commands == {choice for action in actions if not action.option_strings
+                            for choice in action.choices}
+        assert options == {option for action in actions for option in action.option_strings
+                           if option.startswith("--")} - {"--help"}
+
+    def test_library_example_runs_and_its_comments_hold(self):
+        scope: dict = {}
+        exec(_readme_block("Library example", "python"), scope)
+        cert, gap = scope["cert"], scope["gap"]
+        assert cert.x_opt == TropVector([3, 2]) and cert.pi_opt == TropVector([-2, -3])
+        assert cert.f_max == cert.phi_min == 3
+        assert gap.lower == gap.real_optimum == gap.upper == 3
 
 
 def _solve_then_check(obj, tmp_path) -> tuple[int, int | None]:
