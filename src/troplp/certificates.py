@@ -85,8 +85,8 @@ def star(a: TropMatrix, s: TropMatrix, tol: float) -> list[str]:
     """S is a fixed point of x -> Ax + I, and where _strictly_negative does
     not prove it unique (a cycle mean near or above -tol, or entries past the
     rounding gate), idempotent as well.  One product A S serves both tests:
-    max(A S, I) raises only its diagonal, whose maximum is _heaviest_cycle's
-    bound, formed from the same sums."""
+    max(A S, I) raises only its diagonal, whose maximum is the max(A + S^T)
+    that _strictly_negative takes, formed from the same sums."""
     fixed = np.array(tmul(a, s).data)
     heaviest = float(fixed.diagonal().max())
     np.fill_diagonal(fixed, np.maximum(fixed.diagonal(), 0.0))
@@ -224,18 +224,12 @@ def _scale(*parts) -> float:
     return scale
 
 
-def _heaviest_cycle(a: TropMatrix, s: np.ndarray) -> float:
-    """max(A + S^T), the largest diagonal entry of A S.  For S = A* it is the
-    weight of the heaviest cycle of A, as every closed walk through i is an
-    arc i -> v followed by a walk from v back to i."""
-    return float(np.max(a.data + s.T))
-
-
 def _strictly_negative(a: TropMatrix, s: np.ndarray, heaviest: float, tol: float) -> bool:
     """True when S, a fixed point of x -> A x + I within tol, proves that
     lambda(A) < -tol and that S is A* within 2n tol, given heaviest =
-    _heaviest_cycle(A, S), the largest diagonal entry of A S; the test is
-    O(n^2).
+    max(A + S^T), the largest diagonal entry of A S; the test is O(n^2).
+    For S = A* it is the weight of the heaviest cycle of A, as every closed
+    walk through i is an arc i -> v followed by a walk from v back to i.
 
     Say max(A S, I) and S agree within t entrywise, so a_uv + S_vw <= S_uw + t
     and 0 <= S_ii + t.  Along a cycle i = i_0 -> i_1 -> ... -> i_k = i of
@@ -252,8 +246,8 @@ def _strictly_negative(a: TropMatrix, s: np.ndarray, heaviest: float, tol: float
     Under the rounding gate (_resolves on A and S) the rounded tests of the
     fixed point prove the exact ones with t = 2 tol, and the rounded maximum
     of A + S^T is off by less than tol; hence the bound -(4n + 1) tol.  The
-    sweep's own star is such a fixed point up to its rounding, so the
-    solvers apply the rule to it as it stands.
+    sweep's own star is such a fixed point up to its rounding, so `star`
+    applies the rule to a stored star as it stands.
     """
     return (_resolves(tol, a.data, s)
             and heaviest < -(4 * a.rows + 1) * tol)

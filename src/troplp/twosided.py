@@ -21,8 +21,7 @@ at most n rounds, on a y with max(A y, d) = y exactly in the floats that
 `check` forms.  Every other solve takes the star, O(n^3), and is refused
 or accepted by kleene_star's rule, so a lambda it accepts counts as
 feasible.  The equation form always takes the star, and its solution kind,
-lambda < -tol, is read from the star in O(n^2) where it can be; Karp runs
-for it only where it cannot.  Each solver checks its answer by
+lambda < -tol, is Karp's lambda.  Each solver checks its answer by
 certificates.two_sided, the rule `check` applies.
 """
 
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificates import _heaviest_cycle, _resolves, _strictly_negative, two_sided
+from .certificates import two_sided
 from .closure import _require_square, kleene_star, max_cycle_mean
 from .core import DEFAULT_TOL, TropMatrix, TropVector, tadd, tdot, tmul
 from .errors import DimensionMismatchError, FiniteRequiredError, require
@@ -106,22 +105,11 @@ def solve_tslp2(inst: TwoSidedInstance, tol: float = DEFAULT_TOL) -> TwoSidedRes
     """Minimize c'y subject to A y + d = y; the optimum is y = A* d.
 
     When the maximum cycle mean is below -tol the feasible set is the single
-    point A* d, reported as the unique-fixed-point kind.  The star S tells
-    the kind in O(n^2) on either side of a band: _strictly_negative proves
-    lambda < -tol, and the heaviest diagonal entry of A S, at least -tol
-    under the same rounding gate, is the weight of a closed walk of A (S
-    holds weights of walks of A, or of the lighter A - lambda), so one of
-    its cycles has a mean of at least -tol.  Karp decides inside the band
-    and past the gate.
+    point A* d, reported as the unique-fixed-point kind.  Karp's lambda
+    decides it, and its cycle or potential witnesses that lambda.
     """
     star = kleene_star(inst.a, tol)
     y = tmul(star, inst.d)
     require(two_sided(inst, y, tol, equation=True))
-    heaviest = _heaviest_cycle(inst.a, star.data)
-    if _strictly_negative(inst.a, star.data, heaviest, tol):
-        unique = True
-    elif heaviest >= -tol and _resolves(tol, inst.a.data, star.data):
-        unique = False
-    else:
-        unique = max_cycle_mean(inst.a).lambda_ < -tol
+    unique = max_cycle_mean(inst.a).lambda_ < -tol
     return TwoSidedResult(y, tdot(inst.c, y), UNIQUE_FIXED_POINT if unique else FEASIBLE)

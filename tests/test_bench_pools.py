@@ -14,8 +14,8 @@ so that _read_array reads it with its bytes' test's epsilon mask and never
 takes its type census; a star-based solve of the graph pool sweeps A only
 when its positive arcs close no cycle, and a tslp solve only when A has a
 positive arc; and the graph pool's solves and checks take the acyclic peel,
-Karp's early stop, the star writer's distinct values and the
-strictly-negative exits.  bench/workloads.py is imported as it is, and the
+Karp's early stop, the star writer's distinct values and the star
+check's strictly-negative exit.  bench/workloads.py is imported as it is, and the
 pools are written under the test's temporary directory.  The io stages that
 bench/tracing.py times must all be names that troplp.cli binds.
 """
@@ -153,12 +153,12 @@ def test_graph_pool_takes_the_kept_kernel_and_check_paths(tmp_path, monkeypatch,
                                     for a, in calls["max_cycle_mean"]),
                 "Karp stopped early": bool(karps) and len(karps[-1][1]) - 1 < karps[-1][0].rows,
                 "Karp traced a cycle": bool(calls["_critical_cycle"]),
-                f"strictly negative in {step}": any(
+                "strictly negative in check": any(
                     strictly_negative(*a) for a in calls["_strictly_negative"]),
                 "star written from distinct values": bool(calls["_distinct_value_rows"]),
             })
     capsys.readouterr()
-    # the strictly-negative solves are tslp2's kind, the checks the stars'
-    assert taken == {"acyclic peel": 6, "Karp stopped early": 41, "Karp traced a cycle": 45,
-                     "strictly negative in solve": 17, "strictly negative in check": 31,
+    # only the star check applies the strictly-negative rule
+    assert taken == {"acyclic peel": 6, "Karp stopped early": 57, "Karp traced a cycle": 62,
+                     "strictly negative in check": 31,
                      "star written from distinct values": 31}

@@ -15,8 +15,10 @@ from troplp.io import _DIVERGENT, _KINDS
 SRC = Path(troplp.__file__).parent
 # names that certificates took over; the first three were renamed there
 MOVED = ("primal_violation", "dual_violation", "two_sided_lhs", "shortfall",
-         "_resolves", "_heaviest_cycle", "_strictly_negative", "_cycle_mean",
-         "_acyclic")
+         "_resolves", "_strictly_negative", "_cycle_mean", "_acyclic")
+# the rounding gate and the star's O(n^2) uniqueness bound: only the
+# certificate rules apply them
+GATED = ("_resolves", "_strictly_negative")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -42,6 +44,25 @@ def test_each_rule_is_defined_in_certificates_alone():
     rules = _defined(_tree(SRC / "certificates.py"))
     assert set(MOVED[3:]) <= rules
     elsewhere = {path.name: sorted(_defined(_tree(path)) & (rules | set(MOVED)))
+                 for path in SRC.glob("*.py") if path.name != "certificates.py"}
+    assert {name: found for name, found in elsewhere.items() if found} == {}
+
+
+def _names(tree: ast.Module) -> set[str]:
+    """Every identifier the tree reads or imports, attributes included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_gated_rules_are_named_in_certificates_alone():
+    elsewhere = {path.name: sorted(_names(_tree(path)) & set(GATED))
                  for path in SRC.glob("*.py") if path.name != "certificates.py"}
     assert {name: found for name, found in elsewhere.items() if found} == {}
 

@@ -12,11 +12,11 @@ import exact
 import util
 from troplp import (EPSILON, DimensionMismatchError, DivergentStarError, LpInstance,
                     TropMatrix, TropVector, TwoSidedInstance, approx_equal, certificates,
-                    closure, core, kleene_star, leq, max_cycle_mean, solve_dual,
+                    closure, core, kleene_star, leq, solve_dual,
                     solve_tslp, solve_tslp2, tdot, tmul, transpose, tslp_feasible,
                     twosided)
 from troplp.io import parse_instance, solve_to_payload, verify_payload
-from troplp.oracles import brute_star
+from troplp.oracles import brute_cycle_mean, brute_star
 
 TS1 = TwoSidedInstance(TropMatrix([[-1, -2], [-3, -1]]), TropVector([0, 0]),
                        TropVector([0, 0]))
@@ -120,11 +120,11 @@ class TestSolveTslp2:
 
 
 def _planted_near_a_bound(rng, tol=1e-9) -> TwoSidedInstance:
-    """A with one planted cycle whose weight sits near a bound of tslp2's
-    O(n^2) kind rules: -(4n + 1) tol (closure's rule), -2n tol, a weight of
-    -tol, or a mean of -tol; scaled by 1 or 1 +- 1e-3.  The cycle's arcs but
-    one are integers in [-3, 3] and every other arc is below -25, so every
-    other cycle is far more negative."""
+    """A with one planted cycle whose weight sits near a bound of the star
+    rule's O(n^2) tests: -(4n + 1) tol (certificates._strictly_negative's
+    bound), -2n tol, a weight of -tol, or a mean of -tol; scaled by 1 or
+    1 +- 1e-3.  The cycle's arcs but one are integers in [-3, 3] and every
+    other arc is below -25, so every other cycle is far more negative."""
     n = int(rng.integers(1, 9))
     nodes = rng.permutation(n)[:int(rng.integers(1, n + 1))]
     k = len(nodes)
@@ -138,10 +138,13 @@ def _planted_near_a_bound(rng, tol=1e-9) -> TwoSidedInstance:
                             util.finite_vector(rng, n))
 
 
-def test_tslp2_kind_matches_karp(monkeypatch):
-    """The kind tslp2 reads from the star in O(n^2), or from Karp inside the
-    band, is Karp's lambda < -tol, over 600 random instances at margins from
-    0 to 1 and 600 planted cycles near each bound of the star's rules."""
+def test_tslp2_kind_matches_the_oracle(monkeypatch):
+    """The kind tslp2 reads from Karp's lambda is the brute-force cycle
+    mean's lambda < -tol, over 600 random instances at margins from 0 to 1
+    and 600 planted cycles near -tol and near the star rule's bounds; every
+    draw of at most 8 nodes is enumerated.  Where the oracle's lambda lies
+    within 1e-15 of -tol, the two sums may round to either side: one draw
+    does so, and no other may."""
     rng = np.random.default_rng(71)
     karp_in_solve = util.count_calls(monkeypatch, closure.max_cycle_mean)
     instances = [util.tslp_instance(rng, int(rng.integers(1, 21)),
@@ -149,17 +152,23 @@ def test_tslp2_kind_matches_karp(monkeypatch):
                                                  * rng.uniform(0, 2)))
                  for _ in range(600)]
     instances += [_planted_near_a_bound(rng) for _ in range(600)]
-    kinds, karp_runs = [], 0
+    kinds, karp_runs, enumerated, rounded_across = [], set(), 0, 0
     for inst in instances:
         before = len(karp_in_solve)
-        kind = solve_tslp2(inst).feasibility_kind
-        karp_runs += len(karp_in_solve) > before
-        unique = max_cycle_mean(inst.a).lambda_ < -1e-9
-        assert kind == ("unique-fixed-point" if unique else "feasible")
-        kinds.append(kind)
+        kinds.append(solve_tslp2(inst).feasibility_kind)
+        karp_runs.add(len(karp_in_solve) - before)
+        if inst.a.rows > 8:
+            continue
+        lam = brute_cycle_mean(inst.a)
+        enumerated += 1
+        if kinds[-1] != ("unique-fixed-point" if lam < -1e-9 else "feasible"):
+            assert abs(lam + 1e-9) <= 1e-15
+            rounded_across += 1
     assert 0 < kinds.count("feasible") < len(kinds)
-    # the instances crowd the bounds, yet the star decided a good share
-    assert 0 < karp_runs < len(kinds) / 2
+    assert (enumerated, rounded_across) == (815, 1)
+    # Karp decides every kind, and runs a second time only where the star's
+    # own rule ran it
+    assert karp_runs == {1, 2}
 
 
 @settings(max_examples=200, deadline=None)
